@@ -1,11 +1,10 @@
 """Sequential detection of signal streams with coupled parameters."""
 
-from .engine import Decision, EngineState, TestKind, Thresholds, TrialResult
+from .engine import Decision, EngineState, TestKind, Thresholds
 from .errors import CapacityError, ConfigError, DomainError, SeqDetectError
 from .geometry import (
     InfoConstants,
     assignment_kl,
-    asymptotic_approximation,
     info_constants,
     kl_to_region,
     lower_bound,

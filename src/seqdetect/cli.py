@@ -281,7 +281,6 @@ def load_config(path_or_preset: str) -> RunSpec:
 def _experiment_config(spec: RunSpec) -> montecarlo.ExperimentConfig:
     return montecarlo.ExperimentConfig(
         model=spec.model,
-        k=spec.theta.k,
         theta=spec.theta,
         kinds=spec.kinds,
         thresholds=spec.thresholds,
@@ -351,8 +350,8 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
                 f"log_a={th.log_a:g} log_b={th.log_b:g}: outside the lower bound's "
                 "hypothesis (needs alpha, beta in (0, 1) with alpha + beta < 1/2)"
             )
-        approx_c = montecarlo.approx_ess(constants, engine.TestKind.CONSTRAINED, th)
-        approx_u = montecarlo.approx_ess(constants, engine.TestKind.UNCONSTRAINED, th)
+        approx_c = montecarlo.approx_ess(constants.i0, constants.i1, th)
+        approx_u = montecarlo.approx_ess(constants.i0_tilde, constants.i1_tilde, th)
         rows.append([th.log_a, th.log_b, alpha, beta, bound, approx_c, approx_u])
 
     _print_table(
@@ -506,15 +505,12 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
             stats=stats,
             lagged_mle=[model.space.theta1_lo] * k,
             adaptive_loglik=0.0,
-            data_loglik=rng.uniform(-5.0, 0.0),
             n=n,
         )
         a_hat = engine.estimate_signal_set(state)
         for kind in (engine.TestKind.CONSTRAINED, engine.TestKind.UNCONSTRAINED):
             got = engine.sup_loglik_error_sets(state, kind)
-            ref = oracle.grid_sup_loglik(
-                model, stats, a_hat, kind, grid, data_loglik=state.data_loglik
-            )
+            ref = oracle.grid_sup_loglik(model, stats, a_hat, kind, grid)
             for g, r in zip(got, ref):
                 if math.isinf(g) or math.isinf(r):
                     if g != r:

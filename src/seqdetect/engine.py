@@ -16,9 +16,13 @@ alternatives to the coupled space (one shared signal value, one shared
 noise value); the unconstrained variant lets every stream move freely and
 serves as the baseline.
 
-All suprema here are observation-level log-likelihoods: the statistic-based
-closed forms are combined with the accumulated base-measure term so that
-differences against ``adaptive_loglik`` are exact log-likelihood ratios.
+Every log-likelihood here is statistic-level (see :mod:`seqdetect.models`):
+observation x scored at the lagged estimate t adds the closed form at
+(n=1, s=x, t) -- t*x - t^2/2 for the Gaussian, x*log(t) + (1-x)*log(1-t) for
+the Bernoulli -- and each supremum is the same closed form at pooled counts.
+The base measure of the data is common to the adaptive likelihood and to
+every supremum, so it cancels from both margins and is never accumulated;
+the margins are exact log-likelihood ratios.
 """
 from __future__ import annotations
 
@@ -29,12 +33,12 @@ from typing import Sequence
 
 from .errors import CapacityError, ConfigError, DomainError
 from .models import (
+    Family,
     JointParameter,
     Region,
     StreamModel,
     SufficientStat,
-    log_base_measure,
-    log_density,
+    _loglik,
     mle_unrestricted,
     sample,
     sup_stat_loglik,
@@ -43,6 +47,8 @@ from .models import (
 MAX_STREAMS = 16
 
 _NEG_INF = float("-inf")
+
+_BERNOULLI_VALUES = frozenset((0.0, 1.0))
 
 
 class TestKind(Enum):
@@ -70,22 +76,12 @@ class Decision:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Decision plus the terminal normalized stopping statistics."""
-
-    decision: Decision
-    norm_stat0: float
-    norm_stat1: float
-
-
 @dataclass
 class EngineState:
     models: tuple[StreamModel, ...]
     stats: list[SufficientStat]
     lagged_mle: list[float]
     adaptive_loglik: float
-    data_loglik: float
     n: int
 
     @property
@@ -130,7 +126,6 @@ def init(
         stats=[SufficientStat() for _ in range(k)],
         lagged_mle=lagged,
         adaptive_loglik=0.0,
-        data_loglik=0.0,
         n=0,
     )
 
@@ -146,20 +141,30 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     k = state.k
     if len(obs) != k:
         raise DomainError(f"expected {k} observations, got {len(obs)}")
+    if state.models[0].family is Family.BERNOULLI and not _BERNOULLI_VALUES.issuperset(obs):
+        raise DomainError(f"Bernoulli observations must be 0 or 1, got {list(obs)!r}")
     adaptive = state.adaptive_loglik
-    base = state.data_loglik
     for i in range(k):
         x = float(obs[i])
         model = state.models[i]
-        adaptive += log_density(model, state.lagged_mle[i], x)
-        base += log_base_measure(model, x)
+        adaptive += _loglik(model, 1, x, state.lagged_mle[i])
         st = state.stats[i]
         st.add(x)
         state.lagged_mle[i] = mle_unrestricted(model, st)
     state.adaptive_loglik = adaptive
-    state.data_loglik = base
     state.n += 1
     return state
+
+
+def _region_sups(state: EngineState) -> tuple[list[float], list[float]]:
+    """Each stream's log-likelihood supremum over the signal and the noise region."""
+    model = state.models[0]
+    sig_q = []
+    noise_q = []
+    for st in state.stats:
+        sig_q.append(sup_stat_loglik(model, st.n, st.s, Region.SIGNAL))
+        noise_q.append(sup_stat_loglik(model, st.n, st.s, Region.NOISE))
+    return sig_q, noise_q
 
 
 def estimate_signal_set(state: EngineState) -> frozenset[int]:
@@ -169,15 +174,8 @@ def estimate_signal_set(state: EngineState) -> frozenset[int]:
     """
     if state.n < 1:
         raise DomainError("signal-set estimate requires at least one observation")
-    out = []
-    for i in range(state.k):
-        st = state.stats[i]
-        model = state.models[i]
-        if sup_stat_loglik(model, st.n, st.s, Region.SIGNAL) >= sup_stat_loglik(
-            model, st.n, st.s, Region.NOISE
-        ):
-            out.append(i)
-    return frozenset(out)
+    sig_q, noise_q = _region_sups(state)
+    return frozenset(i for i in range(state.k) if sig_q[i] >= noise_q[i])
 
 
 def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, float]:
@@ -193,36 +191,35 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
     """
     if state.n < 1:
         raise DomainError("error-set suprema require at least one observation")
-    k = state.k
-    model = state.models[0]
-    a_hat = estimate_signal_set(state)
-    a_mask = 0
-    for i in a_hat:
-        a_mask |= 1 << i
-    base = state.data_loglik
-
     if kind is TestKind.UNCONSTRAINED:
+        # A stream is in the estimate exactly when its signal supremum wins,
+        # so the estimate and the flip costs come from the same numbers.
+        sig_q, noise_q = _region_sups(state)
         full_q = []
-        sig_q = []
-        noise_q = []
-        for i in range(k):
-            st = state.stats[i]
-            qs = sup_stat_loglik(model, st.n, st.s, Region.SIGNAL)
-            qn = sup_stat_loglik(model, st.n, st.s, Region.NOISE)
-            sig_q.append(qs)
-            noise_q.append(qn)
-            full_q.append(qs if qs >= qn else qn)
+        flip0 = []
+        flip1 = []
+        for qs, qn in zip(sig_q, noise_q):
+            if qs >= qn:
+                full_q.append(qs)
+                flip1.append(qs - qn)
+            else:
+                full_q.append(qn)
+                flip0.append(qn - qs)
         total = sum(full_q)
-        flip0 = [full_q[i] - sig_q[i] for i in range(k) if i not in a_hat]
-        flip1 = [full_q[i] - noise_q[i] for i in range(k) if i in a_hat]
-        l0 = total - min(flip0) + base if flip0 else _NEG_INF
-        l1 = total - min(flip1) + base if flip1 else _NEG_INF
+        l0 = total - min(flip0) if flip0 else _NEG_INF
+        l1 = total - min(flip1) if flip1 else _NEG_INF
         return l0, l1
 
+    k = state.k
+    model = state.models[0]
+    a_mask = 0
+    for i in estimate_signal_set(state):
+        a_mask |= 1 << i
     if k > MAX_STREAMS:
         raise CapacityError(f"subset enumeration supports at most {MAX_STREAMS} streams")
     ns = [st.n for st in state.stats]
     ss = [st.s for st in state.stats]
+    s_total = sum(ss)
     l0 = _NEG_INF
     l1 = _NEG_INF
     for mask in range(1 << k):
@@ -237,11 +234,9 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
                 nb += ns[i]
                 sb += ss[i]
         nc = state.n * k - nb
-        sc = sum(ss) - sb
-        val = (
-            sup_stat_loglik(model, nb, sb, Region.SIGNAL)
-            + sup_stat_loglik(model, nc, sc, Region.NOISE)
-            + base
+        sc = s_total - sb
+        val = sup_stat_loglik(model, nb, sb, Region.SIGNAL) + sup_stat_loglik(
+            model, nc, sc, Region.NOISE
         )
         if cand0 and val > l0:
             l0 = val
@@ -277,8 +272,7 @@ def run_to_decision(
     kind: TestKind,
     rng,
     n_max: int = 10**6,
-    init_mle: str | Sequence[float] = "signal-boundary",
-) -> TrialResult:
+) -> Decision:
     """Simulate one trial to its decision.
 
     Samples stream observations (in stream order) from ``theta_true``,
@@ -295,25 +289,16 @@ def run_to_decision(
     for i, t in enumerate(theta_true.thetas):
         if not models[i].space.contains(t):
             raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
-    state = init(models, init_mle)
+    state = init(models)
     thetas = theta_true.thetas
-    decision = None
     while state.n < n_max:
         obs = [sample(models[i], thetas[i], rng) for i in range(len(models))]
         update(state, obs)
         decision = check_stop(state, thresholds, kind)
         if decision is not None:
-            break
-    if decision is None:
-        decision = Decision(
-            stopped_at=state.n,
-            selected=estimate_signal_set(state),
-            truncated=True,
-        )
-    l0, l1 = sup_loglik_error_sets(state, kind)
-    inv_n = 1.0 / state.n
-    return TrialResult(
-        decision=decision,
-        norm_stat0=(state.adaptive_loglik - l0) * inv_n,
-        norm_stat1=(state.adaptive_loglik - l1) * inv_n,
+            return decision
+    return Decision(
+        stopped_at=state.n,
+        selected=estimate_signal_set(state),
+        truncated=True,
     )

@@ -10,8 +10,9 @@ streams.  For a vector theta with signal set A(theta), the constants
 measure the cheapest way a wrong signal-set assignment B can explain data
 generated under theta; space_B is the slice of the coupled space whose
 signal set is exactly B.  The per-stream relaxations i0_tilde and i1_tilde
-drop the coupling and bound i0 and i1 from below.  Expected sample sizes of
-valid sequential procedures are bounded below through the function phi.
+drop the coupling and bound i0 and i1 from below; they are defined for any
+truth, coupled or not.  Expected sample sizes of valid sequential
+procedures are bounded below through the function phi.
 
 Empty minimization families produce +inf, which propagates through max and
 min and turns the corresponding bound term into zero.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapacityError, DomainError
-from .models import Family, JointParameter, Region, StreamModel, kl
+from .models import JointParameter, Region, StreamModel, kl
 
 MAX_STREAMS = 16
 
@@ -80,37 +81,17 @@ def kl_to_region(model: StreamModel, theta: float, region: Region) -> float:
     return kl(model, theta, t)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimum value of a unimodal f over [lo, hi] by golden-section search."""
-    invphi = 0.6180339887498949
-    a, b = lo, hi
-    if b - a <= tol:
-        return f(0.5 * (a + b))
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd, f(0.5 * (a + b)))
-
-
 def _group_inf(model: StreamModel, values: list[float], region: Region) -> float:
-    """inf over u in the region of sum_k KL(theta_k, u) for one shared u."""
+    """inf over u in the region of sum_k KL(theta_k, u) for one shared u.
+
+    For both families the sum is convex in u with its unconstrained minimum
+    at the group mean, so the infimum is attained at the clipped mean.
+    """
     if not values:
         return 0.0
     lo, hi = model.space.region_bounds(region)
-    if model.family is Family.GAUSSIAN:
-        u = sum(values) / len(values)
-        u = min(max(u, lo), hi)
-        return sum(kl(model, t, u) for t in values)
-    return _golden_min(lambda u: sum(kl(model, t, u) for t in values), lo, hi)
+    u = min(max(sum(values) / len(values), lo), hi)
+    return sum(kl(model, t, u) for t in values)
 
 
 def assignment_kl(model: StreamModel, theta: JointParameter, b: Iterable[int]) -> float:
@@ -118,8 +99,7 @@ def assignment_kl(model: StreamModel, theta: JointParameter, b: Iterable[int]) -
 
     Decouples into two scalar minimizations, one for the shared signal value
     over the streams in B and one for the shared noise value over the rest.
-    The Gaussian minimizer is the group mean projected onto the region;
-    other families use golden-section search (tolerance 1e-10).
+    Each minimizer is the group mean projected onto the region.
     """
     theta.require_constrained(model.space)
     members = frozenset(b)
@@ -130,6 +110,24 @@ def assignment_kl(model: StreamModel, theta: JointParameter, b: Iterable[int]) -
     return _group_inf(model, sig_vals, Region.SIGNAL) + _group_inf(
         model, noise_vals, Region.NOISE
     )
+
+
+def per_stream_constants(model: StreamModel, theta: JointParameter) -> tuple[float, float]:
+    """(i0_tilde, i1_tilde): the cheapest single-stream flip each way.
+
+    i0_tilde moves one noise stream into the signal region, i1_tilde one
+    signal stream into the noise region.  No coupling is needed, so any
+    truth in the parameter set is accepted; an empty side gives +inf.
+    """
+    a_set = theta.signal_set(model.space)
+    i0_tilde = math.inf
+    i1_tilde = math.inf
+    for i, t in enumerate(theta.thetas):
+        if i in a_set:
+            i1_tilde = min(i1_tilde, kl_to_region(model, t, Region.NOISE))
+        else:
+            i0_tilde = min(i0_tilde, kl_to_region(model, t, Region.SIGNAL))
+    return i0_tilde, i1_tilde
 
 
 def info_constants(model: StreamModel, theta: JointParameter) -> InfoConstants:
@@ -162,13 +160,7 @@ def info_constants(model: StreamModel, theta: JointParameter) -> InfoConstants:
         if in_b1 and v < i1:
             i1 = v
 
-    i0_tilde = math.inf
-    i1_tilde = math.inf
-    for i in range(k):
-        if i in a_set:
-            i1_tilde = min(i1_tilde, kl_to_region(model, theta.thetas[i], Region.NOISE))
-        else:
-            i0_tilde = min(i0_tilde, kl_to_region(model, theta.thetas[i], Region.SIGNAL))
+    i0_tilde, i1_tilde = per_stream_constants(model, theta)
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 
@@ -186,10 +178,3 @@ def lower_bound(constants: InfoConstants, alpha: float, beta: float) -> float:
     t0 = phi(alpha + beta, beta) / constants.i0
     t1 = phi(alpha + beta, alpha) / constants.i1
     return max(t0, t1)
-
-
-def asymptotic_approximation(constants: InfoConstants, alpha: float, beta: float) -> float:
-    """First-order expected-sample-size approximation max(|log beta|/i0, |log alpha|/i1)."""
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise DomainError("alpha and beta must lie in (0, 1)")
-    return max(-math.log(beta) / constants.i0, -math.log(alpha) / constants.i1)

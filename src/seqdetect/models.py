@@ -6,17 +6,18 @@ noise region Theta0 and a signal region Theta1, with Theta0 entirely to the
 left of Theta1.  A stream is a signal stream when its parameter falls in
 Theta1 and a noise stream otherwise.
 
-Likelihood computations are carried out in log space throughout.  For each
-family the pair (n, s) of observation count and running sum is sufficient
-for the parameter, so restricted maximum-likelihood values reduce to closed
-forms in the sample mean projected onto the relevant region.
+Likelihoods are statistic-level: both families are exponential families in
+which the pair (n, s) of observation count and running sum is sufficient,
+and the log-likelihood of (n, s) at theta is taken as
 
-For the Gaussian family the observation-level term sum(x_t^2)/2 is not
-recoverable from (n, s); :func:`stat_loglik` therefore returns the
-log-likelihood with the base-measure sum omitted, and :func:`sup_loglik`
-anchors that unrecoverable term at the sample mean.  Differences between
-regions for the same statistic are unaffected by the convention.  Bernoulli
-log-likelihoods are exact functions of (n, s).
+    Gaussian   theta*s - n*theta^2/2
+    Bernoulli  s*log(theta) + (n - s)*log(1 - theta)
+
+The base measure, the parameter-free sum of log h(x_t) over the
+observations, is left out.  It is the same for every theta scored against
+the same data, so it cancels from every likelihood ratio the test forms.
+(For Bernoulli it is 0 and the values are exact.)  Restricted maxima reduce
+to the closed form at the sample mean projected onto the region.
 """
 from __future__ import annotations
 
@@ -34,19 +35,12 @@ __all__ = [
     "StreamModel",
     "SufficientStat",
     "JointParameter",
-    "log_density",
-    "log_base_measure",
     "kl",
     "stat_loglik",
     "sup_stat_loglik",
-    "region_mle",
     "mle_unrestricted",
-    "sup_loglik",
     "sample",
 ]
-
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 class Family(Enum):
     GAUSSIAN = "gaussian"
@@ -149,9 +143,6 @@ class SufficientStat:
             raise DomainError("sample mean undefined for an empty statistic")
         return self.s / self.n
 
-    def copy(self) -> "SufficientStat":
-        return SufficientStat(self.n, self.s)
-
 
 @dataclass(frozen=True)
 class JointParameter:
@@ -220,38 +211,6 @@ def _require_in_space(model: StreamModel, theta: float, what: str = "theta") -> 
         raise DomainError(f"{what}={theta!r} outside the parameter set")
 
 
-def log_density(model: StreamModel, theta: float, x: float) -> float:
-    """Log density of a single observation.
-
-    Gaussian: unit-variance normal with mean theta.  Bernoulli: success
-    probability theta, observation in {0, 1}.  theta must lie in the
-    parameter set.
-    """
-    _require_in_space(model, theta)
-    if model.family is Family.GAUSSIAN:
-        d = x - theta
-        return -0.5 * d * d - LOG_SQRT_2PI
-    if x == 1.0:
-        return math.log(theta)
-    if x == 0.0:
-        return math.log1p(-theta)
-    raise DomainError(f"Bernoulli observation must be 0 or 1, got {x!r}")
-
-
-def log_base_measure(model: StreamModel, x: float) -> float:
-    """Parameter-free part of the log density.
-
-    For the Gaussian family this is -x^2/2 - log(sqrt(2*pi)); for Bernoulli
-    it is 0.  Summing these over observations converts statistic-level
-    log-likelihoods (:func:`stat_loglik`) into observation-level ones.
-    """
-    if model.family is Family.GAUSSIAN:
-        return -0.5 * x * x - LOG_SQRT_2PI
-    if x not in (0.0, 1.0):
-        raise DomainError(f"Bernoulli observation must be 0 or 1, got {x!r}")
-    return 0.0
-
-
 def kl(model: StreamModel, theta: float, theta_p: float) -> float:
     """Kullback-Leibler divergence between f_theta and f_theta_p.
 
@@ -269,18 +228,22 @@ def kl(model: StreamModel, theta: float, theta_p: float) -> float:
     )
 
 
-def stat_loglik(model: StreamModel, stat: SufficientStat, theta: float) -> float:
-    """Log-likelihood of a sufficient statistic at theta.
+def _loglik(model: StreamModel, n: int, s: float, theta: float) -> float:
+    """Statistic-level log-likelihood of (n, s) at theta, unchecked.
 
-    Exact for Bernoulli.  For the Gaussian family the observation-level
-    base-measure sum is omitted (see the module docstring); add the
-    accumulated :func:`log_base_measure` values to recover the full
-    log-likelihood.
+    The one home of both closed forms; every public likelihood routes
+    through it.  Callers guarantee theta lies in the parameter set.
     """
-    _require_in_space(model, theta)
     if model.family is Family.GAUSSIAN:
-        return theta * stat.s - 0.5 * stat.n * theta * theta
-    return stat.s * math.log(theta) + (stat.n - stat.s) * math.log1p(-theta)
+        return theta * s - 0.5 * n * theta * theta
+    return s * math.log(theta) + (n - s) * math.log1p(-theta)
+
+
+def stat_loglik(model: StreamModel, stat: SufficientStat, theta: float) -> float:
+    """Statistic-level log-likelihood of a sufficient statistic at theta
+    (see the module docstring); theta must lie in the parameter set."""
+    _require_in_space(model, theta)
+    return _loglik(model, stat.n, stat.s, theta)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -300,61 +263,32 @@ def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> flo
     """
     if n == 0:
         return 0.0
-    mean = s / n
-    sp = model.space
     if region is Region.FULL:
         return max(
             sup_stat_loglik(model, n, s, Region.NOISE),
             sup_stat_loglik(model, n, s, Region.SIGNAL),
         )
-    lo, hi = sp.region_bounds(region)
-    t = _clip(mean, lo, hi)
-    if model.family is Family.GAUSSIAN:
-        return t * s - 0.5 * n * t * t
-    return s * math.log(t) + (n - s) * math.log1p(-t)
-
-
-def region_mle(model: StreamModel, stat: SufficientStat, region: Region) -> float:
-    """Maximum-likelihood parameter restricted to a region.
-
-    For a single interval this is the sample mean clipped into the interval.
-    Over the full two-interval set, the better of the two clipped candidates
-    is returned; exact ties resolve to the signal side.
-    """
-    if stat.n == 0:
-        raise DomainError("MLE undefined for an empty statistic")
-    mean = stat.mean
-    sp = model.space
-    if region is not Region.FULL:
-        lo, hi = sp.region_bounds(region)
-        return _clip(mean, lo, hi)
-    cand0 = _clip(mean, sp.theta0_lo, sp.theta0_hi)
-    cand1 = _clip(mean, sp.theta1_lo, sp.theta1_hi)
-    # Compare restricted maxima; >= sends gap ties to the signal boundary.
-    if stat_loglik(model, stat, cand1) >= stat_loglik(model, stat, cand0):
-        return cand1
-    return cand0
+    lo, hi = model.space.region_bounds(region)
+    return _loglik(model, n, s, _clip(s / n, lo, hi))
 
 
 def mle_unrestricted(model: StreamModel, stat: SufficientStat) -> float:
-    """Maximum-likelihood parameter over the whole parameter set."""
-    return region_mle(model, stat, Region.FULL)
+    """Maximum-likelihood parameter over the whole parameter set.
 
-
-def sup_loglik(model: StreamModel, stat: SufficientStat, region: Region) -> float:
-    """Supremum over a region of the log-likelihood reconstructed from ``stat``.
-
-    The Gaussian reconstruction anchors the base-measure term at the sample
-    mean, giving -(n/2)*(mean - t)^2 - n*log(sqrt(2*pi)) at the projected
-    parameter t; the Bernoulli value is exact.  An empty statistic yields 0
-    for every region.
+    The sample mean clipped into each region gives the two restricted
+    maximizers; the better one is returned, exact ties going to the signal
+    side.
     """
-    if stat.n == 0:
-        return 0.0
-    q = sup_stat_loglik(model, stat.n, stat.s, region)
-    if model.family is Family.GAUSSIAN:
-        return q - 0.5 * stat.s * stat.mean - stat.n * LOG_SQRT_2PI
-    return q
+    n, s = stat.n, stat.s
+    if n == 0:
+        raise DomainError("MLE undefined for an empty statistic")
+    sp = model.space
+    mean = s / n
+    cand0 = _clip(mean, sp.theta0_lo, sp.theta0_hi)
+    cand1 = _clip(mean, sp.theta1_lo, sp.theta1_hi)
+    if _loglik(model, n, s, cand1) >= _loglik(model, n, s, cand0):
+        return cand1
+    return cand0
 
 
 def sample(model: StreamModel, theta: float, rng) -> float:

@@ -64,18 +64,14 @@ def thresholds_from_levels(alpha: float, beta: float) -> engine.Thresholds:
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: StreamModel
-    k: int
     theta: JointParameter
     kinds: tuple[engine.TestKind, ...]
     thresholds: tuple[engine.Thresholds, ...]
     trials: int
     base_seed: int
     n_max: int = 10**6
-    init_mle: str = "signal-boundary"
 
     def __post_init__(self):
-        if self.k != self.theta.k:
-            raise ConfigError("k must match the truth vector length")
         if not self.kinds:
             raise ConfigError("at least one test kind required")
         if len(set(self.kinds)) != len(self.kinds):
@@ -128,16 +124,12 @@ def _run_batch(
     start: int,
     stop: int,
     n_max: int,
-    init_mle: str,
 ) -> list[tuple[int, bool, bool, bool]]:
     models = (model,) * theta.k
     out = []
     for trial in range(start, stop):
         rng = random.Random(derive_trial_seed(base_seed, cell_index, trial))
-        result = engine.run_to_decision(
-            models, theta, thresholds, kind, rng, n_max=n_max, init_mle=init_mle
-        )
-        d = result.decision
+        d = engine.run_to_decision(models, theta, thresholds, kind, rng, n_max=n_max)
         err1 = bool(d.selected - true_signal)
         err2 = bool(true_signal - d.selected)
         out.append((d.stopped_at, d.truncated, err1, err2))
@@ -164,24 +156,16 @@ def _rate_ci(count: int, trials: int) -> float:
     return _Z95 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def approx_ess(
-    constants: geometry.InfoConstants, kind: engine.TestKind, th: engine.Thresholds
-) -> float:
-    if kind is engine.TestKind.CONSTRAINED:
-        pair = constants
-    else:
-        # The baseline's sample size is governed by the per-stream constants.
-        pair = geometry.InfoConstants(
-            constants.i0_tilde,
-            constants.i1_tilde,
-            constants.i0_tilde,
-            constants.i1_tilde,
-        )
+def approx_ess(i0: float, i1: float, th: engine.Thresholds) -> float:
+    """First-order expected sample size max(|log beta|/i0, |log alpha|/i1).
+
+    Stated directly in threshold space: exponentiating and re-logging would
+    underflow for large thresholds.  A +inf constant makes its term vanish;
+    a threshold that is not positive gives NaN.
+    """
     if th.log_a <= 0.0 or th.log_b <= 0.0:
         return float("nan")
-    # max(|log beta|/i0, |log alpha|/i1) stated directly in threshold space;
-    # exponentiating and re-logging would underflow for large thresholds.
-    return max(th.log_b / pair.i0, th.log_a / pair.i1)
+    return max(th.log_b / i0, th.log_a / i1)
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[Summary]:
@@ -194,7 +178,19 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     """
     workers = _resolve_workers(workers)
     true_signal = config.theta.signal_set(config.model.space)
-    constants = geometry.info_constants(config.model, config.theta)
+    # (i0, i1) governing each kind's sample size: the coupled constants for
+    # the constrained test, the per-stream ones (defined for any truth) for
+    # the baseline.
+    if engine.TestKind.CONSTRAINED in config.kinds:
+        c = geometry.info_constants(config.model, config.theta)
+        rates = {
+            engine.TestKind.CONSTRAINED: (c.i0, c.i1),
+            engine.TestKind.UNCONSTRAINED: (c.i0_tilde, c.i1_tilde),
+        }
+    else:
+        rates = {
+            engine.TestKind.UNCONSTRAINED: geometry.per_stream_constants(config.model, config.theta)
+        }
 
     cells = []
     for ti, th in enumerate(config.thresholds):
@@ -213,8 +209,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         for cell_index, th, kind, start, stop in tasks:
             results[cell_index][start] = _run_batch(
                 config.model, config.theta, th, kind, true_signal,
-                config.base_seed, cell_index, start, stop,
-                config.n_max, config.init_mle,
+                config.base_seed, cell_index, start, stop, config.n_max,
             )
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -223,8 +218,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
                 fut = pool.submit(
                     _run_batch,
                     config.model, config.theta, th, kind, true_signal,
-                    config.base_seed, cell_index, start, stop,
-                    config.n_max, config.init_mle,
+                    config.base_seed, cell_index, start, stop, config.n_max,
                 )
                 futures[fut] = (cell_index, start)
             for fut, (cell_index, start) in futures.items():
@@ -269,7 +263,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
                 fwer2=err2 / config.trials,
                 fwer2_ci=_rate_ci(err2, config.trials),
                 truncated=n_trunc,
-                approx_ess=approx_ess(constants, kind, th),
+                approx_ess=approx_ess(*rates[kind], th),
                 n_type1=err1,
                 n_type2=err2,
                 fwer1_certifiable=err1 >= _CERTIFY_FLOOR,

@@ -30,8 +30,8 @@ from .models import (
     Region,
     StreamModel,
     SufficientStat,
-    log_density,
     sample,
+    stat_loglik,
 )
 
 _NEG_INF = float("-inf")
@@ -114,16 +114,13 @@ def grid_sup_loglik(
     signal_estimate: frozenset,
     kind: "_engine.TestKind",
     grid: Grid,
-    data_loglik: float = 0.0,
 ) -> tuple[float, float]:
     """Grid version of the engine's error-set suprema.
 
     Scans every signal-set assignment and every grid value of the shared
     parameters (the two shared values enter separate sums, so the 2-D scan
-    reduces to two 1-D scans per assignment).  ``data_loglik`` is the
-    accumulated base-measure term that converts statistic-level values to
-    the observation-level convention; pass the engine state's value when
-    comparing against it.
+    reduces to two 1-D scans per assignment).  Values are statistic-level,
+    as in the engine.
     """
     k = len(stats)
     for i, st in enumerate(stats):
@@ -148,8 +145,6 @@ def grid_sup_loglik(
                 l1 = max(l1, total - full_max[i] + noise_max[i])
             else:
                 l0 = max(l0, total - full_max[i] + sig_max[i])
-        l0 = l0 + data_loglik if l0 > _NEG_INF else l0
-        l1 = l1 + data_loglik if l1 > _NEG_INF else l1
         return l0, l1
 
     a_mask = 0
@@ -171,8 +166,6 @@ def grid_sup_loglik(
             l0 = val
         if cand1 and val > l1:
             l1 = val
-    l0 = l0 + data_loglik if l0 > _NEG_INF else l0
-    l1 = l1 + data_loglik if l1 > _NEG_INF else l1
     return l0, l1
 
 
@@ -238,8 +231,10 @@ def mean_one_martingale_estimate(
 
     Simulates the engine under ``theta`` for ``n`` steps and averages
     exp(adaptive_loglik - true_loglik), whose expectation is exactly 1 at
-    every n.  Requires a coupled truth and at least 10^4 trials; n = 0
-    returns (1.0, 0.0) since both log-likelihoods are empty sums.
+    every n.  The true log-likelihood is taken once from the final
+    statistics, in the engine's statistic-level convention, so the base
+    measure cancels.  Requires a coupled truth and at least 10^4 trials;
+    n = 0 returns (1.0, 0.0) since both log-likelihoods are empty sums.
     """
     theta.require_constrained(model.space)
     if n < 0:
@@ -254,12 +249,10 @@ def mean_one_martingale_estimate(
     ratios = np.empty(trials)
     for t in range(trials):
         state = _engine.init(models)
-        true_ll = 0.0
         for _ in range(n):
             obs = [sample(model, thetas[i], rng) for i in range(k)]
-            for i in range(k):
-                true_ll += log_density(model, thetas[i], obs[i])
             _engine.update(state, obs)
+        true_ll = sum(stat_loglik(model, state.stats[i], thetas[i]) for i in range(k))
         ratios[t] = math.exp(state.adaptive_loglik - true_ll)
     mean = float(ratios.mean())
     se = float(ratios.std(ddof=1) / math.sqrt(trials))

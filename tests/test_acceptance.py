@@ -86,7 +86,6 @@ def test_criterion_2_familywise_error_control():
     log20 = math.log(20.0)
     cfg = ExperimentConfig(
         model=GAUSS,
-        k=2,
         theta=TRUTH,
         kinds=(TestKind.CONSTRAINED,),
         thresholds=(Thresholds(log20, log20),),
@@ -163,13 +162,12 @@ def test_criterion_4_grid_equivalence():
             stats=stats,
             lagged_mle=[0.1] * k,
             adaptive_loglik=0.0,
-            data_loglik=rng.uniform(-5.0, 0.0),
             n=n,
         )
         a_hat = estimate_signal_set(state)
         for kind in TestKind:
             got = sup_loglik_error_sets(state, kind)
-            ref = grid_sup_loglik(GAUSS, stats, a_hat, kind, grid, state.data_loglik)
+            ref = grid_sup_loglik(GAUSS, stats, a_hat, kind, grid)
             for g, r in zip(got, ref):
                 if math.isinf(g) or math.isinf(r):
                     if g != r:

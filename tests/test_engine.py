@@ -18,15 +18,13 @@ from seqdetect.engine import (
 )
 from seqdetect.errors import ConfigError, DomainError
 from seqdetect.models import (
-    LOG_SQRT_2PI,
     Family,
     JointParameter,
     ParameterSpace,
     Region,
     StreamModel,
     SufficientStat,
-    log_base_measure,
-    log_density,
+    sample,
     sup_stat_loglik,
 )
 
@@ -34,18 +32,79 @@ GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
 PAIR = (GAUSS, GAUSS)
 TRUTH = JointParameter((0.5, -0.5))
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def state_from_stats(models, stats, data_loglik=0.0):
+def state_from_stats(models, stats):
     n = stats[0].n
     return EngineState(
         models=tuple(models),
-        stats=[st.copy() for st in stats],
+        stats=[SufficientStat(st.n, st.s) for st in stats],
         lagged_mle=[m.space.theta1_lo for m in models],
         adaptive_loglik=0.0,
-        data_loglik=data_loglik,
         n=n,
     )
+
+
+def log_density(model, theta, x):
+    """log f_theta(x), written from the densities."""
+    if model.family is Family.GAUSSIAN:
+        return -0.5 * (x - theta) ** 2 - LOG_SQRT_2PI
+    return math.log(theta) if x == 1.0 else math.log1p(-theta)
+
+
+def log_base(model, x):
+    """log h(x), the parameter-free factor of the density."""
+    if model.family is Family.GAUSSIAN:
+        return -0.5 * x * x - LOG_SQRT_2PI
+    return 0.0
+
+
+def score(model, theta, x):
+    """One observation's term of the adaptive log-likelihood."""
+    return log_density(model, theta, x) - log_base(model, x)
+
+
+def reference_mle(model, xs):
+    """Unrestricted MLE from raw observations: the better of the two
+    clipped means by the summed log density, signal side on ties."""
+    sp = model.space
+    m = sum(xs) / len(xs)
+    cand0 = min(max(m, sp.theta0_lo), sp.theta0_hi)
+    cand1 = min(max(m, sp.theta1_lo), sp.theta1_hi)
+    ll0 = sum(log_density(model, cand0, x) for x in xs)
+    ll1 = sum(log_density(model, cand1, x) for x in xs)
+    return cand1 if ll1 >= ll0 else cand0
+
+
+def reference_adaptive_loglik(model, rows):
+    """sum_t sum_i [log f_{theta_hat(t-1)}(x_ti) - log h(x_ti)] from raw data.
+
+    Keeps every observation and refits each stream from scratch after each
+    step; the lagged estimate starts at the signal boundary, as ``init`` does.
+    """
+    k = len(rows[0])
+    hist = [[] for _ in range(k)]
+    est = [model.space.theta1_lo] * k
+    total = 0.0
+    for row in rows:
+        for i, x in enumerate(row):
+            total += score(model, est[i], x)
+            hist[i].append(x)
+            est[i] = reference_mle(model, hist[i])
+    return total
+
+
+def replay(models, truth, thresholds, kind, seed):
+    """run_to_decision driven by hand, with the same sampling order, so the
+    state at the stop can be inspected.  Returns (decision, state)."""
+    rng = random.Random(seed)
+    state = init(models)
+    while True:
+        update(state, [sample(m, t, rng) for m, t in zip(models, truth.thetas)])
+        decision = check_stop(state, thresholds, kind)
+        if decision is not None:
+            return decision, state
 
 
 def clip_gap_mle(mean):
@@ -108,7 +167,6 @@ class TestInit:
         st = init(PAIR)
         assert st.lagged_mle == [0.1, 0.1]
         assert st.adaptive_loglik == 0.0
-        assert st.data_loglik == 0.0
         assert st.n == 0
         assert all(s.n == 0 for s in st.stats)
         assert st.k == 2
@@ -142,11 +200,8 @@ class TestUpdate:
         st = init(PAIR)
         obs = [0.7, -1.2]
         update(st, obs)
-        expect = sum(log_density(GAUSS, 0.1, x) for x in obs)
+        expect = sum(score(GAUSS, 0.1, x) for x in obs)
         assert st.adaptive_loglik == pytest.approx(expect, abs=1e-12)
-        assert st.data_loglik == pytest.approx(
-            sum(log_base_measure(GAUSS, x) for x in obs), abs=1e-12
-        )
         assert st.n == 1
         assert st.stats[0].s == 0.7 and st.stats[1].s == -1.2
         # Lagged estimates now reflect the first observation.
@@ -158,7 +213,7 @@ class TestUpdate:
         before = st.adaptive_loglik
         update(st, [0.2, 0.4])
         gained = st.adaptive_loglik - before
-        expect = log_density(GAUSS, 0.7, 0.2) + log_density(GAUSS, -1.2, 0.4)
+        expect = score(GAUSS, 0.7, 0.2) + score(GAUSS, -1.2, 0.4)
         assert gained == pytest.approx(expect, abs=1e-12)
         # Gap rule: stream means 0.45 and -0.4 stay outside the gap here.
         assert st.lagged_mle == [pytest.approx(0.45), pytest.approx(-0.4)]
@@ -177,7 +232,6 @@ class TestUpdate:
         for row in obs:
             update(b, row)
         assert a.adaptive_loglik == b.adaptive_loglik
-        assert a.data_loglik == b.data_loglik
         assert [s.s for s in a.stats] == [s.s for s in b.stats]
         assert a.lagged_mle == b.lagged_mle
 
@@ -199,12 +253,35 @@ class TestUpdate:
             true_ll = 0.0
             for _ in range(2000):
                 xs = [rng.gauss(0.5, 1.0), rng.gauss(-0.5, 1.0)]
-                true_ll += log_density(GAUSS, 0.5, xs[0])
-                true_ll += log_density(GAUSS, -0.5, xs[1])
+                true_ll += score(GAUSS, 0.5, xs[0])
+                true_ll += score(GAUSS, -0.5, xs[1])
                 update(st, xs)
             devs.append((st.adaptive_loglik - true_ll) / 2000)
         mean_dev = sum(devs) / len(devs)
         assert abs(mean_dev) < 0.01
+
+    def test_adaptive_loglik_matches_reference(self):
+        # Gaussian terms are rounded differently from the closed form, so
+        # they agree to 1e-9 per step; Bernoulli terms are the same floats.
+        rng = random.Random(61)
+        bern = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.65, 0.8))
+        for model in (GAUSS, bern):
+            for _ in range(8):
+                k = rng.randint(1, 3)
+                n = rng.randint(1, 150)
+                means = [rng.choice((0.3, 0.5, 0.7)) for _ in range(k)]
+                if model.family is Family.GAUSSIAN:
+                    rows = [[rng.gauss(m - 0.5, 1.0) for m in means] for _ in range(n)]
+                else:
+                    rows = [[float(rng.random() < m) for m in means] for _ in range(n)]
+                st = init((model,) * k)
+                for row in rows:
+                    update(st, row)
+                expect = reference_adaptive_loglik(model, rows)
+                if model.family is Family.GAUSSIAN:
+                    assert st.adaptive_loglik == pytest.approx(expect, rel=0.0, abs=1e-9 * n)
+                else:
+                    assert st.adaptive_loglik == expect
 
 
 class TestEstimateSignalSet:
@@ -262,7 +339,7 @@ class TestErrorSetSuprema:
 
     def test_constrained_candidates_by_hand(self):
         stats = [SufficientStat(5, 3.0), SufficientStat(5, -1.5)]
-        st = state_from_stats(PAIR, stats, data_loglik=-7.25)
+        st = state_from_stats(PAIR, stats)
         assert estimate_signal_set(st) == frozenset({0})
 
         def pooled(b):
@@ -270,10 +347,8 @@ class TestErrorSetSuprema:
             nb = 5 * len(b)
             sc = sum(s.s for s in stats) - sb
             nc = 10 - nb
-            return (
-                sup_stat_loglik(GAUSS, nb, sb, Region.SIGNAL)
-                + sup_stat_loglik(GAUSS, nc, sc, Region.NOISE)
-                + st.data_loglik
+            return sup_stat_loglik(GAUSS, nb, sb, Region.SIGNAL) + sup_stat_loglik(
+                GAUSS, nc, sc, Region.NOISE
             )
 
         l0, l1 = sup_loglik_error_sets(st, TestKind.CONSTRAINED)
@@ -282,14 +357,14 @@ class TestErrorSetSuprema:
 
     def test_unconstrained_candidates_by_hand(self):
         stats = [SufficientStat(5, 3.0), SufficientStat(5, -1.5)]
-        st = state_from_stats(PAIR, stats, data_loglik=-7.25)
+        st = state_from_stats(PAIR, stats)
 
         def free(b):
             total = 0.0
             for i, s in enumerate(stats):
                 region = Region.SIGNAL if i in b else Region.NOISE
                 total += sup_stat_loglik(GAUSS, s.n, s.s, region)
-            return total + st.data_loglik
+            return total
 
         l0, l1 = sup_loglik_error_sets(st, TestKind.UNCONSTRAINED)
         assert l0 == pytest.approx(max(free({1}), free({0, 1})), abs=1e-12)
@@ -375,15 +450,18 @@ class TestCheckStop:
         for trial in range(100):
             expected = independent_constrained_run(random.Random(trial), 2.0, 2.0)
             assert expected is not None
-            result = run_to_decision(
+            decision = run_to_decision(
                 models, TRUTH, th, TestKind.CONSTRAINED, random.Random(trial)
             )
             n, selected, stat0, stat1 = expected
-            assert result.decision.stopped_at == n
-            assert result.decision.selected == selected
-            assert not result.decision.truncated
-            assert result.norm_stat0 == pytest.approx(stat0 / n, abs=1e-9)
-            assert result.norm_stat1 == pytest.approx(stat1 / n, abs=1e-9)
+            assert decision.stopped_at == n
+            assert decision.selected == selected
+            assert not decision.truncated
+            replayed, state = replay(models, TRUTH, th, TestKind.CONSTRAINED, trial)
+            assert replayed == decision
+            l0, l1 = sup_loglik_error_sets(state, TestKind.CONSTRAINED)
+            assert (state.adaptive_loglik - l0) / n == pytest.approx(stat0 / n, abs=1e-9)
+            assert (state.adaptive_loglik - l1) / n == pytest.approx(stat1 / n, abs=1e-9)
 
 
 class TestRunToDecision:
@@ -398,28 +476,32 @@ class TestRunToDecision:
         times = [
             run_to_decision(
                 PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(s)
-            ).decision.stopped_at
+            ).stopped_at
             for s in range(30)
         ]
         assert all(t >= 1 for t in times)
         assert min(times) == 1
 
     def test_normalized_stats_clear_thresholds(self):
+        # Replay each trial and check both margins at the stop.
         th = Thresholds(1.5, 4.0)
         for s in range(20):
-            r = run_to_decision(PAIR, TRUTH, th, TestKind.UNCONSTRAINED, random.Random(s))
-            t = r.decision.stopped_at
-            assert r.norm_stat0 >= 4.0 / t - 1e-9
-            assert r.norm_stat1 >= 1.5 / t - 1e-9
+            d = run_to_decision(PAIR, TRUTH, th, TestKind.UNCONSTRAINED, random.Random(s))
+            replayed, state = replay(PAIR, TRUTH, th, TestKind.UNCONSTRAINED, s)
+            assert replayed == d
+            assert state.n == d.stopped_at
+            l0, l1 = sup_loglik_error_sets(state, TestKind.UNCONSTRAINED)
+            assert state.adaptive_loglik - l0 >= 4.0
+            assert state.adaptive_loglik - l1 >= 1.5
 
     def test_truncation(self):
         th = Thresholds(1e9, 1e9)
         r = run_to_decision(
             PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(3), n_max=4
         )
-        assert r.decision.truncated
-        assert r.decision.stopped_at == 4
-        assert r.decision.selected <= frozenset({0, 1})
+        assert r.truncated
+        assert r.stopped_at == 4
+        assert r.selected <= frozenset({0, 1})
 
     def test_errors(self):
         th = Thresholds(1.0, 1.0)
@@ -445,8 +527,8 @@ class TestRunToDecision:
         trials = 400
         for _ in range(trials):
             r = run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, rng)
-            assert not r.decision.truncated
-            total += r.decision.stopped_at
+            assert not r.truncated
+            total += r.stopped_at
         mean_t = total / trials
         approx = 10.0 / 0.26
         assert approx <= mean_t <= 2.0 * approx
@@ -456,7 +538,7 @@ class TestRunToDecision:
         wrong = 0
         for s in range(200):
             r = run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(s))
-            if r.decision.selected != frozenset({0}):
+            if r.selected != frozenset({0}):
                 wrong += 1
         assert wrong / 200 <= 0.02
 
@@ -466,5 +548,5 @@ class TestRunToDecision:
         r = run_to_decision(
             (BERN, BERN), theta, th, TestKind.CONSTRAINED, random.Random(9)
         )
-        assert not r.decision.truncated
-        assert r.decision.stopped_at >= 1
+        assert not r.truncated
+        assert r.stopped_at >= 1

@@ -5,16 +5,17 @@ import random
 import numpy as np
 import pytest
 
+from seqdetect.engine import Thresholds
 from seqdetect.errors import CapacityError, ConfigError, DomainError
 from seqdetect.geometry import (
     InfoConstants,
     assignment_kl,
-    asymptotic_approximation,
     info_constants,
     kl_to_region,
     lower_bound,
     phi,
 )
+from seqdetect.montecarlo import approx_ess
 from seqdetect.models import (
     Family,
     JointParameter,
@@ -277,30 +278,29 @@ class TestLowerBound:
 
 
 class TestAsymptoticApproximation:
+    """The first-order approximation max(|log beta|/i0, |log alpha|/i1),
+    computed by ``approx_ess`` in threshold space."""
+
     def test_symmetric_values(self):
-        c = InfoConstants(0.26, 0.26, 0.18, 0.18)
-        a = math.exp(-10.0)
-        assert asymptotic_approximation(c, a, a) == pytest.approx(10.0 / 0.26, rel=1e-12)
-        assert asymptotic_approximation(c, a, a) == pytest.approx(38.46153846, abs=1e-6)
-        c2 = InfoConstants(0.18, 0.18, 0.18, 0.18)
-        assert asymptotic_approximation(c2, a, a) == pytest.approx(10.0 / 0.18, rel=1e-12)
-        assert asymptotic_approximation(c2, a, a) == pytest.approx(55.55555556, abs=1e-6)
+        th = Thresholds(10.0, 10.0)
+        assert approx_ess(0.26, 0.26, th) == pytest.approx(10.0 / 0.26, rel=1e-12)
+        assert approx_ess(0.26, 0.26, th) == pytest.approx(38.46153846, abs=1e-6)
+        assert approx_ess(0.18, 0.18, th) == pytest.approx(10.0 / 0.18, rel=1e-12)
+        assert approx_ess(0.18, 0.18, th) == pytest.approx(55.55555556, abs=1e-6)
 
     def test_one_sided(self):
-        c = InfoConstants(0.26, math.inf, 0.18, math.inf)
-        assert asymptotic_approximation(c, 0.5, math.exp(-3.0)) == pytest.approx(
-            3.0 / 0.26, rel=1e-12
-        )
+        # alpha = 0.5, beta = e^-3, with no false-alarm family (i1 = inf).
+        th = Thresholds(log_a=math.log(2.0), log_b=3.0)
+        assert approx_ess(0.26, math.inf, th) == pytest.approx(3.0 / 0.26, rel=1e-12)
 
     def test_binding_side(self):
-        c = InfoConstants(0.5, 0.1, 0.4, 0.1)
-        a, b = math.exp(-2.0), math.exp(-8.0)
-        assert asymptotic_approximation(c, a, b) == pytest.approx(
-            max(8.0 / 0.5, 2.0 / 0.1), rel=1e-12
-        )
+        th = Thresholds(log_a=2.0, log_b=8.0)
+        assert approx_ess(0.5, 0.1, th) == pytest.approx(max(8.0 / 0.5, 2.0 / 0.1), rel=1e-12)
 
     def test_domain_errors(self):
-        c = InfoConstants(0.26, 0.26, 0.18, 0.18)
-        for a, b in ((0.0, 0.1), (1.0, 0.1), (0.1, -0.2)):
-            with pytest.raises(DomainError):
-                asymptotic_approximation(c, a, b)
+        # alpha = 0 would need an infinite threshold, which Thresholds
+        # rejects; alpha = 1 (threshold 0) and beyond give NaN.
+        with pytest.raises(DomainError):
+            Thresholds(log_a=math.inf, log_b=1.0)
+        for log_a, log_b in ((0.0, 1.0), (1.0, -0.2)):
+            assert math.isnan(approx_ess(0.26, 0.26, Thresholds(log_a, log_b)))

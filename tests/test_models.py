@@ -4,8 +4,8 @@ import random
 import pytest
 
 from seqdetect.errors import ConfigError, DomainError
+from seqdetect.engine import init, update
 from seqdetect.models import (
-    LOG_SQRT_2PI,
     Family,
     JointParameter,
     ParameterSpace,
@@ -13,13 +13,9 @@ from seqdetect.models import (
     StreamModel,
     SufficientStat,
     kl,
-    log_base_measure,
-    log_density,
     mle_unrestricted,
-    region_mle,
     sample,
     stat_loglik,
-    sup_loglik,
     sup_stat_loglik,
 )
 
@@ -30,15 +26,23 @@ BERN_HALF = StreamModel(Family.BERNOULLI, ParameterSpace(0.3, 0.5, 0.6, 0.8))
 
 
 def reconstructed_loglik(model, stat, theta):
-    """Log-likelihood of a statistic at theta, written out independently.
+    """Statistic-level log-likelihood at theta, written out independently.
 
-    Uses the same convention as the package: Bernoulli values are exact,
-    Gaussian values anchor the unrecoverable base term at the sample mean.
+    The Gaussian value is the log density of the sample mean's sufficient
+    part, -(n/2)(m - theta)^2, shifted by the theta-free n*m^2/2 to match
+    the package's convention; Bernoulli values are exact.
     """
     if model.family is Family.GAUSSIAN:
         m = stat.s / stat.n
-        return -0.5 * stat.n * (m - theta) ** 2 - stat.n * LOG_SQRT_2PI
+        return -0.5 * stat.n * (m - theta) ** 2 + 0.5 * stat.n * m * m
     return stat.s * math.log(theta) + (stat.n - stat.s) * math.log(1.0 - theta)
+
+
+def single_score(model, theta, x):
+    """The adaptive log-likelihood's term for one observation x at theta."""
+    st = init((model,), init_mle=[theta])
+    update(st, [x])
+    return st.adaptive_loglik
 
 
 def random_theta(model, rng):
@@ -119,12 +123,6 @@ class TestSufficientStat:
         with pytest.raises(DomainError):
             SufficientStat(0, 0.5)
 
-    def test_copy_is_independent(self):
-        st = SufficientStat(2, 1.0)
-        cp = st.copy()
-        cp.add(5.0)
-        assert st.n == 2 and st.s == 1.0
-
 
 class TestJointParameter:
     def test_coupled_assembly(self):
@@ -157,40 +155,49 @@ class TestJointParameter:
 
 
 class TestLogDensity:
+    """Single observations: the statistic-level log-likelihood at n = 1,
+    which is the term the engine adds to the adaptive log-likelihood."""
+
     def test_gaussian_at_mean(self):
-        assert log_density(GAUSS, 0.5, 0.5) == pytest.approx(-LOG_SQRT_2PI, abs=1e-15)
-        assert log_density(GAUSS, 0.5, 0.5) == pytest.approx(-0.9189385, abs=1e-7)
+        # log f_theta(theta) - log h(theta) = theta^2 / 2.
+        assert stat_loglik(GAUSS, SufficientStat(1, 0.5), 0.5) == 0.125
+        assert single_score(GAUSS, 0.5, 0.5) == 0.125
 
     def test_gaussian_offset(self):
-        assert log_density(GAUSS, 0.5, -0.5) == pytest.approx(-0.5 - LOG_SQRT_2PI, abs=1e-15)
+        # theta*x - theta^2/2 at theta = 0.5, x = -0.5.
+        assert stat_loglik(GAUSS, SufficientStat(1, -0.5), 0.5) == -0.375
+        assert single_score(GAUSS, 0.5, -0.5) == -0.375
 
     def test_bernoulli_values(self):
-        assert log_density(BERN_HALF, 0.5, 1.0) == pytest.approx(math.log(0.5), abs=1e-15)
-        assert log_density(BERN, 0.6, 0.0) == pytest.approx(math.log(0.4), abs=1e-12)
+        # Bernoulli has no base measure: the values are exact log densities.
+        assert stat_loglik(BERN_HALF, SufficientStat(1, 1.0), 0.5) == math.log(0.5)
+        assert stat_loglik(BERN, SufficientStat(1, 0.0), 0.6) == math.log1p(-0.6)
+        assert single_score(BERN, 0.6, 1.0) == math.log(0.6)
+        assert single_score(BERN, 0.6, 0.0) == math.log1p(-0.6)
+        assert single_score(BERN, 0.6, 0.0) == pytest.approx(math.log(0.4), abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            log_density(GAUSS, 0.05, 1.0)
+            stat_loglik(GAUSS, SufficientStat(1, 1.0), 0.05)
+        bern = init((BERN,))
         with pytest.raises(DomainError):
-            log_density(BERN, 0.6, 0.5)
-
-    def test_base_measure(self):
-        assert log_base_measure(GAUSS, 2.0) == pytest.approx(-2.0 - LOG_SQRT_2PI, abs=1e-15)
-        assert log_base_measure(BERN, 1.0) == 0.0
-        assert log_base_measure(BERN, 0.0) == 0.0
-        with pytest.raises(DomainError):
-            log_base_measure(BERN, 2.0)
+            update(bern, [0.5])
+        assert bern.n == 0 and bern.stats[0].n == 0
 
     def test_gaussian_density_splits_into_stat_and_base(self):
-        # log f_theta(x) = theta*x - theta^2/2 + base(x), the exponential
-        # family decomposition the sufficient statistic relies on.
+        # log f_theta(x) = theta*x - theta^2/2 + log h(x), the exponential
+        # family decomposition: the statistic-level value differs from the
+        # log density by a term free of theta, so ratios are exact.
         rng = random.Random(3)
+        log_sqrt_2pi = 0.5 * math.log(2.0 * math.pi)
         for _ in range(50):
             theta = random_theta(GAUSS, rng)
             x = rng.gauss(0.0, 2.0)
+            log_density = -0.5 * (x - theta) ** 2 - log_sqrt_2pi
+            log_h = -0.5 * x * x - log_sqrt_2pi
             st = SufficientStat(1, x)
-            expect = stat_loglik(GAUSS, st, theta) + log_base_measure(GAUSS, x)
-            assert log_density(GAUSS, theta, x) == pytest.approx(expect, abs=1e-12)
+            assert stat_loglik(GAUSS, st, theta) == pytest.approx(log_density - log_h, abs=1e-12)
+            assert single_score(GAUSS, theta, x) == stat_loglik(GAUSS, st, theta)
 
 
 class TestKL:
@@ -250,9 +257,13 @@ class TestMLE:
             mle_unrestricted(GAUSS, SufficientStat())
 
     def test_region_mle_is_clipped_mean(self):
-        assert region_mle(GAUSS, SufficientStat(2, 1.0), Region.NOISE) == -0.1
-        assert region_mle(GAUSS, SufficientStat(2, -4.0), Region.NOISE) == -2.0
-        assert region_mle(BERN, SufficientStat(4, 1.0), Region.SIGNAL) == 0.6
+        # The restricted supremum is attained at the mean clipped into the region.
+        for model, st, region, t in (
+            (GAUSS, SufficientStat(2, 1.0), Region.NOISE, -0.1),
+            (GAUSS, SufficientStat(2, -4.0), Region.NOISE, -2.0),
+            (BERN, SufficientStat(4, 1.0), Region.SIGNAL, 0.6),
+        ):
+            assert sup_stat_loglik(model, st.n, st.s, region) == stat_loglik(model, st, t)
 
     def test_mle_achieves_full_supremum(self):
         rng = random.Random(23)
@@ -267,23 +278,23 @@ class TestMLE:
                 assert model.space.contains(best)
                 got = reconstructed_loglik(model, st, best)
                 assert got == pytest.approx(
-                    sup_loglik(model, st, Region.FULL), abs=1e-12
+                    sup_stat_loglik(model, st.n, st.s, Region.FULL), abs=1e-12
                 )
 
 
 class TestSupLoglik:
     def test_gaussian_examples(self):
-        st = SufficientStat(1, 0.5)
-        assert sup_loglik(GAUSS, st, Region.SIGNAL) == pytest.approx(-LOG_SQRT_2PI, abs=1e-12)
-        assert sup_loglik(GAUSS, st, Region.NOISE) == pytest.approx(
-            -0.5 * 0.6**2 - LOG_SQRT_2PI, abs=1e-12
+        # x = 0.5: the signal supremum sits at the mean (0.5^2/2); the noise
+        # one at -0.1 is lower by the squared distance 0.6^2/2.
+        assert sup_stat_loglik(GAUSS, 1, 0.5, Region.SIGNAL) == pytest.approx(0.125, abs=1e-15)
+        assert sup_stat_loglik(GAUSS, 1, 0.5, Region.NOISE) == pytest.approx(
+            0.125 - 0.5 * 0.6**2, abs=1e-12
         )
 
     def test_empty_stat_is_zero(self):
         for model in (GAUSS, BERN):
             for region in Region:
-                assert sup_loglik(model, SufficientStat(), region) == 0.0
-        assert sup_stat_loglik(GAUSS, 0, 0.0, Region.FULL) == 0.0
+                assert sup_stat_loglik(model, 0, 0.0, region) == 0.0
 
     def test_full_is_max_of_regions(self):
         rng = random.Random(7)
@@ -294,10 +305,10 @@ class TestSupLoglik:
                     st = SufficientStat(n, n * rng.uniform(-3.0, 3.0))
                 else:
                     st = SufficientStat(n, float(rng.randint(0, n)))
-                full = sup_loglik(model, st, Region.FULL)
+                full = sup_stat_loglik(model, st.n, st.s, Region.FULL)
                 assert full == max(
-                    sup_loglik(model, st, Region.NOISE),
-                    sup_loglik(model, st, Region.SIGNAL),
+                    sup_stat_loglik(model, st.n, st.s, Region.NOISE),
+                    sup_stat_loglik(model, st.n, st.s, Region.SIGNAL),
                 )
 
     def test_dominates_region_grid(self):
@@ -315,7 +326,7 @@ class TestSupLoglik:
                     lo, hi = model.space.region_bounds(region)
                     lo = max(lo, -6.0)
                     hi = min(hi, 6.0)
-                    bound = sup_loglik(model, st, region)
+                    bound = sup_stat_loglik(model, st.n, st.s, region)
                     for i in range(1000):
                         t = lo + (hi - lo) * i / 999
                         assert reconstructed_loglik(model, st, t) <= bound + 1e-9
@@ -334,8 +345,8 @@ class TestSupLoglik:
             assert inc.n == batch.n
             assert inc.s == pytest.approx(batch.s, abs=1e-12)
             for region in Region:
-                assert sup_loglik(model, inc, region) == pytest.approx(
-                    sup_loglik(model, batch, region), abs=1e-12
+                assert sup_stat_loglik(model, inc.n, inc.s, region) == pytest.approx(
+                    sup_stat_loglik(model, batch.n, batch.s, region), abs=1e-12
                 )
 
 

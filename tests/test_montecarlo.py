@@ -4,7 +4,6 @@ import pytest
 
 from seqdetect.engine import TestKind, Thresholds
 from seqdetect.errors import ConfigError
-from seqdetect.geometry import InfoConstants, info_constants
 from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
 from seqdetect.montecarlo import (
     ExperimentConfig,
@@ -21,7 +20,6 @@ TRUTH = JointParameter((0.5, -0.5))
 def small_config(**over):
     base = dict(
         model=GAUSS,
-        k=2,
         theta=TRUTH,
         kinds=(TestKind.CONSTRAINED, TestKind.UNCONSTRAINED),
         thresholds=(Thresholds(2.0, 2.0),),
@@ -81,10 +79,6 @@ class TestExperimentConfig:
         cfg = small_config()
         assert cfg.n_max == 10**6
 
-    def test_k_mismatch(self):
-        with pytest.raises(ConfigError):
-            small_config(k=3)
-
     def test_kinds_validation(self):
         with pytest.raises(ConfigError):
             small_config(kinds=())
@@ -113,19 +107,26 @@ class TestExperimentConfig:
 
 class TestApproxEss:
     def test_kind_selects_constants(self):
-        c = info_constants(GAUSS, TRUTH)
-        th = Thresholds(10.0, 10.0)
-        assert approx_ess(c, TestKind.CONSTRAINED, th) == pytest.approx(
-            10.0 / 0.26, rel=1e-12
-        )
-        assert approx_ess(c, TestKind.UNCONSTRAINED, th) == pytest.approx(
-            10.0 / 0.18, rel=1e-12
-        )
+        # Coupled constants (0.26) for the constrained cell, per-stream ones
+        # (0.18) for the baseline.
+        cfg = small_config(thresholds=(Thresholds(10.0, 10.0),), trials=1)
+        con, unc = run_experiment(cfg, workers=1)
+        assert con.approx_ess == pytest.approx(10.0 / 0.26, rel=1e-12)
+        assert unc.approx_ess == pytest.approx(10.0 / 0.18, rel=1e-12)
 
     def test_nonpositive_threshold_gives_nan(self):
-        c = InfoConstants(0.26, 0.26, 0.18, 0.18)
-        assert math.isnan(approx_ess(c, TestKind.CONSTRAINED, Thresholds(0.0, 1.0)))
-        assert math.isnan(approx_ess(c, TestKind.CONSTRAINED, Thresholds(1.0, -2.0)))
+        assert math.isnan(approx_ess(0.26, 0.26, Thresholds(0.0, 1.0)))
+        assert math.isnan(approx_ess(0.26, 0.26, Thresholds(1.0, -2.0)))
+
+    def test_unconstrained_alone_on_uncoupled_truth(self):
+        # The baseline needs only per-stream constants, which exist without
+        # coupling: KL(-0.5, 0.1) = KL(0.5, -0.1) = 0.18.
+        cfg = small_config(
+            theta=JointParameter((0.5, 0.7, -0.5)), kinds=(TestKind.UNCONSTRAINED,), trials=4
+        )
+        (s,) = run_experiment(cfg, workers=1)
+        assert math.isfinite(s.approx_ess)
+        assert s.approx_ess == pytest.approx(2.0 / 0.18, rel=1e-12)
 
 
 class TestRunExperiment:

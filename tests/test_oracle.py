@@ -27,13 +27,12 @@ BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
 TRUTH = JointParameter((0.5, -0.5))
 
 
-def make_state(models, stats, data_loglik=0.0):
+def make_state(models, stats):
     return EngineState(
         models=tuple(models),
-        stats=[st.copy() for st in stats],
+        stats=[SufficientStat(st.n, st.s) for st in stats],
         lagged_mle=[m.space.theta1_lo for m in models],
         adaptive_loglik=0.0,
-        data_loglik=data_loglik,
         n=stats[0].n,
     )
 
@@ -91,10 +90,10 @@ class TestGridSupLoglik:
         for _ in range(20):
             k = rng.randint(1, 3)
             stats = random_gauss_stats(rng, k)
-            st = make_state((GAUSS,) * k, stats, data_loglik=rng.uniform(-5.0, 0.0))
+            st = make_state((GAUSS,) * k, stats)
             est = frozenset(i for i in range(k) if stats[i].mean >= 0.0)
             for kind in TestKind:
-                gl0, gl1 = grid_sup_loglik(GAUSS, stats, est, kind, g, st.data_loglik)
+                gl0, gl1 = grid_sup_loglik(GAUSS, stats, est, kind, g)
                 el0, el1 = sup_loglik_error_sets(st, kind)
                 for gv, ev in ((gl0, el0), (gl1, el1)):
                     if math.isinf(ev):
@@ -159,16 +158,6 @@ class TestGridSupLoglik:
         l0, l1 = grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.CONSTRAINED, g)
         assert l0 == -math.inf
         assert math.isfinite(l1)
-
-    def test_data_loglik_is_plain_offset(self):
-        stats = [SufficientStat(4, 2.0), SufficientStat(4, -1.0)]
-        g = Grid(-5.0, 5.0, 2001)
-        base = grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.CONSTRAINED, g)
-        moved = grid_sup_loglik(
-            GAUSS, stats, frozenset({0}), TestKind.CONSTRAINED, g, data_loglik=-3.5
-        )
-        assert moved[0] == pytest.approx(base[0] - 3.5, abs=1e-12)
-        assert moved[1] == pytest.approx(base[1] - 3.5, abs=1e-12)
 
     def test_mean_outside_box_rejected(self):
         stats = [SufficientStat(2, 14.0)]
