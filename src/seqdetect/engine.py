@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import CapacityError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .models import (
     Family,
     JointParameter,
@@ -43,8 +43,6 @@ from .models import (
     sample,
     sup_stat_loglik,
 )
-
-MAX_STREAMS = 16
 
 _NEG_INF = float("-inf")
 
@@ -89,42 +87,22 @@ class EngineState:
         return len(self.models)
 
 
-def init(
-    models: Sequence[StreamModel],
-    init_mle: str | Sequence[float] = "signal-boundary",
-) -> EngineState:
+def init(models: Sequence[StreamModel]) -> EngineState:
     """Fresh state at n = 0.
 
-    All models must share one family and parameter space.  ``init_mle``
-    seeds the lagged estimates before any data arrive: "signal-boundary"
-    starts every stream at the lower signal endpoint, "noise-boundary" at
-    the upper noise endpoint, or pass one value per stream.
+    All models must share one family and parameter space.  Before any data
+    arrive every lagged estimate sits at the lower signal endpoint.
     """
     models = tuple(models)
     if not models:
         raise ConfigError("at least one stream model required")
     if len({(m.family, m.space) for m in models}) != 1:
         raise ConfigError("streams must share one family and parameter space")
-    sp = models[0].space
     k = len(models)
-    if isinstance(init_mle, str):
-        if init_mle == "signal-boundary":
-            lagged = [sp.theta1_lo] * k
-        elif init_mle == "noise-boundary":
-            lagged = [sp.theta0_hi] * k
-        else:
-            raise ConfigError(f"unknown init policy {init_mle!r}")
-    else:
-        lagged = [float(v) for v in init_mle]
-        if len(lagged) != k:
-            raise ConfigError("per-stream init needs one value per stream")
-        for v in lagged:
-            if not sp.contains(v):
-                raise ConfigError(f"init value {v!r} outside the parameter set")
     return EngineState(
         models=models,
         stats=[SufficientStat() for _ in range(k)],
-        lagged_mle=lagged,
+        lagged_mle=[models[0].space.theta1_lo] * k,
         adaptive_loglik=0.0,
         n=0,
     )
@@ -184,10 +162,20 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
     Returns (logL0, logL1) where logL0 ranges over assignments adding at
     least one stream to the current estimate (their acceptance would be a
     false alarm) and logL1 over assignments dropping at least one (a miss).
-    An empty family yields -inf.  Constrained assignments pool counts and
-    sums within the signal group and within the noise group; the
-    unconstrained value frees every stream and charges only the cheapest
-    forced flip.
+    An empty family yields -inf.  The unconstrained value frees every stream
+    and charges only the cheapest forced flip.
+
+    Constrained assignments pool counts and sums within the signal group
+    and within the noise group.  All streams share one count and both
+    families have a monotone likelihood ratio in the sum, so at fixed shared
+    values u0 < u1 the gain from moving a stream into the signal group
+    increases with its sum.  The best assignment at those values is then an
+    upper set T_m (the m streams with the largest sums); within an error
+    family it is T_m plus the strongest stream outside the estimate, or T_m
+    minus the weakest stream inside it.  Suprema over (u0, u1) of these at
+    most 2K - 1 candidates are therefore the suprema over all 2^K
+    assignments (contiguity of optimal two-group partitions, Fisher 1958),
+    found in O(K log K).
     """
     if state.n < 1:
         raise DomainError("error-set suprema require at least one observation")
@@ -211,36 +199,38 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
         return l0, l1
 
     k = state.k
+    n = state.n
     model = state.models[0]
-    a_mask = 0
-    for i in estimate_signal_set(state):
-        a_mask |= 1 << i
-    if k > MAX_STREAMS:
-        raise CapacityError(f"subset enumeration supports at most {MAX_STREAMS} streams")
-    ns = [st.n for st in state.stats]
+    a_hat = estimate_signal_set(state)
+    a = len(a_hat)
     ss = [st.s for st in state.stats]
     s_total = sum(ss)
+    # Membership first, so the estimate is exactly the top-a block even when
+    # sums tie: order[a - 1] is the weakest stream in it, order[a] the
+    # strongest outside.
+    order = sorted(range(k), key=lambda i: (i in a_hat, ss[i]), reverse=True)
+    prefix = [0.0]
+    for i in order:
+        prefix.append(prefix[-1] + ss[i])
+    # (size, signal-group sum, adds a stream, drops one) per candidate.
+    # T_{a-1} with the strongest outsider is also T_{a+1} without the
+    # weakest member, so that one candidate serves both families.
+    cands = [(m, prefix[m], m > a, m < a) for m in range(k + 1) if m != a]
+    if 0 < a < k:
+        s_in = ss[order[a - 1]]
+        s_out = ss[order[a]]
+        cands.append((a, prefix[a - 1] + s_out, True, True))
+        cands += [(m + 1, prefix[m] + s_out, True, False) for m in range(a - 1)]
+        cands += [(m - 1, prefix[m] - s_in, False, True) for m in range(a + 2, k + 1)]
     l0 = _NEG_INF
     l1 = _NEG_INF
-    for mask in range(1 << k):
-        cand0 = bool(mask & ~a_mask)
-        cand1 = bool(a_mask & ~mask)
-        if not (cand0 or cand1):
-            continue
-        nb = 0
-        sb = 0.0
-        for i in range(k):
-            if mask >> i & 1:
-                nb += ns[i]
-                sb += ss[i]
-        nc = state.n * k - nb
-        sc = s_total - sb
-        val = sup_stat_loglik(model, nb, sb, Region.SIGNAL) + sup_stat_loglik(
-            model, nc, sc, Region.NOISE
+    for m, sb, adds, drops in cands:
+        val = sup_stat_loglik(model, n * m, sb, Region.SIGNAL) + sup_stat_loglik(
+            model, n * (k - m), s_total - sb, Region.NOISE
         )
-        if cand0 and val > l0:
+        if adds and val > l0:
             l0 = val
-        if cand1 and val > l1:
+        if drops and val > l1:
             l1 = val
     return l0, l1
 

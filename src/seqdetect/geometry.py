@@ -9,10 +9,14 @@ streams.  For a vector theta with signal set A(theta), the constants
 
 measure the cheapest way a wrong signal-set assignment B can explain data
 generated under theta; space_B is the slice of the coupled space whose
-signal set is exactly B.  The per-stream relaxations i0_tilde and i1_tilde
-drop the coupling and bound i0 and i1 from below; they are defined for any
-truth, coupled or not.  Expected sample sizes of valid sequential
-procedures are bounded below through the function phi.
+signal set is exactly B.  Under a coupled theta every signal stream has the
+same value and every noise stream the same value, so KL(theta, space_B)
+depends on B only through the counts |B & A| and |B \\ A|: the minimum over
+2^K subsets is a minimum over O(K^2) count pairs.  The per-stream
+relaxations i0_tilde and i1_tilde drop the coupling and bound i0 and i1
+from below; they are defined for any truth, coupled or not.  Expected
+sample sizes of valid sequential procedures are bounded below through the
+function phi.
 
 Empty minimization families produce +inf, which propagates through max and
 min and turns the corresponding bound term into zero.
@@ -23,10 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .models import JointParameter, Region, StreamModel, kl
-
-MAX_STREAMS = 16
 
 # Slack for floating-point noise when validating i0 >= i0_tilde; grid-based
 # constructions can violate the exact inequality by the grid error.
@@ -81,17 +83,21 @@ def kl_to_region(model: StreamModel, theta: float, region: Region) -> float:
     return kl(model, theta, t)
 
 
-def _group_inf(model: StreamModel, values: list[float], region: Region) -> float:
-    """inf over u in the region of sum_k KL(theta_k, u) for one shared u.
+def _group_inf(model: StreamModel, groups, region: Region) -> float:
+    """inf over u in the region of sum count * KL(theta, u) for one shared u.
 
-    For both families the sum is convex in u with its unconstrained minimum
-    at the group mean, so the infimum is attained at the clipped mean.
+    ``groups`` holds (theta, count) pairs: count streams at theta.  For both
+    families the sum is convex in u with its unconstrained minimum at the
+    group mean, so the infimum is attained at the clipped mean.  An empty
+    group costs nothing.
     """
-    if not values:
+    groups = [(t, c) for t, c in groups if c]
+    if not groups:
         return 0.0
     lo, hi = model.space.region_bounds(region)
-    u = min(max(sum(values) / len(values), lo), hi)
-    return sum(kl(model, t, u) for t in values)
+    mean = sum(t * c for t, c in groups) / sum(c for _, c in groups)
+    u = min(max(mean, lo), hi)
+    return sum(c * kl(model, t, u) for t, c in groups)
 
 
 def assignment_kl(model: StreamModel, theta: JointParameter, b: Iterable[int]) -> float:
@@ -105,11 +111,9 @@ def assignment_kl(model: StreamModel, theta: JointParameter, b: Iterable[int]) -
     members = frozenset(b)
     if not members.issubset(range(theta.k)):
         raise DomainError("subset contains an out-of-range stream index")
-    sig_vals = [theta.thetas[i] for i in sorted(members)]
-    noise_vals = [theta.thetas[i] for i in range(theta.k) if i not in members]
-    return _group_inf(model, sig_vals, Region.SIGNAL) + _group_inf(
-        model, noise_vals, Region.NOISE
-    )
+    sig = [(theta.thetas[i], 1) for i in sorted(members)]
+    noise = [(theta.thetas[i], 1) for i in range(theta.k) if i not in members]
+    return _group_inf(model, sig, Region.SIGNAL) + _group_inf(model, noise, Region.NOISE)
 
 
 def per_stream_constants(model: StreamModel, theta: JointParameter) -> tuple[float, float]:
@@ -131,34 +135,35 @@ def per_stream_constants(model: StreamModel, theta: JointParameter) -> tuple[flo
 
 
 def info_constants(model: StreamModel, theta: JointParameter) -> InfoConstants:
-    """Compute (i0, i1, i0_tilde, i1_tilde) by subset enumeration.
+    """Compute (i0, i1, i0_tilde, i1_tilde) for a coupled truth.
 
-    Enumerates all 2^K signal-set assignments, so K is capped at
-    MAX_STREAMS.  i0 is +inf exactly when every stream is a signal stream,
-    i1 is +inf exactly when none is.
+    A subset B enters KL(theta, space_B) only through p = |B & A| signal
+    streams and q = |B \\ A| noise streams placed in its signal group, so
+    the minimum runs over the (|A| + 1)(K - |A| + 1) count pairs: i0 over
+    q >= 1, i1 over p < |A|.  i0 is +inf exactly when every stream is a
+    signal stream, i1 is +inf exactly when none is.
     """
-    k = theta.k
-    if k > MAX_STREAMS:
-        raise CapacityError(f"subset enumeration supports at most {MAX_STREAMS} streams")
     theta.require_constrained(model.space)
     a_set = theta.signal_set(model.space)
-    a_mask = 0
-    for i in a_set:
-        a_mask |= 1 << i
+    k = theta.k
+    a = len(a_set)
+    # An empty group's value is never read: its count is zero.
+    theta1 = next((theta.thetas[i] for i in a_set), None)
+    theta0 = next((t for i, t in enumerate(theta.thetas) if i not in a_set), None)
 
     i0 = math.inf
     i1 = math.inf
-    for mask in range(1 << k):
-        in_b0 = bool(mask & ~a_mask)   # B \ A nonempty
-        in_b1 = bool(a_mask & ~mask)   # A \ B nonempty
-        if not (in_b0 or in_b1):
-            continue
-        members = [i for i in range(k) if mask >> i & 1]
-        v = assignment_kl(model, theta, members)
-        if in_b0 and v < i0:
-            i0 = v
-        if in_b1 and v < i1:
-            i1 = v
+    for p in range(a + 1):
+        for q in range(k - a + 1):
+            if q == 0 and p == a:
+                continue
+            v = _group_inf(model, ((theta1, p), (theta0, q)), Region.SIGNAL) + _group_inf(
+                model, ((theta1, a - p), (theta0, k - a - q)), Region.NOISE
+            )
+            if q and v < i0:
+                i0 = v
+            if p < a and v < i1:
+                i1 = v
 
     i0_tilde, i1_tilde = per_stream_constants(model, theta)
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)

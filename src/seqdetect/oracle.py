@@ -1,11 +1,14 @@
 """Brute-force reference implementations for cross-checking.
 
-Everything here is deliberately slow and simple: restricted likelihood
-suprema and information constants are found by scanning dense parameter
-grids instead of using the closed-form projections, and the martingale and
-law-of-large-numbers properties of the adaptive likelihood are estimated by
-plain Monte Carlo.  The test suite and the ``validate`` command compare the
-fast implementations against these references.
+Everything here is deliberately slow and simple.  The constrained
+error-set suprema and the information constants are found by enumerating
+all 2^K signal-set assignments, either with the closed-form projections
+(the ``subset_*`` references, exact) or by scanning dense parameter grids
+(the ``grid_*`` references); enumeration is capped at MAX_STREAMS streams.
+The martingale and law-of-large-numbers properties of the adaptive
+likelihood are estimated by plain Monte Carlo.  The test suite and the
+``validate`` command compare the fast implementations against these
+references.
 
 Grid scans are valid only while the relevant sample means stay inside the
 grid box; :func:`grid_sup_loglik` checks that at call time.  Grid maxima of
@@ -22,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import engine as _engine
-from .errors import DomainError
-from .geometry import InfoConstants
+from .errors import CapacityError, DomainError
+from .geometry import InfoConstants, assignment_kl, per_stream_constants
 from .models import (
     Family,
     JointParameter,
@@ -32,9 +35,85 @@ from .models import (
     SufficientStat,
     sample,
     stat_loglik,
+    sup_stat_loglik,
 )
 
+# Largest stream count the 2^K enumerations accept.
+MAX_STREAMS = 16
+
 _NEG_INF = float("-inf")
+
+
+def _require_enumerable(k: int) -> None:
+    if k > MAX_STREAMS:
+        raise CapacityError(f"subset enumeration supports at most {MAX_STREAMS} streams")
+
+
+def _error_masks(k: int, signal_set):
+    """Every assignment mask of k streams with its error-family membership:
+    yields (mask, adds a stream to signal_set, drops one from it), skipping
+    the assignment equal to signal_set."""
+    a_mask = 0
+    for i in signal_set:
+        a_mask |= 1 << i
+    for mask in range(1 << k):
+        adds = bool(mask & ~a_mask)
+        drops = bool(a_mask & ~mask)
+        if adds or drops:
+            yield mask, adds, drops
+
+
+def subset_sup_loglik_error_sets(
+    model: StreamModel,
+    stats: Sequence[SufficientStat],
+    signal_estimate: frozenset,
+) -> tuple[float, float]:
+    """Constrained error-set suprema by enumerating all 2^K assignments.
+
+    Each assignment pools the counts and sums of its signal group and of its
+    noise group and takes the closed-form restricted suprema, so the values
+    are exact; the reference for the engine's sorted-candidate search.
+    """
+    k = len(stats)
+    _require_enumerable(k)
+    n_total = sum(st.n for st in stats)
+    s_total = sum(st.s for st in stats)
+    l0 = _NEG_INF
+    l1 = _NEG_INF
+    for mask, adds, drops in _error_masks(k, signal_estimate):
+        nb = 0
+        sb = 0.0
+        for i in range(k):
+            if mask >> i & 1:
+                nb += stats[i].n
+                sb += stats[i].s
+        val = sup_stat_loglik(model, nb, sb, Region.SIGNAL) + sup_stat_loglik(
+            model, n_total - nb, s_total - sb, Region.NOISE
+        )
+        if adds and val > l0:
+            l0 = val
+        if drops and val > l1:
+            l1 = val
+    return l0, l1
+
+
+def subset_info_constants(model: StreamModel, theta: JointParameter) -> InfoConstants:
+    """Information constants by enumerating all 2^K signal-set assignments
+    through :func:`~seqdetect.geometry.assignment_kl`; exact, the reference
+    for the count-pair minimum in :func:`~seqdetect.geometry.info_constants`."""
+    _require_enumerable(theta.k)
+    theta.require_constrained(model.space)
+    a_set = theta.signal_set(model.space)
+    i0 = math.inf
+    i1 = math.inf
+    for mask, adds, drops in _error_masks(theta.k, a_set):
+        v = assignment_kl(model, theta, [i for i in range(theta.k) if mask >> i & 1])
+        if adds and v < i0:
+            i0 = v
+        if drops and v < i1:
+            i1 = v
+    i0_tilde, i1_tilde = per_stream_constants(model, theta)
+    return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 
 @dataclass(frozen=True)
@@ -123,6 +202,7 @@ def grid_sup_loglik(
     as in the engine.
     """
     k = len(stats)
+    _require_enumerable(k)
     for i, st in enumerate(stats):
         if st.n > 0 and not (grid.lo <= st.s / st.n <= grid.hi):
             raise DomainError(
@@ -147,24 +227,17 @@ def grid_sup_loglik(
                 l0 = max(l0, total - full_max[i] + sig_max[i])
         return l0, l1
 
-    a_mask = 0
-    for i in signal_estimate:
-        a_mask |= 1 << i
     l0 = _NEG_INF
     l1 = _NEG_INF
-    for mask in range(1 << k):
-        cand0 = bool(mask & ~a_mask)
-        cand1 = bool(a_mask & ~mask)
-        if not (cand0 or cand1):
-            continue
+    for mask, adds, drops in _error_masks(k, signal_estimate):
         members = [i for i in range(k) if mask >> i & 1]
         rest = [i for i in range(k) if not mask >> i & 1]
         val = _group_max(sig_curves, members, sig_pts) + _group_max(
             noise_curves, rest, noise_pts
         )
-        if cand0 and val > l0:
+        if adds and val > l0:
             l0 = val
-        if cand1 and val > l1:
+        if drops and val > l1:
             l1 = val
     return l0, l1
 
@@ -176,10 +249,8 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
         if not (grid.lo <= t <= grid.hi):
             raise DomainError(f"stream {i} parameter {t!r} outside the grid box")
     k = theta.k
+    _require_enumerable(k)
     a_set = theta.signal_set(model.space)
-    a_mask = 0
-    for i in a_set:
-        a_mask |= 1 << i
     sig_pts = grid.region_points(model, Region.SIGNAL)
     noise_pts = grid.region_points(model, Region.NOISE)
     sig_kl = [_kl_curve(model, t, sig_pts) for t in theta.thetas]
@@ -197,17 +268,13 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
 
     i0 = math.inf
     i1 = math.inf
-    for mask in range(1 << k):
-        cand0 = bool(mask & ~a_mask)
-        cand1 = bool(a_mask & ~mask)
-        if not (cand0 or cand1):
-            continue
+    for mask, adds, drops in _error_masks(k, a_set):
         members = [i for i in range(k) if mask >> i & 1]
         rest = [i for i in range(k) if not mask >> i & 1]
         v = group_min(sig_kl, members, sig_pts) + group_min(noise_kl, rest, noise_pts)
-        if cand0 and v < i0:
+        if adds and v < i0:
             i0 = v
-        if cand1 and v < i1:
+        if drops and v < i1:
             i1 = v
 
     i0_tilde = math.inf

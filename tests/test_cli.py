@@ -200,6 +200,15 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", cfg, "--trials", "0"]) == 2
         capsys.readouterr()
 
+    def test_validate_beyond_enumeration_cap(self, tmp_path, capsys):
+        # The grid references enumerate 2^K assignments; validate must stop
+        # with the capacity message instead of scanning 2^17 of them.
+        cfg_dict = base_config()
+        cfg_dict["truth"]["k"] = 17
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg, "--quick"]) == 2
+        assert "at most 16 streams" in capsys.readouterr().err
+
 
 class TestInfoCommand:
     def test_prints_constants_and_writes_csv(self, tmp_path, capsys):

@@ -171,14 +171,6 @@ class TestInit:
         assert all(s.n == 0 for s in st.stats)
         assert st.k == 2
 
-    def test_noise_boundary(self):
-        st = init(PAIR, init_mle="noise-boundary")
-        assert st.lagged_mle == [-0.1, -0.1]
-
-    def test_per_stream_values(self):
-        st = init(PAIR, init_mle=[-0.1, 0.3])
-        assert st.lagged_mle == [-0.1, 0.3]
-
     def test_errors(self):
         with pytest.raises(ConfigError):
             init(())
@@ -187,12 +179,6 @@ class TestInit:
             init((GAUSS, other))
         with pytest.raises(ConfigError):
             init((GAUSS, BERN))
-        with pytest.raises(ConfigError):
-            init(PAIR, init_mle="midpoint")
-        with pytest.raises(ConfigError):
-            init(PAIR, init_mle=[0.1])
-        with pytest.raises(ConfigError):
-            init(PAIR, init_mle=[0.1, 0.0])
 
 
 class TestUpdate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqdetect.engine import Thresholds
-from seqdetect.errors import CapacityError, ConfigError, DomainError
+from seqdetect.errors import ConfigError, DomainError
 from seqdetect.geometry import (
     InfoConstants,
     assignment_kl,
@@ -200,10 +200,12 @@ class TestInfoConstants:
         assert c.i0 == math.inf
         assert c.i1 == pytest.approx(0.18, abs=1e-12)
 
-    def test_capacity_limit(self):
-        theta = JointParameter.coupled(17, {0}, 0.5, -0.5)
-        with pytest.raises(CapacityError):
-            info_constants(GAUSS, theta)
+    def test_sixty_four_streams(self):
+        for model, theta1, theta0 in ((GAUSS, 0.5, -0.5), (BERN, 0.7, 0.3)):
+            theta = JointParameter.coupled(64, range(0, 64, 3), theta1, theta0)
+            c = info_constants(model, theta)
+            assert math.isfinite(c.i0) and math.isfinite(c.i1)
+            assert c.i0 >= c.i0_tilde and c.i1 >= c.i1_tilde
 
     def test_requires_coupled(self):
         with pytest.raises(ConfigError):

@@ -40,7 +40,8 @@ def reconstructed_loglik(model, stat, theta):
 
 def single_score(model, theta, x):
     """The adaptive log-likelihood's term for one observation x at theta."""
-    st = init((model,), init_mle=[theta])
+    st = init((model,))
+    st.lagged_mle[0] = theta
     update(st, [x])
     return st.adaptive_loglik
 

@@ -192,6 +192,14 @@ class TestRunExperiment:
         )
         assert s.fwer1_certifiable == (s.n_type1 >= 10)
 
+    def test_sixty_four_stream_constrained_run(self):
+        theta = JointParameter.coupled(64, range(0, 64, 2), 0.5, -0.5)
+        config = small_config(theta=theta, kinds=(TestKind.CONSTRAINED,), trials=2)
+        (s,) = run_experiment(config, workers=1)
+        assert s.truncated == 0
+        assert math.isfinite(s.ess) and s.ess >= 1.0
+        assert math.isfinite(s.approx_ess)
+
     def test_bad_worker_count(self):
         with pytest.raises(ConfigError):
             run_experiment(small_config(), workers=0)

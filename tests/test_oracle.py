@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqdetect.engine import EngineState, TestKind, sup_loglik_error_sets
-from seqdetect.errors import ConfigError, DomainError
+from seqdetect.errors import CapacityError, ConfigError, DomainError
 from seqdetect.models import (
     Family,
     JointParameter,
@@ -20,6 +20,8 @@ from seqdetect.oracle import (
     grid_sup_loglik,
     lln_rate_estimate,
     mean_one_martingale_estimate,
+    subset_info_constants,
+    subset_sup_loglik_error_sets,
 )
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
@@ -193,6 +195,20 @@ class TestGridInfoConstants:
         c = grid_info_constants(GAUSS, theta, Grid())
         assert c.i1 == math.inf and c.i1_tilde == math.inf
         assert c.i0 == pytest.approx(0.18, abs=1e-4)
+
+
+def test_enumerations_capped_at_sixteen_streams():
+    theta = JointParameter.coupled(17, {0}, 0.5, -0.5)
+    stats = [SufficientStat(1, t) for t in theta.thetas]
+    calls = (
+        lambda: subset_info_constants(GAUSS, theta),
+        lambda: grid_info_constants(GAUSS, theta, Grid()),
+        lambda: subset_sup_loglik_error_sets(GAUSS, stats, frozenset({0})),
+        lambda: grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.CONSTRAINED, Grid()),
+    )
+    for call in calls:
+        with pytest.raises(CapacityError):
+            call()
 
 
 class TestMartingaleEstimate:
