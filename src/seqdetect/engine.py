@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 from .models import (
     Family,
@@ -47,6 +49,20 @@ from .models import (
 _NEG_INF = float("-inf")
 
 _BERNOULLI_VALUES = frozenset((0.0, 1.0))
+
+# random.Random internals reproduced by the batched draws below: random()
+# is (a * 2**26 + b) / 2**53 from two 32-bit words a >> 5 and b >> 6, and
+# gauss() draws Box-Muller pairs with angle random() * TWOPI.
+_TWO_26 = 67108864.0
+_TWO_M53 = 1.0 / 9007199254740992.0
+_TWOPI = 2.0 * math.pi
+
+# Most elements a block's widest temporary (a candidate group, trials x
+# steps x (K + 1)) may hold: 32 KiB as an array, about 160 KiB as the Python
+# floats that the libm maps and row sums build from it.
+_BLOCK_ELEMENTS = 1 << 12
+# Steps in a trial's first block; each later block is twice as long.
+_FIRST_BLOCK = 16
 
 
 class TestKind(Enum):
@@ -292,3 +308,275 @@ def run_to_decision(
         selected=estimate_signal_set(state),
         truncated=True,
     )
+
+
+# Batched kernel: many trials, many steps per numpy call, same decisions.
+#
+# It keeps to few distinct numpy operations and dtypes.  Each new one maps
+# more of numpy's library into memory, in 64 KiB steps, and that shows in
+# peak RSS: lexsort, argsort, argmax and integer comparisons each cost 128 to
+# 320 KiB on x86-64 with numpy 2.4, where float comparisons, reductions and
+# a complex sort reuse code already mapped or cost 64 KiB.
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """The scalar ``math`` function ``fn`` applied elementwise.
+
+    numpy's own log differs from libm's in the last bit on some inputs; going
+    through ``math`` keeps every transcendental rounded as the scalar path
+    rounds it.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    return _libm(math.log, x)
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    return _libm(math.log1p, x)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """random() values from consecutive pairs of 32-bit words on the last axis."""
+    return ((words[..., 0::2] >> 5) * _TWO_26 + (words[..., 1::2] >> 6)) * _TWO_M53
+
+
+def _draw_uniforms(rngs, count: int) -> np.ndarray:
+    """The next ``count`` rng.random() values of each generator, bit for bit.
+
+    getrandbits(64 * count) consumes the same generator outputs as ``count``
+    random() calls and lays them out from the least significant word up.
+    Returns shape (len(rngs), count).
+    """
+    raw = b"".join(rng.getrandbits(64 * count).to_bytes(8 * count, "little") for rng in rngs)
+    return _unit(np.frombuffer(raw, dtype="<u4").reshape(len(rngs), 2 * count))
+
+
+def _draw_normals(rngs, count: int) -> np.ndarray:
+    """The next ``count`` (>= 1) rng.gauss(0.0, 1.0) values of each generator, bit for bit.
+
+    Reproduces random.Random.gauss: a pending ``gauss_next`` comes first, the
+    rest are Box-Muller pairs (cos, sin) of two random() draws, and the sine
+    of a half-used pair is left pending in ``gauss_next``.  Returns shape
+    (len(rngs), count).
+    """
+    pending = [rng.gauss_next for rng in rngs]
+    fresh = [count - (g is not None) for g in pending]
+    pairs = [(m + 1) // 2 for m in fresh]
+    raw = b"".join(
+        rng.getrandbits(128 * p).to_bytes(16 * p, "little") for rng, p in zip(rngs, pairs)
+    )
+    u = _unit(np.frombuffer(raw, dtype="<u4").reshape(-1, 4))
+    x2pi = u[:, 0] * _TWOPI
+    g2rad = np.sqrt(-2.0 * _log(1.0 - u[:, 1]))
+    z = np.empty((len(u), 2))
+    z[:, 0] = _libm(math.cos, x2pi) * g2rad
+    z[:, 1] = _libm(math.sin, x2pi) * g2rad
+    z = z.ravel()
+    out = np.empty((len(rngs), count))
+    pos = 0
+    for row, rng, g, m, p in zip(out, rngs, pending, fresh, pairs):
+        if g is not None:
+            row[0] = g
+        row[count - m:] = z[pos:pos + m]
+        rng.gauss_next = float(z[pos + m]) if m % 2 else None
+        pos += 2 * p
+    return out
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Python's sum() over the last axis, row by row.
+
+    The scalar path sums stream values with the builtin, which compensates
+    from Python 3.12 on; using it here keeps the totals identical on every
+    version.
+    """
+    columns = x.reshape(-1, x.shape[-1]).T.tolist()
+    return np.fromiter(map(sum, zip(*columns)), float, x.size // x.shape[-1]).reshape(
+        x.shape[:-1]
+    )
+
+
+def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
+    """:func:`sup_stat_loglik` elementwise over pooled counts and sums; 0 where n is 0."""
+    lo, hi = model.space.region_bounds(region)
+    occupied = n > 0
+    n = np.where(occupied, n, 1.0)
+    value = _loglik(model, n, s, np.clip(s / n, lo, hi), _log, _log1p)
+    return np.where(occupied, value, 0.0)
+
+
+def _coupled_sups(
+    model: StreamModel, n: np.ndarray, s: np.ndarray, member: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The constrained branch of :func:`sup_loglik_error_sets` over leading axes.
+
+    ``s`` holds stream sums on its last axis, ``member`` the estimate and
+    ``n`` the shared count (broadcast against ``s[..., :1]``).  Evaluates the
+    same candidates one group at a time with a running maximum, so no table
+    wider than K + 1 is ever built.
+    """
+    k = s.shape[-1]
+    # Sizes are floats so that every comparison below is a float one.
+    a = member.sum(axis=-1, keepdims=True, dtype=float)
+    # The scalar order: the estimate first, each part by sum descending.
+    # Complex keys sort by (real, imag); equal keys carry equal sums, so
+    # the values need no stable sort.
+    key = np.empty(s.shape, complex)
+    key.real = ~member
+    key.imag = -s
+    ranked = -np.sort(key, -1).imag
+    prefix = np.cumsum(np.concatenate((np.zeros_like(s[..., :1]), ranked), -1), -1)
+    total = _row_sums(s)[..., None]
+
+    def value(size, sb):
+        return _region_sup(model, n * size, sb, Region.SIGNAL) + _region_sup(
+            model, n * (k - size), total - sb, Region.NOISE
+        )
+
+    m = np.arange(k + 1.0)
+    top = value(m, prefix)
+    l0 = np.where(m > a, top, -np.inf).max(-1)
+    l1 = np.where(m < a, top, -np.inf).max(-1)
+    inner = (0 < a) & (a < k)
+    below = np.maximum(a - 1, 0).astype(int)
+    s_in = np.take_along_axis(ranked, below, -1)
+    s_out = np.take_along_axis(ranked, np.minimum(a, k - 1).astype(int), -1)
+    # The swap T_{a-1} + j* = T_{a+1} - i* serves both families.
+    swap = value(a, np.take_along_axis(prefix, below, -1) + s_out)
+    swap = np.where(inner, swap, -np.inf)[..., 0]
+    l0 = np.maximum(l0, swap)
+    l1 = np.maximum(l1, swap)
+    if k < 3:  # no union or drop candidates
+        return l0, l1
+    j = m[:-1]  # T_j plus the strongest outsider, j < a - 1
+    union = value(j + 1, prefix[..., :-1] + s_out)
+    l0 = np.maximum(l0, np.where(inner & (j < a - 1), union, -np.inf).max(-1))
+    j = m[1:]  # T_j minus the weakest member, j > a + 1
+    drop = value(j - 1, prefix[..., 1:] - s_in)
+    l1 = np.maximum(l1, np.where(inner & (j > a + 1), drop, -np.inf).max(-1))
+    return l0, l1
+
+
+def _advance(
+    model: StreamModel,
+    thetas: np.ndarray,
+    thresholds: Thresholds,
+    kind: TestKind,
+    rngs,
+    sums: np.ndarray,
+    mle: np.ndarray,
+    adaptive: np.ndarray,
+    n: int,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance trials that share the count ``n`` by ``steps`` steps.
+
+    ``sums`` and ``mle`` (trials x K) and ``adaptive`` (trials) are each
+    trial's state; they are updated in place to count n + steps.  Returns
+    each trial's index in the block of the first step at which both margins
+    clear (``steps`` if none) and the signal-set estimate after every step
+    (trials x steps x K).  Every floating-point operation is the one
+    :func:`update` and :func:`check_stop` perform, in the same order.
+    """
+    b, k = sums.shape
+    if model.family is Family.GAUSSIAN:
+        x = thetas + _draw_normals(rngs, steps * k).reshape(b, steps, k)
+    else:
+        x = np.where(_draw_uniforms(rngs, steps * k).reshape(b, steps, k) < thetas, 1.0, 0.0)
+    s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)[:, 1:]
+    count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
+    mean = s / count
+    sp = model.space
+    fit0 = np.clip(mean, sp.theta0_lo, sp.theta0_hi)
+    fit1 = np.clip(mean, sp.theta1_lo, sp.theta1_hi)
+    # Each stream's two restricted maxima, computed once, give both the
+    # refreshed MLE and the signal-set estimate.
+    q0 = _loglik(model, count, s, fit0, _log, _log1p)
+    q1 = _loglik(model, count, s, fit1, _log, _log1p)
+    member = q1 >= q0
+    fit = np.where(member, fit1, fit0)
+    lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
+    scores = _loglik(model, 1, x, lagged, _log, _log1p)
+    # Step-major, stream-minor: the order update() adds in.
+    run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
+    if kind is TestKind.UNCONSTRAINED:
+        # total - min(flip) written as total + max(-flip), which rounds the same.
+        total = _row_sums(np.where(member, q1, q0))
+        gain = q1 - q0
+        l0 = total + np.where(member, -np.inf, gain).max(-1)
+        l1 = total + np.where(member, -gain, -np.inf).max(-1)
+    else:
+        l0, l1 = _coupled_sups(model, count, s, member)
+    stop = (run - l0 >= thresholds.log_b) & (run - l1 >= thresholds.log_a)
+    sums[:] = s[:, -1]
+    mle[:] = fit[:, -1]
+    adaptive[:] = run[:, -1]
+    # A float minimum rather than argmax (see above); `steps` means no stop.
+    first = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(1)
+    return first.astype(int), member
+
+
+def run_trials(
+    model: StreamModel,
+    theta_true: JointParameter,
+    thresholds: Thresholds,
+    kind: TestKind,
+    rngs: Sequence,
+    n_max: int = 10**6,
+) -> list[Decision]:
+    """Run one trial per ``random.Random`` in ``rngs``, all streams following ``model``.
+
+    Decision i is the one :func:`run_to_decision` returns for
+    ``(model,) * K`` on a generator in the state of ``rngs[i]``: the draws of
+    ``rng.gauss``/``rng.random`` are reproduced in bulk, bit for bit, and
+    every statistic is computed with the scalar path's operations in its
+    order.  Live trials advance together in blocks of steps, as numpy
+    arrays; a trial leaves at its stop.  Blocks start at _FIRST_BLOCK steps,
+    double, end at ``n_max``, and hold at most _BLOCK_ELEMENTS elements per
+    widest temporary.  Draws run to the end of the stopping block, so the
+    generators end past where run_to_decision would leave them.
+    """
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
+    for i, t in enumerate(theta_true.thetas):
+        if not model.space.contains(t):
+            raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
+    k = theta_true.k
+    thetas = np.array(theta_true.thetas)
+    live = np.arange(len(rngs))
+    sums = np.zeros((live.size, k))
+    mle = np.full((live.size, k), model.space.theta1_lo)
+    adaptive = np.zeros(live.size)
+    decisions: list[Decision | None] = [None] * live.size
+    rows = max(1, _BLOCK_ELEMENTS // (k + 1))  # trials x steps per block
+    n = 0
+    steps = _FIRST_BLOCK
+    while live.size:
+        steps = min(steps, n_max - n, rows)
+        width = max(1, rows // steps)
+        done = np.zeros(live.size, dtype=bool)
+        for lo in range(0, live.size, width):
+            hi = lo + width
+            first, member = _advance(
+                model, thetas, thresholds, kind, [rngs[i] for i in live[lo:hi]],
+                sums[lo:hi], mle[lo:hi], adaptive[lo:hi], n, steps,
+            )
+            for j, at in enumerate(first.tolist()):
+                if at == steps and n + steps < n_max:
+                    continue
+                # A trial still running at n_max ends at the block's last step.
+                last = min(at, steps - 1)
+                estimate = member[j, last].tolist()
+                decisions[live[lo + j]] = Decision(
+                    stopped_at=n + last + 1,
+                    selected=frozenset(i for i, v in enumerate(estimate) if v),
+                    truncated=at == steps,
+                )
+                done[lo + j] = True
+        n += steps
+        keep = ~done
+        live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]
+        steps *= 2
+    return decisions

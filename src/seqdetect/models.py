@@ -228,15 +228,18 @@ def kl(model: StreamModel, theta: float, theta_p: float) -> float:
     )
 
 
-def _loglik(model: StreamModel, n: int, s: float, theta: float) -> float:
+def _loglik(model: StreamModel, n, s, theta, log=math.log, log1p=math.log1p):
     """Statistic-level log-likelihood of (n, s) at theta, unchecked.
 
     The one home of both closed forms; every public likelihood routes
-    through it.  Callers guarantee theta lies in the parameter set.
+    through it.  Callers guarantee theta lies in the parameter set.  The
+    batched engine kernel passes numpy arrays together with elementwise
+    ``log``/``log1p`` that apply the same libm functions, so both paths
+    round identically.
     """
     if model.family is Family.GAUSSIAN:
         return theta * s - 0.5 * n * theta * theta
-    return s * math.log(theta) + (n - s) * math.log1p(-theta)
+    return s * log(theta) + (n - s) * log1p(-theta)
 
 
 def stat_loglik(model: StreamModel, stat: SufficientStat, theta: float) -> float:

@@ -125,11 +125,12 @@ def _run_batch(
     stop: int,
     n_max: int,
 ) -> list[tuple[int, bool, bool, bool]]:
-    models = (model,) * theta.k
+    rngs = [
+        random.Random(derive_trial_seed(base_seed, cell_index, trial))
+        for trial in range(start, stop)
+    ]
     out = []
-    for trial in range(start, stop):
-        rng = random.Random(derive_trial_seed(base_seed, cell_index, trial))
-        d = engine.run_to_decision(models, theta, thresholds, kind, rng, n_max=n_max)
+    for d in engine.run_trials(model, theta, thresholds, kind, rngs, n_max=n_max):
         err1 = bool(d.selected - true_signal)
         err2 = bool(true_signal - d.selected)
         out.append((d.stopped_at, d.truncated, err1, err2))
