@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -319,22 +320,45 @@ def run_to_decision(
 # a complex sort reuse code already mapped or cost 64 KiB.
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
+def _libm(fn, x: np.ndarray, known: Sequence[float] = ()) -> np.ndarray:
     """The scalar ``math`` function ``fn`` applied elementwise.
 
     numpy's own log differs from libm's in the last bit on some inputs; going
     through ``math`` keeps every transcendental rounded as the scalar path
-    rounds it.
+    rounds it.  Entries equal to a value in ``known`` take ``fn`` of that
+    value, computed once, so only the other entries go through the map.
     """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    flat = x.ravel()
+    if not known:
+        return np.fromiter(map(fn, flat.tolist()), float, x.size).reshape(x.shape)
+    out = np.empty(x.size)
+    free = np.ones(x.size, dtype=bool)
+    for c in known:
+        at = flat == c
+        out = np.where(at, fn(c), out)
+        free &= ~at
+    rest = flat[free]
+    out[free] = np.fromiter(map(fn, rest.tolist()), float, rest.size)
+    return out.reshape(x.shape)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
     return _libm(math.log, x)
 
 
-def _log1p(x: np.ndarray) -> np.ndarray:
-    return _libm(math.log1p, x)
+def _region_logs(model: StreamModel):
+    """``log`` and ``log1p`` for :func:`_loglik` at parameters clipped to the
+    model's regions.
+
+    Fitted parameters sit on a region bound whenever the sample mean falls
+    outside the region; those entries take the bound's libm value directly.
+    """
+    sp = model.space
+    bounds = (sp.theta0_lo, sp.theta0_hi, sp.theta1_lo, sp.theta1_hi)
+    return (
+        partial(_libm, math.log, known=bounds),
+        partial(_libm, math.log1p, known=tuple(-b for b in bounds)),
+    )
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -403,7 +427,7 @@ def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region
     lo, hi = model.space.region_bounds(region)
     occupied = n > 0
     n = np.where(occupied, n, 1.0)
-    value = _loglik(model, n, s, np.clip(s / n, lo, hi), _log, _log1p)
+    value = _loglik(model, n, s, np.clip(s / n, lo, hi), *_region_logs(model))
     return np.where(occupied, value, 0.0)
 
 
@@ -459,6 +483,75 @@ def _coupled_sups(
     return l0, l1
 
 
+def _free_sups(q0: np.ndarray, q1: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unconstrained branch of :func:`sup_loglik_error_sets` over leading axes.
+
+    ``q0`` and ``q1`` hold each stream's noise and signal supremum on the
+    last axis and ``member`` the estimate (q1 >= q0).
+    """
+    # total - min(flip) written as total + max(-flip), which rounds the same.
+    total = _row_sums(np.where(member, q1, q0))
+    gain = q1 - q0
+    l0 = total + np.where(member, -np.inf, gain).max(-1)
+    l1 = total + np.where(member, -gain, -np.inf).max(-1)
+    return l0, l1
+
+
+def _observations(model: StreamModel, thetas: np.ndarray, rngs, shape) -> np.ndarray:
+    """Observations of shape ``(rows, steps, K)`` from streams at ``thetas``.
+
+    Generator i fills an equal share of the rows, in C order: trial-major,
+    step-major, stream-minor, which is the order in which
+    :func:`run_to_decision` and a loop over trials consume a generator.
+    """
+    count = math.prod(shape) // len(rngs)
+    if model.family is Family.GAUSSIAN:
+        return thetas + _draw_normals(rngs, count).reshape(shape)
+    return np.where(_draw_uniforms(rngs, count).reshape(shape) < thetas, 1.0, 0.0)
+
+
+def _absorb(
+    model: StreamModel,
+    x: np.ndarray,
+    sums: np.ndarray,
+    mle: np.ndarray,
+    adaptive: np.ndarray,
+    n: int,
+) -> tuple[np.ndarray, ...]:
+    """Feed observations ``x`` (trials x steps x K) to trials that share the count ``n``.
+
+    The draw-free block step.  ``sums`` and ``mle`` (trials x K) and
+    ``adaptive`` (trials) are each trial's state; they are updated in place
+    to count n + steps.  Returns, after every step, the count (steps x 1),
+    the stream sums, both restricted maxima q0 and q1, the signal-set
+    estimate q1 >= q0 and the adaptive log-likelihood (trials x steps).
+    Every floating-point operation is the one :func:`update` performs, in
+    the same order.
+    """
+    b, steps, k = x.shape
+    s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)[:, 1:]
+    count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
+    mean = s / count
+    sp = model.space
+    logs = _region_logs(model)
+    fit0 = np.clip(mean, sp.theta0_lo, sp.theta0_hi)
+    fit1 = np.clip(mean, sp.theta1_lo, sp.theta1_hi)
+    # Each stream's two restricted maxima, computed once, give both the
+    # refreshed MLE and the signal-set estimate.
+    q0 = _loglik(model, count, s, fit0, *logs)
+    q1 = _loglik(model, count, s, fit1, *logs)
+    member = q1 >= q0
+    fit = np.where(member, fit1, fit0)
+    lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
+    scores = _loglik(model, 1, x, lagged, *logs)
+    # Step-major, stream-minor: the order update() adds in.
+    run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
+    sums[:] = s[:, -1]
+    mle[:] = fit[:, -1]
+    adaptive[:] = run[:, -1]
+    return count, s, q0, q1, member, run
+
+
 def _advance(
     model: StreamModel,
     thetas: np.ndarray,
@@ -473,46 +566,20 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance trials that share the count ``n`` by ``steps`` steps.
 
-    ``sums`` and ``mle`` (trials x K) and ``adaptive`` (trials) are each
-    trial's state; they are updated in place to count n + steps.  Returns
+    Draws each trial's observations from its generator, feeds them to
+    :func:`_absorb` (which updates ``sums``, ``mle`` and ``adaptive`` in
+    place) and applies :func:`check_stop`'s rule after every step.  Returns
     each trial's index in the block of the first step at which both margins
     clear (``steps`` if none) and the signal-set estimate after every step
-    (trials x steps x K).  Every floating-point operation is the one
-    :func:`update` and :func:`check_stop` perform, in the same order.
+    (trials x steps x K).
     """
-    b, k = sums.shape
-    if model.family is Family.GAUSSIAN:
-        x = thetas + _draw_normals(rngs, steps * k).reshape(b, steps, k)
-    else:
-        x = np.where(_draw_uniforms(rngs, steps * k).reshape(b, steps, k) < thetas, 1.0, 0.0)
-    s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)[:, 1:]
-    count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
-    mean = s / count
-    sp = model.space
-    fit0 = np.clip(mean, sp.theta0_lo, sp.theta0_hi)
-    fit1 = np.clip(mean, sp.theta1_lo, sp.theta1_hi)
-    # Each stream's two restricted maxima, computed once, give both the
-    # refreshed MLE and the signal-set estimate.
-    q0 = _loglik(model, count, s, fit0, _log, _log1p)
-    q1 = _loglik(model, count, s, fit1, _log, _log1p)
-    member = q1 >= q0
-    fit = np.where(member, fit1, fit0)
-    lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
-    scores = _loglik(model, 1, x, lagged, _log, _log1p)
-    # Step-major, stream-minor: the order update() adds in.
-    run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
+    x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
+    count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
     if kind is TestKind.UNCONSTRAINED:
-        # total - min(flip) written as total + max(-flip), which rounds the same.
-        total = _row_sums(np.where(member, q1, q0))
-        gain = q1 - q0
-        l0 = total + np.where(member, -np.inf, gain).max(-1)
-        l1 = total + np.where(member, -gain, -np.inf).max(-1)
+        l0, l1 = _free_sups(q0, q1, member)
     else:
         l0, l1 = _coupled_sups(model, count, s, member)
     stop = (run - l0 >= thresholds.log_b) & (run - l1 >= thresholds.log_a)
-    sums[:] = s[:, -1]
-    mle[:] = fit[:, -1]
-    adaptive[:] = run[:, -1]
     # A float minimum rather than argmax (see above); `steps` means no stop.
     first = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(1)
     return first.astype(int), member

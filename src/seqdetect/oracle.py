@@ -1,13 +1,16 @@
-"""Brute-force reference implementations for cross-checking.
+"""Reference implementations and Monte Carlo checks for cross-checking.
 
-Everything here is deliberately slow and simple.  The constrained
+The references are deliberately slow and simple.  The constrained
 error-set suprema and the information constants are found by enumerating
 all 2^K signal-set assignments, either with the closed-form projections
 (the ``subset_*`` references, exact) or by scanning dense parameter grids
 (the ``grid_*`` references); enumeration is capped at MAX_STREAMS streams.
 The martingale and law-of-large-numbers properties of the adaptive
-likelihood are estimated by plain Monte Carlo.  The test suite and the
-``validate`` command compare the fast implementations against these
+likelihood are estimated by Monte Carlo on the engine's batched block step,
+the one simulations run; the private ``_stepwise_*`` estimators repeat them
+one observation at a time through :func:`~seqdetect.engine.update` and are
+the tests' bit-for-bit reference for the batched ones.  The test suite and
+the ``validate`` command compare the fast implementations against these
 references.
 
 Grid scans are valid only while the relevant sample means stay inside the
@@ -33,6 +36,7 @@ from .models import (
     Region,
     StreamModel,
     SufficientStat,
+    _loglik,
     sample,
     stat_loglik,
     sup_stat_loglik,
@@ -287,6 +291,78 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 
+def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng):
+    """Run ``trials`` trials of the engine under ``theta`` to time ``n``.
+
+    Trials run in chunks on the engine's block step, drawing from ``rng`` in
+    the order of a loop over trials that calls
+    :func:`~seqdetect.engine.update` once per step, so the generator ends
+    where that loop leaves it.  Each block's widest temporary keeps within
+    the kernel's element budget.  Yields per chunk the stream sums, the
+    adaptive log-likelihoods and the last step's q0, q1 and estimate (see
+    :func:`seqdetect.engine._absorb`).
+    """
+    k = theta.k
+    thetas = np.array(theta.thetas)
+    rows = max(1, _engine._BLOCK_ELEMENTS // (k + 1))  # trials x steps per block
+    # A chunk of several trials takes all n steps in one block, so one draw
+    # per block keeps the trial-major order.
+    width = max(1, rows // n)
+    steps = min(n, rows)
+    for lo in range(0, trials, width):
+        c = min(width, trials - lo)
+        sums = np.zeros((c, k))
+        mle = np.full((c, k), model.space.theta1_lo)
+        adaptive = np.zeros(c)
+        for t in range(0, n, steps):
+            x = _engine._observations(model, thetas, [rng], (c, min(steps, n - t), k))
+            _, _, q0, q1, member, _ = _engine._absorb(model, x, sums, mle, adaptive, t)
+        yield sums, adaptive, q0[:, -1], q1[:, -1], member[:, -1]
+
+
+def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
+    thetas = np.array(theta.thetas)
+    ratios = np.empty(trials)
+    lo = 0
+    for sums, adaptive, *_ in _horizon(model, theta, n, trials, rng):
+        true_ll = _engine._row_sums(_loglik(model, n, sums, thetas, *_engine._region_logs(model)))
+        ratios[lo:lo + adaptive.size] = _engine._libm(math.exp, adaptive - true_ll)
+        lo += adaptive.size
+    return ratios
+
+
+def _stepwise_horizon(model, theta, n, trials, rng):
+    """Each trial's engine state at time ``n``, one observation at a time."""
+    models = (model,) * theta.k
+    for _ in range(trials):
+        state = _engine.init(models)
+        for _ in range(n):
+            _engine.update(state, [sample(model, t, rng) for t in theta.thetas])
+        yield state
+
+
+def _stepwise_martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
+    ratios = np.empty(trials)
+    for i, state in enumerate(_stepwise_horizon(model, theta, n, trials, rng)):
+        true_ll = sum(stat_loglik(model, st, t) for st, t in zip(state.stats, theta.thetas))
+        ratios[i] = math.exp(state.adaptive_loglik - true_ll)
+    return ratios
+
+
+def _martingale_estimate(ratios_of, model, theta, n, trials, rng) -> tuple[float, float]:
+    theta.require_constrained(model.space)
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    if trials < 10_000:
+        raise DomainError("martingale estimate needs at least 10^4 trials")
+    if n == 0:
+        return 1.0, 0.0
+    ratios = ratios_of(model, theta, n, trials, rng)
+    mean = float(ratios.mean())
+    se = float(ratios.std(ddof=1) / math.sqrt(trials))
+    return mean, se
+
+
 def mean_one_martingale_estimate(
     model: StreamModel,
     theta: JointParameter,
@@ -302,28 +378,44 @@ def mean_one_martingale_estimate(
     statistics, in the engine's statistic-level convention, so the base
     measure cancels.  Requires a coupled truth and at least 10^4 trials;
     n = 0 returns (1.0, 0.0) since both log-likelihoods are empty sums.
+    Runs on the engine's block step; the result and the generator's final
+    state equal those of :func:`_stepwise_martingale_estimate`.
     """
+    return _martingale_estimate(_martingale_ratios, model, theta, n, trials, rng)
+
+
+def _stepwise_martingale_estimate(model, theta, n, trials, rng) -> tuple[float, float]:
+    """:func:`mean_one_martingale_estimate` one observation at a time through
+    :func:`~seqdetect.engine.update`; the reference for the block step."""
+    return _martingale_estimate(_stepwise_martingale_ratios, model, theta, n, trials, rng)
+
+
+def _lln_margins(model, theta, n, trials, kind, rng):
+    for sums, adaptive, q0, q1, member in _horizon(model, theta, n, trials, rng):
+        if kind is _engine.TestKind.UNCONSTRAINED:
+            l0, l1 = _engine._free_sups(q0, q1, member)
+        else:
+            l0, l1 = _engine._coupled_sups(model, np.array([float(n)]), sums, member)
+        yield from zip(adaptive.tolist(), l0.tolist(), l1.tolist())
+
+
+def _stepwise_lln_margins(model, theta, n, trials, kind, rng):
+    for state in _stepwise_horizon(model, theta, n, trials, rng):
+        yield (state.adaptive_loglik, *_engine.sup_loglik_error_sets(state, kind))
+
+
+def _lln_estimate(margins_of, model, theta, n, trials, kind, rng) -> tuple[float, float]:
     theta.require_constrained(model.space)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    if trials < 10_000:
-        raise DomainError("martingale estimate needs at least 10^4 trials")
-    if n == 0:
-        return 1.0, 0.0
-    k = theta.k
-    models = (model,) * k
-    thetas = theta.thetas
-    ratios = np.empty(trials)
-    for t in range(trials):
-        state = _engine.init(models)
-        for _ in range(n):
-            obs = [sample(model, thetas[i], rng) for i in range(k)]
-            _engine.update(state, obs)
-        true_ll = sum(stat_loglik(model, state.stats[i], thetas[i]) for i in range(k))
-        ratios[t] = math.exp(state.adaptive_loglik - true_ll)
-    mean = float(ratios.mean())
-    se = float(ratios.std(ddof=1) / math.sqrt(trials))
-    return mean, se
+    if n < 500:
+        raise DomainError("rate estimate needs n >= 500")
+    if trials < 1:
+        raise DomainError("at least one trial required")
+    acc0 = 0.0
+    acc1 = 0.0
+    for adaptive, l0, l1 in margins_of(model, theta, n, trials, kind, rng):
+        acc0 += (adaptive - l0) / n
+        acc1 += (adaptive - l1) / n
+    return acc0 / trials, acc1 / trials
 
 
 def lln_rate_estimate(
@@ -339,24 +431,14 @@ def lln_rate_estimate(
     Returns the averages of (adaptive_loglik - logL0)/n and
     (adaptive_loglik - logL1)/n, which converge to the information constants
     governing the chosen kind.  Requires a coupled truth and n >= 500 so the
-    normalized statistics are near their limits.
+    normalized statistics are near their limits.  Runs on the engine's block
+    step; the result and the generator's final state equal those of
+    :func:`_stepwise_lln_rate_estimate`.
     """
-    theta.require_constrained(model.space)
-    if n < 500:
-        raise DomainError("rate estimate needs n >= 500")
-    if trials < 1:
-        raise DomainError("at least one trial required")
-    k = theta.k
-    models = (model,) * k
-    thetas = theta.thetas
-    acc0 = 0.0
-    acc1 = 0.0
-    for _ in range(trials):
-        state = _engine.init(models)
-        for _ in range(n):
-            obs = [sample(model, thetas[i], rng) for i in range(k)]
-            _engine.update(state, obs)
-        l0, l1 = _engine.sup_loglik_error_sets(state, kind)
-        acc0 += (state.adaptive_loglik - l0) / n
-        acc1 += (state.adaptive_loglik - l1) / n
-    return acc0 / trials, acc1 / trials
+    return _lln_estimate(_lln_margins, model, theta, n, trials, kind, rng)
+
+
+def _stepwise_lln_rate_estimate(model, theta, n, trials, kind, rng) -> tuple[float, float]:
+    """:func:`lln_rate_estimate` one observation at a time through
+    :func:`~seqdetect.engine.update`; the reference for the block step."""
+    return _lln_estimate(_stepwise_lln_margins, model, theta, n, trials, kind, rng)

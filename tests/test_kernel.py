@@ -17,6 +17,9 @@ from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
+# validate's tight reference model: nearly every fit sits on a region bound,
+# so most Bernoulli logs come from the bounds' precomputed values.
+TIGHT = StreamModel(Family.BERNOULLI, ParameterSpace(0.40, 0.45, 0.55, 0.60))
 
 
 def _rngs(seeds):
@@ -168,6 +171,11 @@ class TestKernelMatchesScalar:
     def test_bernoulli(self, kind, k, signal_set, seeds):
         theta = _truth(BERN, k, signal_set)
         _assert_same(BERN, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(seeds))
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_bernoulli_tight_regions(self, kind):
+        theta = JointParameter.coupled(2, frozenset({0}), 0.55, 0.45)
+        _assert_same(TIGHT, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(30))
 
     def test_rejects_bad_arguments(self):
         theta = _truth(GAUSS, 2, {1})

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from seqdetect.engine import EngineState, TestKind, sup_loglik_error_sets
+from seqdetect import oracle
+from seqdetect.engine import _BLOCK_ELEMENTS, EngineState, TestKind, sup_loglik_error_sets
 from seqdetect.errors import CapacityError, ConfigError, DomainError
 from seqdetect.models import (
     Family,
@@ -253,3 +254,79 @@ class TestLLNRateEstimate:
         u0, u1 = lln_rate_estimate(GAUSS, TRUTH, 500, 20, TestKind.UNCONSTRAINED, random.Random(3))
         assert abs(u0 - 0.18) <= 0.15 * 0.18
         assert abs(u1 - 0.18) <= 0.15 * 0.18
+
+
+# The tight Bernoulli instance of validate's and criterion 5's deeper
+# martingale checks: its fits sit on a region bound almost always.
+REF_MODEL = StreamModel(Family.BERNOULLI, ParameterSpace(0.40, 0.45, 0.55, 0.60))
+REF_THETA = JointParameter.coupled(2, frozenset({0}), 0.55, 0.45)
+TRUTH3 = JointParameter.coupled(3, frozenset({0, 2}), 0.5, -0.5)
+
+
+def _assert_matches_stepwise(batched, stepwise, args, rng=lambda: random.Random(5)):
+    """Bit-identical estimates, and the generators end in the same state."""
+    ours, ref = rng(), rng()
+    assert batched(*args, ours) == stepwise(*args, ref)
+    assert ours.getstate() == ref.getstate()
+    return ours
+
+
+class TestBatchedMatchesStepwise:
+    """The block-step estimators against their one-observation-at-a-time
+    references: zero tolerance, generator state included."""
+
+    @pytest.mark.parametrize(
+        "model, theta, n, trials",
+        [
+            (GAUSS, TRUTH, 1, 10_000),
+            # 30,003 draws in all leave a Box-Muller sine pending at the end.
+            (GAUSS, TRUTH3, 1, 10_001),
+            # 341 trials per chunk take 3,069 draws each, so every other
+            # chunk starts on a pending sine.
+            (GAUSS, TRUTH3, 3, 10_000),
+            (REF_MODEL, REF_THETA, 1, 10_000),
+            (REF_MODEL, REF_THETA, 5, 10_000),
+        ],
+        ids=["gauss-k2-n1", "gauss-k3-odd", "gauss-k3-n3", "bern-n1", "bern-n5"],
+    )
+    def test_martingale(self, model, theta, n, trials):
+        rng = _assert_matches_stepwise(
+            mean_one_martingale_estimate,
+            oracle._stepwise_martingale_estimate,
+            (model, theta, n, trials),
+        )
+        if model is GAUSS:
+            assert (rng.gauss_next is not None) == (n * trials * theta.k % 2 == 1)
+
+    def test_martingale_on_a_generator_with_a_pending_sine(self):
+        def rng():
+            r = random.Random(8)
+            r.gauss(0.0, 1.0)
+            return r
+
+        _assert_matches_stepwise(
+            mean_one_martingale_estimate,
+            oracle._stepwise_martingale_estimate,
+            (GAUSS, TRUTH, 2, 10_000),
+            rng,
+        )
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    @pytest.mark.parametrize(
+        "model, theta",
+        [(GAUSS, TRUTH), (REF_MODEL, REF_THETA)],
+        ids=["gaussian", "bernoulli"],
+    )
+    def test_lln_with_a_partial_last_chunk(self, kind, model, theta):
+        # At n = 500 and K = 2 a chunk holds two trials; five leave one over.
+        _assert_matches_stepwise(
+            lln_rate_estimate, oracle._stepwise_lln_rate_estimate, (model, theta, 500, 5, kind)
+        )
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_lln_trial_spanning_several_blocks(self, kind):
+        theta = JointParameter.coupled(9, frozenset(range(4)), 0.5, -0.5)
+        assert 500 * theta.k > _BLOCK_ELEMENTS
+        _assert_matches_stepwise(
+            lln_rate_estimate, oracle._stepwise_lln_rate_estimate, (GAUSS, theta, 500, 2, kind)
+        )
