@@ -23,9 +23,11 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import engine, geometry, montecarlo, oracle
 from .errors import ConfigError, SeqDetectError
@@ -449,15 +451,15 @@ def _info_grid(model: StreamModel) -> oracle.Grid:
     return oracle.Grid(0.0, 1.0, 10_000)
 
 
-def _constants_close(a: geometry.InfoConstants, b: geometry.InfoConstants, tol: float) -> float:
+def _deviation(got, ref) -> float:
+    """Largest |g - r| over paired values; inf unless infinities agree exactly."""
     worst = 0.0
-    for name in ("i0", "i1", "i0_tilde", "i1_tilde"):
-        x, y = getattr(a, name), getattr(b, name)
-        if math.isinf(x) or math.isinf(y):
-            if x != y:
+    for g, r in zip(got, ref):
+        if math.isinf(g) or math.isinf(r):
+            if g != r:
                 return math.inf
-            continue
-        worst = max(worst, abs(x - y))
+        else:
+            worst = max(worst, abs(g - r))
     return worst
 
 
@@ -471,7 +473,7 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
     # 1. information constants, config truth
     got = geometry.info_constants(model, spec.theta)
     ref = oracle.grid_info_constants(model, spec.theta, grid)
-    dev = _constants_close(got, ref, tol)
+    dev = _deviation(astuple(got), astuple(ref))
     _check("constants-config", dev <= tol, f"max deviation {dev:.3g} (tol {tol:g})", failures)
 
     # 2. information constants, random coupled truths
@@ -482,41 +484,33 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
         theta = _random_coupled_truth(model, k, rng)
         got = geometry.info_constants(model, theta)
         ref = oracle.grid_info_constants(model, theta, grid)
-        worst = max(worst, _constants_close(got, ref, tol))
+        worst = max(worst, _deviation(astuple(got), astuple(ref)))
     _check(
         "constants-random", worst <= tol,
         f"{n_random} draws, max deviation {worst:.3g} (tol {tol:g})", failures,
     )
 
-    # 3. engine error-set suprema vs grid scan
+    # 3. the kernel's error-set suprema vs grid scan, on one-trial rows
     n_states = 25 if quick else 100
     worst = 0.0
     for _ in range(n_states):
         k = rng.choice((2, 3))
         n = rng.randint(1, 50)
-        stats = []
-        for _ in range(k):
-            if model.family is Family.GAUSSIAN:
-                stats.append(SufficientStat(n, n * rng.uniform(-2.0, 2.0)))
-            else:
-                stats.append(SufficientStat(n, float(rng.randint(0, n))))
-        state = engine.EngineState(
-            models=(model,) * k,
-            stats=stats,
-            lagged_mle=[model.space.theta1_lo] * k,
-            adaptive_loglik=0.0,
-            n=n,
-        )
-        a_hat = engine.estimate_signal_set(state)
+        if model.family is Family.GAUSSIAN:
+            sums = [n * rng.uniform(-2.0, 2.0) for _ in range(k)]
+        else:
+            sums = [float(rng.randint(0, n)) for _ in range(k)]
+        count = np.array([[float(n)]])
+        s = np.array([sums])
+        q0 = engine._region_sup(model, count, s, Region.NOISE)
+        q1 = engine._region_sup(model, count, s, Region.SIGNAL)
+        member = q1 >= q0
+        a_hat = frozenset(i for i, v in enumerate(member[0].tolist()) if v)
+        stats = [SufficientStat(n, x) for x in sums]
         for kind in (engine.TestKind.CONSTRAINED, engine.TestKind.UNCONSTRAINED):
-            got = engine.sup_loglik_error_sets(state, kind)
+            got = engine._error_sups(model, kind, count, s, q0, q1, member)
             ref = oracle.grid_sup_loglik(model, stats, a_hat, kind, grid)
-            for g, r in zip(got, ref):
-                if math.isinf(g) or math.isinf(r):
-                    if g != r:
-                        worst = math.inf
-                else:
-                    worst = max(worst, abs(g - r))
+            worst = max(worst, _deviation(np.concatenate(got).tolist(), ref))
     _check(
         "engine-grid", worst <= tol,
         f"{n_states} states, max deviation {worst:.3g} (tol {tol:g})", failures,

@@ -91,9 +91,16 @@ class Decision:
     truncated: bool
 
 
+# Step-at-a-time reference: one trial, one observation per stream per call.
+# Simulations and ``validate`` run the batched kernel further down; these
+# functions are its reference in the tests and the oracle.  They stay in this
+# module because the benchmark's span tracer (perfbench/spans.py) wraps them
+# here by name.
+
+
 @dataclass
 class EngineState:
-    models: tuple[StreamModel, ...]
+    model: StreamModel
     stats: list[SufficientStat]
     lagged_mle: list[float]
     adaptive_loglik: float
@@ -101,25 +108,21 @@ class EngineState:
 
     @property
     def k(self) -> int:
-        return len(self.models)
+        return len(self.stats)
 
 
-def init(models: Sequence[StreamModel]) -> EngineState:
-    """Fresh state at n = 0.
+def init(model: StreamModel, k: int) -> EngineState:
+    """Fresh state at n = 0 for ``k`` streams following ``model``.
 
-    All models must share one family and parameter space.  Before any data
-    arrive every lagged estimate sits at the lower signal endpoint.
+    Before any data arrive every lagged estimate sits at the lower signal
+    endpoint.
     """
-    models = tuple(models)
-    if not models:
-        raise ConfigError("at least one stream model required")
-    if len({(m.family, m.space) for m in models}) != 1:
-        raise ConfigError("streams must share one family and parameter space")
-    k = len(models)
+    if k < 1:
+        raise ConfigError("at least one stream required")
     return EngineState(
-        models=models,
+        model=model,
         stats=[SufficientStat() for _ in range(k)],
-        lagged_mle=[models[0].space.theta1_lo] * k,
+        lagged_mle=[model.space.theta1_lo] * k,
         adaptive_loglik=0.0,
         n=0,
     )
@@ -134,14 +137,14 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     ratio a martingale.
     """
     k = state.k
+    model = state.model
     if len(obs) != k:
         raise DomainError(f"expected {k} observations, got {len(obs)}")
-    if state.models[0].family is Family.BERNOULLI and not _BERNOULLI_VALUES.issuperset(obs):
+    if model.family is Family.BERNOULLI and not _BERNOULLI_VALUES.issuperset(obs):
         raise DomainError(f"Bernoulli observations must be 0 or 1, got {list(obs)!r}")
     adaptive = state.adaptive_loglik
     for i in range(k):
         x = float(obs[i])
-        model = state.models[i]
         adaptive += _loglik(model, 1, x, state.lagged_mle[i])
         st = state.stats[i]
         st.add(x)
@@ -153,7 +156,7 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
 
 def _region_sups(state: EngineState) -> tuple[list[float], list[float]]:
     """Each stream's log-likelihood supremum over the signal and the noise region."""
-    model = state.models[0]
+    model = state.model
     sig_q = []
     noise_q = []
     for st in state.stats:
@@ -217,7 +220,7 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
 
     k = state.k
     n = state.n
-    model = state.models[0]
+    model = state.model
     a_hat = estimate_signal_set(state)
     a = len(a_hat)
     ss = [st.s for st in state.stats]
@@ -272,15 +275,24 @@ def check_stop(
     return None
 
 
+def _require_run(model: StreamModel, theta_true: JointParameter, n_max: int) -> None:
+    """The argument checks of :func:`run_to_decision` and :func:`run_trials`."""
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
+    for i, t in enumerate(theta_true.thetas):
+        if not model.space.contains(t):
+            raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
+
+
 def run_to_decision(
-    models: Sequence[StreamModel],
+    model: StreamModel,
     theta_true: JointParameter,
     thresholds: Thresholds,
     kind: TestKind,
     rng,
     n_max: int = 10**6,
 ) -> Decision:
-    """Simulate one trial to its decision.
+    """Simulate one trial to its decision, all streams following ``model``.
 
     Samples stream observations (in stream order) from ``theta_true``,
     feeds them through :func:`update`, and checks the stopping rule after
@@ -288,19 +300,11 @@ def run_to_decision(
     truncated and the current signal-set estimate is reported with the
     truncation flag set; truncation is reported, never hidden.
     """
-    models = tuple(models)
-    if n_max < 1:
-        raise ConfigError("n_max must be at least 1")
-    if theta_true.k != len(models):
-        raise ConfigError("truth vector length must match the number of streams")
-    for i, t in enumerate(theta_true.thetas):
-        if not models[i].space.contains(t):
-            raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
-    state = init(models)
+    _require_run(model, theta_true, n_max)
+    state = init(model, theta_true.k)
     thetas = theta_true.thetas
     while state.n < n_max:
-        obs = [sample(models[i], thetas[i], rng) for i in range(len(models))]
-        update(state, obs)
+        update(state, [sample(model, t, rng) for t in thetas])
         decision = check_stop(state, thresholds, kind)
         if decision is not None:
             return decision
@@ -497,6 +501,27 @@ def _free_sups(q0: np.ndarray, q1: np.ndarray, member: np.ndarray) -> tuple[np.n
     return l0, l1
 
 
+def _error_sups(
+    model: StreamModel, kind: TestKind, count: np.ndarray, s: np.ndarray,
+    q0: np.ndarray, q1: np.ndarray, member: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sup_loglik_error_sets` of ``kind`` over leading axes.
+
+    ``count`` is the shared count (broadcast against ``s[..., :1]``); ``s``,
+    ``q0``, ``q1`` and ``member`` hold each stream's sum, noise and signal
+    supremum and estimate (q1 >= q0) on the last axis.
+    """
+    if kind is TestKind.UNCONSTRAINED:
+        return _free_sups(q0, q1, member)
+    return _coupled_sups(model, count, s, member)
+
+
+def _block_rows(k: int) -> int:
+    """Trial-steps in one block of ``k`` streams: its widest temporary, a
+    candidate group of trials x steps x (K + 1), keeps within _BLOCK_ELEMENTS."""
+    return max(1, _BLOCK_ELEMENTS // (k + 1))
+
+
 def _observations(model: StreamModel, thetas: np.ndarray, rngs, shape) -> np.ndarray:
     """Observations of shape ``(rows, steps, K)`` from streams at ``thetas``.
 
@@ -575,10 +600,7 @@ def _advance(
     """
     x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
     count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
-    if kind is TestKind.UNCONSTRAINED:
-        l0, l1 = _free_sups(q0, q1, member)
-    else:
-        l0, l1 = _coupled_sups(model, count, s, member)
+    l0, l1 = _error_sups(model, kind, count, s, q0, q1, member)
     stop = (run - l0 >= thresholds.log_b) & (run - l1 >= thresholds.log_a)
     # A float minimum rather than argmax (see above); `steps` means no stop.
     first = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(1)
@@ -595,21 +617,17 @@ def run_trials(
 ) -> list[Decision]:
     """Run one trial per ``random.Random`` in ``rngs``, all streams following ``model``.
 
-    Decision i is the one :func:`run_to_decision` returns for
-    ``(model,) * K`` on a generator in the state of ``rngs[i]``: the draws of
-    ``rng.gauss``/``rng.random`` are reproduced in bulk, bit for bit, and
-    every statistic is computed with the scalar path's operations in its
-    order.  Live trials advance together in blocks of steps, as numpy
-    arrays; a trial leaves at its stop.  Blocks start at _FIRST_BLOCK steps,
-    double, end at ``n_max``, and hold at most _BLOCK_ELEMENTS elements per
-    widest temporary.  Draws run to the end of the stopping block, so the
-    generators end past where run_to_decision would leave them.
+    Decision i is the one :func:`run_to_decision` returns on a generator in
+    the state of ``rngs[i]``: the draws of ``rng.gauss``/``rng.random`` are
+    reproduced in bulk, bit for bit, and every statistic is computed with
+    the scalar path's operations in its order.  Live trials advance together
+    in blocks of steps, as numpy arrays; a trial leaves at its stop.  Blocks
+    start at _FIRST_BLOCK steps, double, end at ``n_max``, and span at most
+    :func:`_block_rows` trial-steps.  Draws run to the end of the stopping
+    block, so the generators end past where run_to_decision would leave
+    them.
     """
-    if n_max < 1:
-        raise ConfigError("n_max must be at least 1")
-    for i, t in enumerate(theta_true.thetas):
-        if not model.space.contains(t):
-            raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
+    _require_run(model, theta_true, n_max)
     k = theta_true.k
     thetas = np.array(theta_true.thetas)
     live = np.arange(len(rngs))
@@ -617,7 +635,7 @@ def run_trials(
     mle = np.full((live.size, k), model.space.theta1_lo)
     adaptive = np.zeros(live.size)
     decisions: list[Decision | None] = [None] * live.size
-    rows = max(1, _BLOCK_ELEMENTS // (k + 1))  # trials x steps per block
+    rows = _block_rows(k)
     n = 0
     steps = _FIRST_BLOCK
     while live.size:

@@ -74,8 +74,6 @@ def kl_to_region(model: StreamModel, theta: float, region: Region) -> float:
     so the infimum over a closed interval is attained at the clipped point.
     Zero when theta already lies in the region.
     """
-    if region is Region.FULL:
-        raise DomainError("kl_to_region expects the noise or signal region")
     if not model.space.contains(theta):
         raise DomainError(f"theta={theta!r} outside the parameter set")
     lo, hi = model.space.region_bounds(region)

@@ -50,7 +50,6 @@ class Family(Enum):
 class Region(Enum):
     NOISE = "noise"
     SIGNAL = "signal"
-    FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,7 @@ class ParameterSpace:
     def region_bounds(self, region: Region) -> tuple[float, float]:
         if region is Region.NOISE:
             return self.theta0_lo, self.theta0_hi
-        if region is Region.SIGNAL:
-            return self.theta1_lo, self.theta1_hi
-        raise DomainError("FULL is not a single interval; handle regions separately")
+        return self.theta1_lo, self.theta1_hi
 
     def in_noise(self, theta: float) -> bool:
         return self.theta0_lo <= theta <= self.theta0_hi
@@ -266,11 +263,6 @@ def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> flo
     """
     if n == 0:
         return 0.0
-    if region is Region.FULL:
-        return max(
-            sup_stat_loglik(model, n, s, Region.NOISE),
-            sup_stat_loglik(model, n, s, Region.SIGNAL),
-        )
     lo, hi = model.space.region_bounds(region)
     return _loglik(model, n, s, _clip(s / n, lo, hi))
 

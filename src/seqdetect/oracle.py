@@ -6,11 +6,13 @@ all 2^K signal-set assignments, either with the closed-form projections
 (the ``subset_*`` references, exact) or by scanning dense parameter grids
 (the ``grid_*`` references); enumeration is capped at MAX_STREAMS streams.
 The martingale and law-of-large-numbers properties of the adaptive
-likelihood are estimated by Monte Carlo on the engine's batched block step,
-the one simulations run; the private ``_stepwise_*`` estimators repeat them
-one observation at a time through :func:`~seqdetect.engine.update` and are
-the tests' bit-for-bit reference for the batched ones.  The test suite and
-the ``validate`` command compare the fast implementations against these
+likelihood are estimated by Monte Carlo on the kernel that simulations
+run: its block step and its error-set suprema.  The private ``_stepwise_*``
+estimators repeat them one observation at a time through the engine's
+step-at-a-time reference (:func:`~seqdetect.engine.update` and
+:func:`~seqdetect.engine.sup_loglik_error_sets`) and are the tests'
+bit-for-bit reference for the batched ones.  The test suite and the
+``validate`` command compare the fast implementations against these
 references.
 
 Grid scans are valid only while the relevant sample means stay inside the
@@ -144,15 +146,6 @@ class Grid:
     def region_points(self, model: StreamModel, region: Region) -> np.ndarray:
         """Grid points inside one region, with the clipped region endpoints
         appended so boundary optima are hit exactly."""
-        if region is Region.FULL:
-            return np.unique(
-                np.concatenate(
-                    [
-                        self.region_points(model, Region.NOISE),
-                        self.region_points(model, Region.SIGNAL),
-                    ]
-                )
-            )
         rlo, rhi = model.space.region_bounds(region)
         lo = max(self.lo, rlo)
         hi = min(self.hi, rhi)
@@ -304,7 +297,7 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
     """
     k = theta.k
     thetas = np.array(theta.thetas)
-    rows = max(1, _engine._BLOCK_ELEMENTS // (k + 1))  # trials x steps per block
+    rows = _engine._block_rows(k)
     # A chunk of several trials takes all n steps in one block, so one draw
     # per block keeps the trial-major order.
     width = max(1, rows // n)
@@ -333,9 +326,8 @@ def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
 
 def _stepwise_horizon(model, theta, n, trials, rng):
     """Each trial's engine state at time ``n``, one observation at a time."""
-    models = (model,) * theta.k
     for _ in range(trials):
-        state = _engine.init(models)
+        state = _engine.init(model, theta.k)
         for _ in range(n):
             _engine.update(state, [sample(model, t, rng) for t in theta.thetas])
         yield state
@@ -391,11 +383,9 @@ def _stepwise_martingale_estimate(model, theta, n, trials, rng) -> tuple[float, 
 
 
 def _lln_margins(model, theta, n, trials, kind, rng):
+    count = np.array([float(n)])
     for sums, adaptive, q0, q1, member in _horizon(model, theta, n, trials, rng):
-        if kind is _engine.TestKind.UNCONSTRAINED:
-            l0, l1 = _engine._free_sups(q0, q1, member)
-        else:
-            l0, l1 = _engine._coupled_sups(model, np.array([float(n)]), sums, member)
+        l0, l1 = _engine._error_sups(model, kind, count, sums, q0, q1, member)
         yield from zip(adaptive.tolist(), l0.tolist(), l1.tolist())
 
 

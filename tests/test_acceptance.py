@@ -158,7 +158,7 @@ def test_criterion_4_grid_equivalence():
         n = rng.randint(1, 50)
         stats = [SufficientStat(n, n * rng.uniform(-2.0, 2.0)) for _ in range(k)]
         state = EngineState(
-            models=(GAUSS,) * k,
+            model=GAUSS,
             stats=stats,
             lagged_mle=[0.1] * k,
             adaptive_loglik=0.0,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from seqdetect import engine
 from seqdetect.cli import FIGURE_HEADER, SIMULATE_HEADER, load_config, main
 from seqdetect.errors import ConfigError
 
@@ -321,3 +322,14 @@ class TestValidateCommand:
         assert "PASS martingale-n10" in out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_engine_grid_checks_the_kernel(self, monkeypatch, capsys):
+        coupled = engine._coupled_sups
+
+        def shifted(*args):
+            l0, l1 = coupled(*args)
+            return l0 + 1e-3, l1 + 1e-3
+
+        monkeypatch.setattr(engine, "_coupled_sups", shifted)
+        assert main(["validate", "--config", "desk_fig1", "--quick"]) == 1
+        assert "FAIL engine-grid" in capsys.readouterr().out

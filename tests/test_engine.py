@@ -30,19 +30,17 @@ from seqdetect.models import (
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
-PAIR = (GAUSS, GAUSS)
 TRUTH = JointParameter((0.5, -0.5))
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def state_from_stats(models, stats):
-    n = stats[0].n
+def state_from_stats(model, stats):
     return EngineState(
-        models=tuple(models),
+        model=model,
         stats=[SufficientStat(st.n, st.s) for st in stats],
-        lagged_mle=[m.space.theta1_lo for m in models],
+        lagged_mle=[model.space.theta1_lo] * len(stats),
         adaptive_loglik=0.0,
-        n=n,
+        n=stats[0].n,
     )
 
 
@@ -95,13 +93,13 @@ def reference_adaptive_loglik(model, rows):
     return total
 
 
-def replay(models, truth, thresholds, kind, seed):
+def replay(model, truth, thresholds, kind, seed):
     """run_to_decision driven by hand, with the same sampling order, so the
     state at the stop can be inspected.  Returns (decision, state)."""
     rng = random.Random(seed)
-    state = init(models)
+    state = init(model, truth.k)
     while True:
-        update(state, [sample(m, t, rng) for m, t in zip(models, truth.thetas)])
+        update(state, [sample(model, t, rng) for t in truth.thetas])
         decision = check_stop(state, thresholds, kind)
         if decision is not None:
             return decision, state
@@ -164,7 +162,7 @@ def independent_constrained_run(rng, log_a, log_b, n_max=5000):
 
 class TestInit:
     def test_signal_boundary_default(self):
-        st = init(PAIR)
+        st = init(GAUSS, 2)
         assert st.lagged_mle == [0.1, 0.1]
         assert st.adaptive_loglik == 0.0
         assert st.n == 0
@@ -173,17 +171,12 @@ class TestInit:
 
     def test_errors(self):
         with pytest.raises(ConfigError):
-            init(())
-        other = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.2))
-        with pytest.raises(ConfigError):
-            init((GAUSS, other))
-        with pytest.raises(ConfigError):
-            init((GAUSS, BERN))
+            init(GAUSS, 0)
 
 
 class TestUpdate:
     def test_first_step_scores_against_init(self):
-        st = init(PAIR)
+        st = init(GAUSS, 2)
         obs = [0.7, -1.2]
         update(st, obs)
         expect = sum(score(GAUSS, 0.1, x) for x in obs)
@@ -194,7 +187,7 @@ class TestUpdate:
         assert st.lagged_mle == [0.7, -1.2]
 
     def test_second_step_uses_lagged_estimate(self):
-        st = init(PAIR)
+        st = init(GAUSS, 2)
         update(st, [0.7, -1.2])
         before = st.adaptive_loglik
         update(st, [0.2, 0.4])
@@ -205,14 +198,14 @@ class TestUpdate:
         assert st.lagged_mle == [pytest.approx(0.45), pytest.approx(-0.4)]
 
     def test_gap_projection_in_lagged_estimate(self):
-        st = init(PAIR)
+        st = init(GAUSS, 2)
         update(st, [0.05, -0.03])
         assert st.lagged_mle == [0.1, -0.1]
 
     def test_replay_determinism(self):
         rng = random.Random(2)
         obs = [[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(40)]
-        a, b = init(PAIR), init(PAIR)
+        a, b = init(GAUSS, 2), init(GAUSS, 2)
         for row in obs:
             update(a, row)
         for row in obs:
@@ -222,10 +215,10 @@ class TestUpdate:
         assert a.lagged_mle == b.lagged_mle
 
     def test_errors(self):
-        st = init(PAIR)
+        st = init(GAUSS, 2)
         with pytest.raises(DomainError):
             update(st, [1.0])
-        bst = init((BERN, BERN))
+        bst = init(BERN, 2)
         with pytest.raises(DomainError):
             update(bst, [1.0, 0.5])
 
@@ -235,7 +228,7 @@ class TestUpdate:
         rng = random.Random(14)
         devs = []
         for _ in range(40):
-            st = init(PAIR)
+            st = init(GAUSS, 2)
             true_ll = 0.0
             for _ in range(2000):
                 xs = [rng.gauss(0.5, 1.0), rng.gauss(-0.5, 1.0)]
@@ -260,7 +253,7 @@ class TestUpdate:
                     rows = [[rng.gauss(m - 0.5, 1.0) for m in means] for _ in range(n)]
                 else:
                     rows = [[float(rng.random() < m) for m in means] for _ in range(n)]
-                st = init((model,) * k)
+                st = init(model, k)
                 for row in rows:
                     update(st, row)
                 expect = reference_adaptive_loglik(model, rows)
@@ -272,11 +265,11 @@ class TestUpdate:
 
 class TestEstimateSignalSet:
     def test_sign_rule(self):
-        st = state_from_stats(PAIR, [SufficientStat(4, 2.0), SufficientStat(4, -0.8)])
+        st = state_from_stats(GAUSS, [SufficientStat(4, 2.0), SufficientStat(4, -0.8)])
         assert estimate_signal_set(st) == frozenset({0})
 
     def test_tie_counts_as_signal(self):
-        st = state_from_stats(PAIR, [SufficientStat(2, 0.0), SufficientStat(2, -1.0)])
+        st = state_from_stats(GAUSS, [SufficientStat(2, 0.0), SufficientStat(2, -1.0)])
         assert estimate_signal_set(st) == frozenset({0})
 
     def test_matches_mean_sign_on_random_states(self):
@@ -285,13 +278,13 @@ class TestEstimateSignalSet:
             stats = [
                 SufficientStat(5, 5 * rng.uniform(-1.0, 1.0)) for _ in range(3)
             ]
-            st = state_from_stats((GAUSS,) * 3, stats)
+            st = state_from_stats(GAUSS, stats)
             expect = frozenset(i for i in range(3) if stats[i].mean >= 0.0)
             assert estimate_signal_set(st) == expect
 
     def test_empty_state_rejected(self):
         with pytest.raises(DomainError):
-            estimate_signal_set(init(PAIR))
+            estimate_signal_set(init(GAUSS, 2))
 
     def test_consistent_by_n_200(self):
         # Misclassification odds at n = 200 are about 2*Phi(-0.5*sqrt(200));
@@ -302,7 +295,7 @@ class TestEstimateSignalSet:
             s0 = sum(rng.gauss(0.5, 1.0) for _ in range(200))
             s1 = sum(rng.gauss(-0.5, 1.0) for _ in range(200))
             st = state_from_stats(
-                PAIR, [SufficientStat(200, s0), SufficientStat(200, s1)]
+                GAUSS, [SufficientStat(200, s0), SufficientStat(200, s1)]
             )
             if estimate_signal_set(st) != frozenset({0}):
                 bad += 1
@@ -311,13 +304,13 @@ class TestEstimateSignalSet:
 
 class TestErrorSetSuprema:
     def test_full_estimate_gives_vacuous_l0(self):
-        st = state_from_stats(PAIR, [SufficientStat(3, 2.0), SufficientStat(3, 1.0)])
+        st = state_from_stats(GAUSS, [SufficientStat(3, 2.0), SufficientStat(3, 1.0)])
         l0, l1 = sup_loglik_error_sets(st, TestKind.CONSTRAINED)
         assert l0 == -math.inf
         assert math.isfinite(l1)
 
     def test_empty_estimate_gives_vacuous_l1(self):
-        st = state_from_stats(PAIR, [SufficientStat(3, -2.0), SufficientStat(3, -1.0)])
+        st = state_from_stats(GAUSS, [SufficientStat(3, -2.0), SufficientStat(3, -1.0)])
         for kind in TestKind:
             l0, l1 = sup_loglik_error_sets(st, kind)
             assert math.isfinite(l0)
@@ -325,7 +318,7 @@ class TestErrorSetSuprema:
 
     def test_constrained_candidates_by_hand(self):
         stats = [SufficientStat(5, 3.0), SufficientStat(5, -1.5)]
-        st = state_from_stats(PAIR, stats)
+        st = state_from_stats(GAUSS, stats)
         assert estimate_signal_set(st) == frozenset({0})
 
         def pooled(b):
@@ -343,7 +336,7 @@ class TestErrorSetSuprema:
 
     def test_unconstrained_candidates_by_hand(self):
         stats = [SufficientStat(5, 3.0), SufficientStat(5, -1.5)]
-        st = state_from_stats(PAIR, stats)
+        st = state_from_stats(GAUSS, stats)
 
         def free(b):
             total = 0.0
@@ -363,7 +356,7 @@ class TestErrorSetSuprema:
             stats = [
                 SufficientStat(6, 6 * rng.uniform(-1.5, 1.5)) for _ in range(k)
             ]
-            st = state_from_stats((GAUSS,) * k, stats)
+            st = state_from_stats(GAUSS, stats)
             ahat = estimate_signal_set(st)
 
             def free(b):
@@ -395,7 +388,7 @@ class TestErrorSetSuprema:
             stats = [
                 SufficientStat(8, 8 * rng.uniform(-1.0, 1.0)) for _ in range(k)
             ]
-            st = state_from_stats((GAUSS,) * k, stats)
+            st = state_from_stats(GAUSS, stats)
             cl0, cl1 = sup_loglik_error_sets(st, TestKind.CONSTRAINED)
             ul0, ul1 = sup_loglik_error_sets(st, TestKind.UNCONSTRAINED)
             assert cl0 <= ul0 + 1e-12
@@ -403,14 +396,14 @@ class TestErrorSetSuprema:
 
     def test_empty_state_rejected(self):
         with pytest.raises(DomainError):
-            sup_loglik_error_sets(init(PAIR), TestKind.CONSTRAINED)
+            sup_loglik_error_sets(init(GAUSS, 2), TestKind.CONSTRAINED)
 
 
 class TestCheckStop:
     def test_vacuous_side_single_stream(self):
         # With one stream estimated as signal only the l1 condition binds,
         # so an enormous log_b cannot block the stop.
-        st = state_from_stats((GAUSS,), [SufficientStat(30, 45.0)])
+        st = state_from_stats(GAUSS, [SufficientStat(30, 45.0)])
         st.adaptive_loglik = 100.0
         decision = check_stop(st, Thresholds(log_a=0.5, log_b=1e9), TestKind.CONSTRAINED)
         assert decision is not None
@@ -419,7 +412,7 @@ class TestCheckStop:
         assert not decision.truncated
 
     def test_no_stop_below_threshold(self):
-        st = state_from_stats(PAIR, [SufficientStat(1, 0.6), SufficientStat(1, -0.4)])
+        st = state_from_stats(GAUSS, [SufficientStat(1, 0.6), SufficientStat(1, -0.4)])
         assert check_stop(st, Thresholds(1e6, 1e6), TestKind.CONSTRAINED) is None
 
     def test_threshold_validation(self):
@@ -431,19 +424,18 @@ class TestCheckStop:
     def test_matches_independent_implementation(self):
         # 100 seeded trials against a from-scratch re-implementation that
         # stores raw observations and recomputes all suprema per step.
-        models = PAIR
         th = Thresholds(2.0, 2.0)
         for trial in range(100):
             expected = independent_constrained_run(random.Random(trial), 2.0, 2.0)
             assert expected is not None
             decision = run_to_decision(
-                models, TRUTH, th, TestKind.CONSTRAINED, random.Random(trial)
+                GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(trial)
             )
             n, selected, stat0, stat1 = expected
             assert decision.stopped_at == n
             assert decision.selected == selected
             assert not decision.truncated
-            replayed, state = replay(models, TRUTH, th, TestKind.CONSTRAINED, trial)
+            replayed, state = replay(GAUSS, TRUTH, th, TestKind.CONSTRAINED, trial)
             assert replayed == decision
             l0, l1 = sup_loglik_error_sets(state, TestKind.CONSTRAINED)
             assert (state.adaptive_loglik - l0) / n == pytest.approx(stat0 / n, abs=1e-9)
@@ -453,15 +445,15 @@ class TestCheckStop:
 class TestRunToDecision:
     def test_deterministic_given_seed(self):
         th = Thresholds(3.0, 3.0)
-        a = run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(5))
-        b = run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(5))
+        a = run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(5))
+        b = run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(5))
         assert a == b
 
     def test_stops_at_one_at_zero_thresholds(self):
         th = Thresholds(0.0, 0.0)
         times = [
             run_to_decision(
-                PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(s)
+                GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(s)
             ).stopped_at
             for s in range(30)
         ]
@@ -472,8 +464,8 @@ class TestRunToDecision:
         # Replay each trial and check both margins at the stop.
         th = Thresholds(1.5, 4.0)
         for s in range(20):
-            d = run_to_decision(PAIR, TRUTH, th, TestKind.UNCONSTRAINED, random.Random(s))
-            replayed, state = replay(PAIR, TRUTH, th, TestKind.UNCONSTRAINED, s)
+            d = run_to_decision(GAUSS, TRUTH, th, TestKind.UNCONSTRAINED, random.Random(s))
+            replayed, state = replay(GAUSS, TRUTH, th, TestKind.UNCONSTRAINED, s)
             assert replayed == d
             assert state.n == d.stopped_at
             l0, l1 = sup_loglik_error_sets(state, TestKind.UNCONSTRAINED)
@@ -483,7 +475,7 @@ class TestRunToDecision:
     def test_truncation(self):
         th = Thresholds(1e9, 1e9)
         r = run_to_decision(
-            PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(3), n_max=4
+            GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(3), n_max=4
         )
         assert r.truncated
         assert r.stopped_at == 4
@@ -492,14 +484,10 @@ class TestRunToDecision:
     def test_errors(self):
         th = Thresholds(1.0, 1.0)
         with pytest.raises(ConfigError):
-            run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(1), n_max=0)
+            run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(1), n_max=0)
         with pytest.raises(ConfigError):
             run_to_decision(
-                PAIR, JointParameter((0.5,)), th, TestKind.CONSTRAINED, random.Random(1)
-            )
-        with pytest.raises(ConfigError):
-            run_to_decision(
-                PAIR, JointParameter((0.5, 0.0)), th, TestKind.CONSTRAINED, random.Random(1)
+                GAUSS, JointParameter((0.5, 0.0)), th, TestKind.CONSTRAINED, random.Random(1)
             )
 
     def test_mean_stopping_time_scale(self):
@@ -512,7 +500,7 @@ class TestRunToDecision:
         total = 0
         trials = 400
         for _ in range(trials):
-            r = run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, rng)
+            r = run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, rng)
             assert not r.truncated
             total += r.stopped_at
         mean_t = total / trials
@@ -523,7 +511,7 @@ class TestRunToDecision:
         th = Thresholds(5.0, 5.0)
         wrong = 0
         for s in range(200):
-            r = run_to_decision(PAIR, TRUTH, th, TestKind.CONSTRAINED, random.Random(s))
+            r = run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(s))
             if r.selected != frozenset({0}):
                 wrong += 1
         assert wrong / 200 <= 0.02
@@ -532,7 +520,7 @@ class TestRunToDecision:
         theta = JointParameter.coupled(2, {0}, 0.7, 0.3)
         th = Thresholds(3.0, 3.0)
         r = run_to_decision(
-            (BERN, BERN), theta, th, TestKind.CONSTRAINED, random.Random(9)
+            BERN, theta, th, TestKind.CONSTRAINED, random.Random(9)
         )
         assert not r.truncated
         assert r.stopped_at >= 1

@@ -13,7 +13,7 @@ import pytest
 from seqdetect import engine, montecarlo
 from seqdetect.engine import TestKind, Thresholds, run_to_decision, run_trials
 from seqdetect.errors import ConfigError
-from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
+from seqdetect.models import Family, JointParameter, ParameterSpace, Region, StreamModel
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
@@ -36,7 +36,7 @@ def _truth(model, k, signal_set):
 
 def _assert_same(model, theta, thresholds, kind, seeds, n_max=10**6):
     want = [
-        run_to_decision((model,) * theta.k, theta, thresholds, kind, rng, n_max=n_max)
+        run_to_decision(model, theta, thresholds, kind, rng, n_max=n_max)
         for rng in _rngs(seeds)
     ]
     got = run_trials(model, theta, thresholds, kind, _rngs(seeds), n_max=n_max)
@@ -84,10 +84,8 @@ _DECISIVE = {
 }
 
 
-@pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
-@pytest.mark.parametrize("k", range(1, 11))
-def test_coupled_suprema_equal_the_scalar_ones(model, k):
-    """Bit-identical (logL0, logL1) on random states, tied sums included."""
+def _assert_suprema_equal_the_scalar_ones(kind, model, k):
+    """Bit-identical estimate and (logL0, logL1) on random states, tied sums included."""
     rng = random.Random(k)
     states = list(_DECISIVE.get((model.family, k), []))
     for _ in range(60):
@@ -101,19 +99,38 @@ def test_coupled_suprema_equal_the_scalar_ones(model, k):
         else:
             s = [float(rng.randint(0, n)) for _ in range(k)]
         states.append((n, s))
-    counts, sums, member, want = [], [], [], []
+    estimates, want = [], []
     for n, s in states:
-        state = engine.init((model,) * k)
+        state = engine.init(model, k)
         state.n = n
         for st, value in zip(state.stats, s):
             st.n, st.s = n, value
-        estimate = engine.estimate_signal_set(state)
-        counts.append([float(n)])
-        sums.append(s)
-        member.append([i in estimate for i in range(k)])
-        want.append(engine.sup_loglik_error_sets(state, TestKind.CONSTRAINED))
-    l0, l1 = engine._coupled_sups(model, np.array(counts), np.array(sums), np.array(member))
+        estimates.append(engine.estimate_signal_set(state))
+        want.append(engine.sup_loglik_error_sets(state, kind))
+    counts = np.array([[float(n)] for n, _ in states])
+    sums = np.array([s for _, s in states])
+    q0 = engine._region_sup(model, counts, sums, Region.NOISE)
+    q1 = engine._region_sup(model, counts, sums, Region.SIGNAL)
+    member = q1 >= q0
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in member] == estimates
+    l0, l1 = engine._error_sups(model, kind, counts, sums, q0, q1, member)
     assert list(zip(l0.tolist(), l1.tolist())) == want
+
+
+_STREAMS = pytest.mark.parametrize("k", range(1, 11))
+_MODELS = pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+
+
+@_MODELS
+@_STREAMS
+def test_coupled_suprema_equal_the_scalar_ones(model, k):
+    _assert_suprema_equal_the_scalar_ones(TestKind.CONSTRAINED, model, k)
+
+
+@_MODELS
+@_STREAMS
+def test_free_suprema_equal_the_scalar_ones(model, k):
+    _assert_suprema_equal_the_scalar_ones(TestKind.UNCONSTRAINED, model, k)
 
 
 class TestKernelMatchesScalar:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqdetect import oracle
-from seqdetect.engine import _BLOCK_ELEMENTS, EngineState, TestKind, sup_loglik_error_sets
+from seqdetect.engine import EngineState, TestKind, _block_rows, sup_loglik_error_sets
 from seqdetect.errors import CapacityError, ConfigError, DomainError
 from seqdetect.models import (
     Family,
@@ -30,11 +30,11 @@ BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
 TRUTH = JointParameter((0.5, -0.5))
 
 
-def make_state(models, stats):
+def make_state(model, stats):
     return EngineState(
-        models=tuple(models),
+        model=model,
         stats=[SufficientStat(st.n, st.s) for st in stats],
-        lagged_mle=[m.space.theta1_lo for m in models],
+        lagged_mle=[model.space.theta1_lo] * len(stats),
         adaptive_loglik=0.0,
         n=stats[0].n,
     )
@@ -73,17 +73,9 @@ class TestGrid:
     def test_region_points_empty_outside_box(self):
         g = Grid(0.2, 5.0, 50)
         assert g.region_points(GAUSS, Region.NOISE).size == 0
-        full = g.region_points(GAUSS, Region.FULL)
-        assert full.size > 0
-        assert full.min() >= 0.2
-
-    def test_full_is_union(self):
-        g = Grid(-1.0, 1.0, 21)
-        full = g.region_points(GAUSS, Region.FULL)
-        parts = np.concatenate(
-            [g.region_points(GAUSS, Region.NOISE), g.region_points(GAUSS, Region.SIGNAL)]
-        )
-        assert set(full.tolist()) == set(parts.tolist())
+        sig = g.region_points(GAUSS, Region.SIGNAL)
+        assert sig.size > 0
+        assert sig.min() >= 0.2
 
 
 class TestGridSupLoglik:
@@ -93,7 +85,7 @@ class TestGridSupLoglik:
         for _ in range(20):
             k = rng.randint(1, 3)
             stats = random_gauss_stats(rng, k)
-            st = make_state((GAUSS,) * k, stats)
+            st = make_state(GAUSS, stats)
             est = frozenset(i for i in range(k) if stats[i].mean >= 0.0)
             for kind in TestKind:
                 gl0, gl1 = grid_sup_loglik(GAUSS, stats, est, kind, g)
@@ -110,7 +102,7 @@ class TestGridSupLoglik:
         for _ in range(10):
             n = rng.randint(1, 30)
             stats = [SufficientStat(n, float(rng.randint(0, n))) for _ in range(2)]
-            st = make_state((BERN, BERN), stats)
+            st = make_state(BERN, stats)
             sup_sig = [
                 float(
                     np.max(
@@ -143,7 +135,7 @@ class TestGridSupLoglik:
         # Doubling a linspace keeps every old point, so the scanned maximum
         # can only improve toward the closed form.
         stats = [SufficientStat(7, 4.9), SufficientStat(7, -2.1)]
-        st = make_state((GAUSS, GAUSS), stats)
+        st = make_state(GAUSS, stats)
         est = frozenset({0})
         coarse = Grid(-5.0, 5.0, 501)
         fine = Grid(-5.0, 5.0, 1001)
@@ -326,7 +318,7 @@ class TestBatchedMatchesStepwise:
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_lln_trial_spanning_several_blocks(self, kind):
         theta = JointParameter.coupled(9, frozenset(range(4)), 0.5, -0.5)
-        assert 500 * theta.k > _BLOCK_ELEMENTS
+        assert 500 > _block_rows(theta.k)
         _assert_matches_stepwise(
             lln_rate_estimate, oracle._stepwise_lln_rate_estimate, (GAUSS, theta, 500, 2, kind)
         )

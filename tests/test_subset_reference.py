@@ -83,7 +83,7 @@ def test_constrained_suprema_match_subset_enumeration(case):
     model, stats = case
     k = len(stats)
     state = EngineState(
-        models=(model,) * k,
+        model=model,
         stats=[SufficientStat(s.n, s.s) for s in stats],
         lagged_mle=[model.space.theta1_lo] * k,
         adaptive_loglik=0.0,
