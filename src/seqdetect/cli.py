@@ -219,7 +219,7 @@ def _parse_run(section) -> tuple:
 
     trials = _integer(section.get("trials"), "run.trials")
     seed = _integer(section.get("seed"), "run.seed")
-    n_max = _integer(section.get("n_max", 10**6), "run.n_max")
+    n_max = _integer(section.get("n_max", engine.DEFAULT_N_MAX), "run.n_max")
     return tuple(kinds), tuple(thresholds), trials, seed, n_max
 
 
@@ -539,13 +539,10 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
         )
 
     # 5. normalized statistics converge to the information constants
-    constants = geometry.info_constants(model, spec.theta)
+    rates = montecarlo.first_order_rates(model, spec.theta, spec.kinds)
     lln_trials = 200 if quick else 500
     for kind in spec.kinds:
-        if kind is engine.TestKind.CONSTRAINED:
-            targets = (constants.i0, constants.i1)
-        else:
-            targets = (constants.i0_tilde, constants.i1_tilde)
+        targets = rates[kind]
         if not all(map(math.isfinite, targets)):
             print(f"SKIP lln-{kind.value}: infinite target for this truth")
             continue

@@ -58,6 +58,9 @@ _TWO_26 = 67108864.0
 _TWO_M53 = 1.0 / 9007199254740992.0
 _TWOPI = 2.0 * math.pi
 
+# Steps after which a trial is truncated unless the caller sets its own limit.
+DEFAULT_N_MAX = 10**6
+
 # Most elements a block's widest temporary (a candidate group, trials x
 # steps x (K + 1)) may hold: 32 KiB as an array, about 160 KiB as the Python
 # floats that the libm maps and row sums build from it.
@@ -290,7 +293,7 @@ def run_to_decision(
     thresholds: Thresholds,
     kind: TestKind,
     rng,
-    n_max: int = 10**6,
+    n_max: int = DEFAULT_N_MAX,
 ) -> Decision:
     """Simulate one trial to its decision, all streams following ``model``.
 
@@ -613,7 +616,7 @@ def run_trials(
     thresholds: Thresholds,
     kind: TestKind,
     rngs: Sequence,
-    n_max: int = 10**6,
+    n_max: int = DEFAULT_N_MAX,
 ) -> list[Decision]:
     """Run one trial per ``random.Random`` in ``rngs``, all streams following ``model``.
 

@@ -246,14 +246,6 @@ def stat_loglik(model: StreamModel, stat: SufficientStat, theta: float) -> float
     return _loglik(model, stat.n, stat.s, theta)
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    if x < lo:
-        return lo
-    if x > hi:
-        return hi
-    return x
-
-
 def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> float:
     """Supremum of :func:`stat_loglik` over a region, in closed form.
 
@@ -264,7 +256,7 @@ def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> flo
     if n == 0:
         return 0.0
     lo, hi = model.space.region_bounds(region)
-    return _loglik(model, n, s, _clip(s / n, lo, hi))
+    return _loglik(model, n, s, min(max(s / n, lo), hi))
 
 
 def mle_unrestricted(model: StreamModel, stat: SufficientStat) -> float:
@@ -279,8 +271,8 @@ def mle_unrestricted(model: StreamModel, stat: SufficientStat) -> float:
         raise DomainError("MLE undefined for an empty statistic")
     sp = model.space
     mean = s / n
-    cand0 = _clip(mean, sp.theta0_lo, sp.theta0_hi)
-    cand1 = _clip(mean, sp.theta1_lo, sp.theta1_hi)
+    cand0 = min(max(mean, sp.theta0_lo), sp.theta0_hi)
+    cand1 = min(max(mean, sp.theta1_lo), sp.theta1_hi)
     if _loglik(model, n, s, cand1) >= _loglik(model, n, s, cand0):
         return cand1
     return cand0

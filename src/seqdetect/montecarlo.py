@@ -69,7 +69,7 @@ class ExperimentConfig:
     thresholds: tuple[engine.Thresholds, ...]
     trials: int
     base_seed: int
-    n_max: int = 10**6
+    n_max: int = engine.DEFAULT_N_MAX
 
     def __post_init__(self):
         if not self.kinds:
@@ -145,6 +145,8 @@ def _resolve_workers(workers: int | None) -> int:
                 workers = int(env)
             except ValueError as exc:
                 raise ConfigError(f"SEQDETECT_THREADS must be an integer, got {env!r}") from exc
+        elif hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            workers = len(os.sched_getaffinity(0))
         else:
             workers = os.cpu_count() or 1
     if workers < 1:
@@ -169,6 +171,25 @@ def approx_ess(i0: float, i1: float, th: engine.Thresholds) -> float:
     return max(th.log_b / i0, th.log_a / i1)
 
 
+def first_order_rates(
+    model: StreamModel, theta: JointParameter, kinds: tuple[engine.TestKind, ...]
+) -> dict[engine.TestKind, tuple[float, float]]:
+    """The rates (i0, i1) that govern each of ``kinds``' sample size.
+
+    The constrained test is governed by the coupled constants (i0, i1), the
+    unconstrained baseline by the per-stream ones (i0_tilde, i1_tilde).
+    Without a constrained kind only the per-stream constants are computed,
+    which exist for any truth, coupled or not.
+    """
+    if engine.TestKind.CONSTRAINED not in kinds:
+        return {engine.TestKind.UNCONSTRAINED: geometry.per_stream_constants(model, theta)}
+    c = geometry.info_constants(model, theta)
+    return {
+        engine.TestKind.CONSTRAINED: (c.i0, c.i1),
+        engine.TestKind.UNCONSTRAINED: (c.i0_tilde, c.i1_tilde),
+    }
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[Summary]:
     """Run every cell of the experiment and summarize.
 
@@ -179,57 +200,29 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     """
     workers = _resolve_workers(workers)
     true_signal = config.theta.signal_set(config.model.space)
-    # (i0, i1) governing each kind's sample size: the coupled constants for
-    # the constrained test, the per-stream ones (defined for any truth) for
-    # the baseline.
-    if engine.TestKind.CONSTRAINED in config.kinds:
-        c = geometry.info_constants(config.model, config.theta)
-        rates = {
-            engine.TestKind.CONSTRAINED: (c.i0, c.i1),
-            engine.TestKind.UNCONSTRAINED: (c.i0_tilde, c.i1_tilde),
-        }
-    else:
-        rates = {
-            engine.TestKind.UNCONSTRAINED: geometry.per_stream_constants(config.model, config.theta)
-        }
-
-    cells = []
-    for ti, th in enumerate(config.thresholds):
-        for ki, kind in enumerate(config.kinds):
-            cells.append((ti * len(config.kinds) + ki, th, kind))
-
-    chunk = max(1, -(-config.trials // max(1, workers * 4)))
-    tasks = []
-    for cell_index, th, kind in cells:
-        for start in range(0, config.trials, chunk):
-            stop = min(start + chunk, config.trials)
-            tasks.append((cell_index, th, kind, start, stop))
-
-    results: dict[int, dict[int, list]] = {c: {} for c, _, _ in cells}
+    rates = first_order_rates(config.model, config.theta, config.kinds)
+    cells = [(th, kind) for th in config.thresholds for kind in config.kinds]
+    chunk = -(-config.trials // (4 * workers))
+    starts = range(0, config.trials, chunk)
+    jobs = [
+        (config.model, config.theta, th, kind, true_signal, config.base_seed,
+         cell_index, start, min(start + chunk, config.trials), config.n_max)
+        for cell_index, (th, kind) in enumerate(cells)
+        for start in starts
+    ]
+    # _run_batch is looked up at call time so that a wrapper bound to the
+    # module attribute (the benchmark's span tracer) runs in the workers.
     if workers == 1:
-        for cell_index, th, kind, start, stop in tasks:
-            results[cell_index][start] = _run_batch(
-                config.model, config.theta, th, kind, true_signal,
-                config.base_seed, cell_index, start, stop, config.n_max,
-            )
+        batches = [_run_batch(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for cell_index, th, kind, start, stop in tasks:
-                fut = pool.submit(
-                    _run_batch,
-                    config.model, config.theta, th, kind, true_signal,
-                    config.base_seed, cell_index, start, stop, config.n_max,
-                )
-                futures[fut] = (cell_index, start)
-            for fut, (cell_index, start) in futures.items():
-                results[cell_index][start] = fut.result()
+            batches = list(pool.map(_run_batch, *zip(*jobs)))
 
     summaries = []
-    for cell_index, th, kind in cells:
-        records = []
-        for start in sorted(results[cell_index]):
-            records.extend(results[cell_index][start])
+    per_cell = len(starts)
+    for cell_index, (th, kind) in enumerate(cells):
+        cell_batches = batches[cell_index * per_cell:(cell_index + 1) * per_cell]
+        records = [r for batch in cell_batches for r in batch]
         stopped = np.array([r[0] for r in records], dtype=float)
         trunc = np.array([r[1] for r in records], dtype=bool)
         err1 = sum(1 for r in records if r[2])

@@ -172,16 +172,16 @@ def _kl_curve(model: StreamModel, theta: float, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _group_max(curves: list[np.ndarray], members: list[int], pts: np.ndarray) -> float:
-    """max over the grid of the summed curves; empty groups cost nothing."""
+def _group_extreme(reduce, empty: float, curves: list[np.ndarray], members: list[int]) -> float:
+    """``reduce`` (np.max or np.min) over the grid of the members' summed
+    curves; ``empty`` when the region holds no grid point.  An empty group
+    costs nothing."""
     if not members:
         return 0.0
-    if pts.size == 0:
-        return _NEG_INF
     total = curves[members[0]]
     for i in members[1:]:
         total = total + curves[i]
-    return float(total.max())
+    return float(reduce(total, initial=empty))
 
 
 def grid_sup_loglik(
@@ -211,8 +211,8 @@ def grid_sup_loglik(
     noise_curves = [_stat_loglik_curve(model, st.n, st.s, noise_pts) for st in stats]
 
     if kind is _engine.TestKind.UNCONSTRAINED:
-        sig_max = [float(c.max()) if c.size else _NEG_INF for c in sig_curves]
-        noise_max = [float(c.max()) if c.size else _NEG_INF for c in noise_curves]
+        sig_max = [_group_extreme(np.max, _NEG_INF, sig_curves, [i]) for i in range(k)]
+        noise_max = [_group_extreme(np.max, _NEG_INF, noise_curves, [i]) for i in range(k)]
         full_max = [max(a, b) for a, b in zip(sig_max, noise_max)]
         total = sum(full_max)
         l0 = _NEG_INF
@@ -229,8 +229,8 @@ def grid_sup_loglik(
     for mask, adds, drops in _error_masks(k, signal_estimate):
         members = [i for i in range(k) if mask >> i & 1]
         rest = [i for i in range(k) if not mask >> i & 1]
-        val = _group_max(sig_curves, members, sig_pts) + _group_max(
-            noise_curves, rest, noise_pts
+        val = _group_extreme(np.max, _NEG_INF, sig_curves, members) + _group_extreme(
+            np.max, _NEG_INF, noise_curves, rest
         )
         if adds and val > l0:
             l0 = val
@@ -253,22 +253,14 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
     sig_kl = [_kl_curve(model, t, sig_pts) for t in theta.thetas]
     noise_kl = [_kl_curve(model, t, noise_pts) for t in theta.thetas]
 
-    def group_min(curves, members, pts):
-        if not members:
-            return 0.0
-        if pts.size == 0:
-            return math.inf
-        total = curves[members[0]]
-        for i in members[1:]:
-            total = total + curves[i]
-        return float(total.min())
-
     i0 = math.inf
     i1 = math.inf
     for mask, adds, drops in _error_masks(k, a_set):
         members = [i for i in range(k) if mask >> i & 1]
         rest = [i for i in range(k) if not mask >> i & 1]
-        v = group_min(sig_kl, members, sig_pts) + group_min(noise_kl, rest, noise_pts)
+        v = _group_extreme(np.min, math.inf, sig_kl, members) + _group_extreme(
+            np.min, math.inf, noise_kl, rest
+        )
         if adds and v < i0:
             i0 = v
         if drops and v < i1:
@@ -278,9 +270,9 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
     i1_tilde = math.inf
     for i in range(k):
         if i in a_set:
-            i1_tilde = min(i1_tilde, float(noise_kl[i].min()) if noise_pts.size else math.inf)
+            i1_tilde = min(i1_tilde, _group_extreme(np.min, math.inf, noise_kl, [i]))
         else:
-            i0_tilde = min(i0_tilde, float(sig_kl[i].min()) if sig_pts.size else math.inf)
+            i0_tilde = min(i0_tilde, _group_extreme(np.min, math.inf, sig_kl, [i]))
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 

@@ -320,6 +320,8 @@ class TestValidateCommand:
         assert "PASS constants-config" in out
         assert "PASS engine-grid" in out
         assert "PASS martingale-n10" in out
+        assert "PASS lln-constrained" in out
+        assert "lln-unconstrained" not in out
         assert "all checks passed" in out
         assert "FAIL" not in out
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -7,6 +8,7 @@ from seqdetect.errors import ConfigError
 from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
 from seqdetect.montecarlo import (
     ExperimentConfig,
+    _resolve_workers,
     approx_ess,
     derive_trial_seed,
     run_experiment,
@@ -151,10 +153,15 @@ class TestRunExperiment:
         assert s.ess >= 1.0
 
     def test_worker_count_does_not_change_results(self):
-        cfg = small_config(trials=16)
+        # 19 trials split into uneven batches at every worker count, across
+        # four cells, so each cell's records are cut from the middle of the
+        # batch list.
+        cfg = small_config(
+            thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 2.0)), trials=19
+        )
         serial = run_experiment(cfg, workers=1)
-        parallel = run_experiment(cfg, workers=2)
-        assert serial == parallel
+        assert run_experiment(cfg, workers=2) == serial
+        assert run_experiment(cfg, workers=3) == serial
 
     def test_ess_grows_with_threshold(self):
         cfg = small_config(
@@ -208,6 +215,12 @@ class TestRunExperiment:
         monkeypatch.setenv("SEQDETECT_THREADS", "many")
         with pytest.raises(ConfigError):
             run_experiment(small_config(trials=2))
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("SEQDETECT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _resolve_workers(None) == 1
 
     def test_env_worker_honored(self, monkeypatch):
         monkeypatch.setenv("SEQDETECT_THREADS", "1")
