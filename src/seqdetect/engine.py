@@ -279,7 +279,8 @@ def check_stop(
 
 
 def _require_run(model: StreamModel, theta_true: JointParameter, n_max: int) -> None:
-    """The argument checks of :func:`run_to_decision` and :func:`run_trials`."""
+    """The argument checks of :func:`run_to_decision`, :func:`run_trials` and
+    ``montecarlo.ExperimentConfig``."""
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     for i, t in enumerate(theta_true.thetas):

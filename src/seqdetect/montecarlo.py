@@ -80,11 +80,7 @@ class ExperimentConfig:
             raise ConfigError("at least one threshold pair required")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be positive")
-        for i, t in enumerate(self.theta.thetas):
-            if not self.model.space.contains(t):
-                raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
+        engine._require_run(self.model, self.theta, self.n_max)
         if engine.TestKind.CONSTRAINED in self.kinds and not self.theta.is_constrained(
             self.model.space
         ):

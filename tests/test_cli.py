@@ -7,6 +7,7 @@ import pytest
 from seqdetect import engine
 from seqdetect.cli import FIGURE_HEADER, SIMULATE_HEADER, load_config, main
 from seqdetect.errors import ConfigError
+from seqdetect.montecarlo import ExperimentConfig, run_experiment
 
 
 def base_config():
@@ -20,7 +21,7 @@ def base_config():
             "trials": 8,
             "seed": 11,
         },
-        "output": {"directory": ".", "formats": ["csv"]},
+        "output": {"directory": "."},
     }
 
 
@@ -41,10 +42,17 @@ class TestLoadConfig:
         assert spec.experiment == "unit"
         assert spec.theta.thetas == (0.5, -0.5)
         assert spec.trials == 8
-        assert spec.seed == 11
+        assert spec.base_seed == 11
         assert spec.n_max == 10**6
-        assert spec.formats == ("csv",)
         assert [k.value for k in spec.kinds] == ["constrained", "unconstrained"]
+
+    def test_spec_is_the_experiment_config(self, tmp_path):
+        spec = load_config(write_config(tmp_path, base_config()))
+        assert isinstance(spec, ExperimentConfig)
+        summaries = run_experiment(spec, workers=1)
+        assert [(s.kind.value, s.trials) for s in summaries] == [
+            ("constrained", 8), ("unconstrained", 8),
+        ]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -121,7 +129,23 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, cfg))
         cfg = base_config()
         cfg["run"]["kinds"] = ["constrained", "constrained"]
-        with pytest.raises(ConfigError, match="twice"):
+        with pytest.raises(ConfigError, match="duplicate"):
+            load_config(write_config(tmp_path, cfg))
+        cfg = base_config()
+        cfg["run"]["kinds"] = []
+        with pytest.raises(ConfigError, match="test kind"):
+            load_config(write_config(tmp_path, cfg))
+        cfg = base_config()
+        cfg["run"]["log_thresholds"] = []
+        with pytest.raises(ConfigError, match="threshold pair"):
+            load_config(write_config(tmp_path, cfg))
+        cfg = base_config()
+        cfg["run"]["trials"] = 0
+        with pytest.raises(ConfigError, match="trials must be positive"):
+            load_config(write_config(tmp_path, cfg))
+        cfg = base_config()
+        cfg["run"]["n_max"] = 0
+        with pytest.raises(ConfigError, match="n_max"):
             load_config(write_config(tmp_path, cfg))
         cfg = base_config()
         cfg["run"]["kinds"] = ["bayes"]
@@ -147,9 +171,15 @@ class TestLoadConfig:
         assert (spec.thresholds[0].log_a, spec.thresholds[0].log_b) == (1.5, 4.0)
 
     def test_output_validation(self, tmp_path):
+        # simulate and figure always print their table and write their CSV,
+        # so a config that still names output formats is rejected.
         cfg = base_config()
-        cfg["output"]["formats"] = ["csv", "yaml"]
-        with pytest.raises(ConfigError, match="formats"):
+        cfg["output"]["formats"] = ["csv", "table"]
+        with pytest.raises(ConfigError, match="unknown key.*formats"):
+            load_config(write_config(tmp_path, cfg))
+        cfg = base_config()
+        cfg["output"]["directory"] = 3
+        with pytest.raises(ConfigError, match="directory must be a string"):
             load_config(write_config(tmp_path, cfg))
 
     def test_output_section_optional(self, tmp_path):
@@ -157,7 +187,6 @@ class TestLoadConfig:
         del cfg["output"]
         spec = load_config(write_config(tmp_path, cfg))
         assert spec.out_dir == "."
-        assert spec.formats == ("csv",)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -176,7 +205,7 @@ class TestPresets:
         assert spec.experiment == "desk_fig1"
         assert len(spec.thresholds) == 4
         assert spec.trials == 2000
-        assert spec.seed == 20260819
+        assert spec.base_seed == 20260819
         assert spec.theta.thetas == (0.5, -0.5)
 
     def test_full_sweep_preset_with_extension(self):
@@ -199,7 +228,17 @@ class TestMainExitCodes:
     def test_bad_trials_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", cfg, "--trials", "0"]) == 2
-        capsys.readouterr()
+        assert "trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["trials", "n_max"])
+    def test_validate_rejects_nonpositive_counts(self, tmp_path, capsys, key):
+        # Every subcommand loads the same checked experiment config, so
+        # validate refuses what simulate refuses, though it reads neither value.
+        cfg_dict = base_config()
+        cfg_dict["run"][key] = 0
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg, "--quick"]) == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_validate_beyond_enumeration_cap(self, tmp_path, capsys):
         # The grid references enumerate 2^K assignments; validate must stop
@@ -267,13 +306,17 @@ class TestSimulateCommand:
         ).read_bytes()
 
     def test_table_format_prints_rows(self, tmp_path, capsys):
+        # No output section: the table is printed all the same.
         cfg_dict = base_config()
-        cfg_dict["output"]["formats"] = ["csv", "table"]
+        del cfg_dict["output"]
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "kind" in out and "ess" in out
         assert "constrained" in out
+        assert main(["figure", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "series" in out and "constrained_ess" in out
 
     def test_default_out_dir_from_config(self, tmp_path, capsys):
         cfg_dict = base_config()
