@@ -23,6 +23,7 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -160,7 +161,9 @@ def _parse_truth(section, model: StreamModel) -> JointParameter:
     return JointParameter.coupled(k, members, theta1, theta0)
 
 
-def _parse_run(section) -> dict:
+def _parse_run(section) -> tuple[dict, dict]:
+    """The run section's ``ExperimentConfig`` fields, and the key that set
+    each field a check may name."""
     if not isinstance(section, dict):
         raise ConfigError("run section must be an object")
     _reject_unknown(section, _RUN_KEYS, "run")
@@ -207,13 +210,29 @@ def _parse_run(section) -> dict:
                 )
             )
 
-    return dict(
+    fields = dict(
         kinds=tuple(kinds),
         thresholds=tuple(thresholds),
         trials=_integer(section.get("trials"), "run.trials"),
         base_seed=_integer(section.get("seed"), "run.seed"),
         n_max=_integer(section.get("n_max", engine.DEFAULT_N_MAX), "run.n_max"),
     )
+    keys = dict(
+        kinds="run.kinds", thresholds=f"run.{key}", trials="run.trials", n_max="run.n_max"
+    )
+    return fields, keys
+
+
+@contextmanager
+def _given_as(**names: str):
+    """Restate a failed check on a spec field under the config key or flag
+    that set it: ``names`` maps field names to those."""
+    try:
+        yield
+    except ConfigError as exc:
+        if exc.field not in names:
+            raise
+        raise ConfigError(exc.problem, names[exc.field]) from None
 
 
 def _parse_output(section) -> str:
@@ -250,13 +269,11 @@ def load_config(path_or_preset: str) -> RunSpec:
     if not isinstance(experiment, str) or not experiment:
         raise ConfigError("experiment must be a non-empty string")
     model = _parse_model(raw.get("model"))
-    return RunSpec(
-        experiment=experiment,
-        model=model,
-        theta=_parse_truth(raw.get("truth"), model),
-        **_parse_run(raw.get("run")),
-        out_dir=_parse_output(raw.get("output")),
-    )
+    theta = _parse_truth(raw.get("truth"), model)
+    run, keys = _parse_run(raw.get("run"))
+    out_dir = _parse_output(raw.get("output"))
+    with _given_as(**keys):
+        return RunSpec(experiment=experiment, model=model, theta=theta, **run, out_dir=out_dir)
 
 
 def _experiment_config(spec: RunSpec) -> montecarlo.ExperimentConfig:
@@ -556,7 +573,8 @@ def main(argv=None) -> int:
     try:
         spec = load_config(args.config)
         if args.trials is not None:
-            spec = replace(spec, trials=args.trials)
+            with _given_as(trials="--trials"):
+                spec = replace(spec, trials=args.trials)
         if args.seed is not None:
             spec = replace(spec, base_seed=args.seed)
         out_dir = Path(args.out) if args.out is not None else Path(spec.out_dir)

@@ -63,9 +63,10 @@ DEFAULT_N_MAX = 10**6
 
 # Most elements a block's widest temporary (a candidate group, trials x
 # steps x (K + 1)) may hold: 32 KiB as an array, about 160 KiB as the Python
-# floats that the libm maps and row sums build from it.
+# floats that the libm maps build from it.
 _BLOCK_ELEMENTS = 1 << 12
-# Steps in a trial's first block; each later block is twice as long.
+# Steps in a trial's first block, and the fewest any block takes short of
+# n_max: more live trials than such a block holds advance in chunks.
 _FIRST_BLOCK = 16
 
 
@@ -92,6 +93,19 @@ class Decision:
     stopped_at: int
     selected: frozenset[int]
     truncated: bool
+
+
+def _total(values) -> float:
+    """0.0 + values[0] + values[1] + ..., added left to right.
+
+    The one order of every total over streams, in the scalar path and (by
+    :func:`_row_sums`) in the kernel.  The builtin sum() adds in this order
+    up to Python 3.11 and compensates from 3.12 on, so it is not used.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 # Step-at-a-time reference: one trial, one observation per stream per call.
@@ -216,7 +230,7 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
             else:
                 full_q.append(qn)
                 flip0.append(qn - qs)
-        total = sum(full_q)
+        total = _total(full_q)
         l0 = total - min(flip0) if flip0 else _NEG_INF
         l1 = total - min(flip1) if flip1 else _NEG_INF
         return l0, l1
@@ -227,7 +241,7 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
     a_hat = estimate_signal_set(state)
     a = len(a_hat)
     ss = [st.s for st in state.stats]
-    s_total = sum(ss)
+    s_total = _total(ss)
     # Membership first, so the estimate is exactly the top-a block even when
     # sums tie: order[a - 1] is the weakest stream in it, order[a] the
     # strongest outside.
@@ -282,7 +296,7 @@ def _require_run(model: StreamModel, theta_true: JointParameter, n_max: int) -> 
     """The argument checks of :func:`run_to_decision`, :func:`run_trials` and
     ``montecarlo.ExperimentConfig``."""
     if n_max < 1:
-        raise ConfigError("n_max must be at least 1")
+        raise ConfigError("must be at least 1", "n_max")
     for i, t in enumerate(theta_true.thetas):
         if not model.space.contains(t):
             raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
@@ -369,6 +383,21 @@ def _region_logs(model: StreamModel):
     )
 
 
+def _logs_at(model: StreamModel, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(log theta, log1p(-theta)) through :func:`_region_logs` for the
+    Bernoulli; () for the Gaussian, whose closed form takes no logs."""
+    if model.family is Family.GAUSSIAN:
+        return ()
+    log, log1p = _region_logs(model)
+    return log(theta), log1p(-theta)
+
+
+def _taken(values: np.ndarray):
+    """A ``log`` or ``log1p`` for :func:`_loglik` that returns its values at
+    theta, taken beforehand."""
+    return lambda _: values
+
+
 def _unit(words: np.ndarray) -> np.ndarray:
     """random() values from consecutive pairs of 32-bit words on the last axis."""
     return ((words[..., 0::2] >> 5) * _TWO_26 + (words[..., 1::2] >> 6)) * _TWO_M53
@@ -418,16 +447,13 @@ def _draw_normals(rngs, count: int) -> np.ndarray:
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Python's sum() over the last axis, row by row.
-
-    The scalar path sums stream values with the builtin, which compensates
-    from Python 3.12 on; using it here keeps the totals identical on every
-    version.
-    """
-    columns = x.reshape(-1, x.shape[-1]).T.tolist()
-    return np.fromiter(map(sum, zip(*columns)), float, x.size // x.shape[-1]).reshape(
-        x.shape[:-1]
-    )
+    """:func:`_total` over the last axis, row by row: 0.0 + x[..., 0] + x[..., 1]
+    + ..., as one numpy add per stream, so every row rounds as the scalar
+    path's total does."""
+    total = 0.0 + x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total += x[..., i]
+    return total
 
 
 def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
@@ -562,17 +588,23 @@ def _absorb(
     count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
     mean = s / count
     sp = model.space
-    logs = _region_logs(model)
     fit0 = np.clip(mean, sp.theta0_lo, sp.theta0_hi)
     fit1 = np.clip(mean, sp.theta1_lo, sp.theta1_hi)
+    logs0, logs1, logs_mle = (_logs_at(model, t) for t in (fit0, fit1, mle[:, None]))
     # Each stream's two restricted maxima, computed once, give both the
     # refreshed MLE and the signal-set estimate.
-    q0 = _loglik(model, count, s, fit0, *logs)
-    q1 = _loglik(model, count, s, fit1, *logs)
+    q0 = _loglik(model, count, s, fit0, *map(_taken, logs0))
+    q1 = _loglik(model, count, s, fit1, *map(_taken, logs1))
     member = q1 >= q0
     fit = np.where(member, fit1, fit0)
     lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
-    scores = _loglik(model, 1, x, lagged, *logs)
+    # The lagged MLE is the previous step's fit, whose logs are taken above;
+    # only the carried MLE's are new.
+    logs = (
+        np.concatenate((first, np.where(member, v1, v0)[:, :-1]), 1)
+        for first, v0, v1 in zip(logs_mle, logs0, logs1)
+    )
+    scores = _loglik(model, 1, x, lagged, *map(_taken, logs))
     # Step-major, stream-minor: the order update() adds in.
     run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
     sums[:] = s[:, -1]
@@ -625,11 +657,14 @@ def run_trials(
     the state of ``rngs[i]``: the draws of ``rng.gauss``/``rng.random`` are
     reproduced in bulk, bit for bit, and every statistic is computed with
     the scalar path's operations in its order.  Live trials advance together
-    in blocks of steps, as numpy arrays; a trial leaves at its stop.  Blocks
-    start at _FIRST_BLOCK steps, double, end at ``n_max``, and span at most
-    :func:`_block_rows` trial-steps.  Draws run to the end of the stopping
-    block, so the generators end past where run_to_decision would leave
-    them.
+    in blocks of steps, as numpy arrays; a trial leaves at its stop.  A block
+    spans at most :func:`_block_rows` trial-steps, and its length fills that
+    budget with the trials still live: at least _FIRST_BLOCK steps, at most
+    twice the previous block, and never past ``n_max``.  Blocks thus stay
+    short while many trials are live, so a trial's stopping block runs few
+    steps past its stop, and lengthen as trials leave.  Draws run to the end
+    of the stopping block, so the generators end past where run_to_decision
+    would leave them.
     """
     _require_run(model, theta_true, n_max)
     k = theta_true.k
@@ -641,9 +676,9 @@ def run_trials(
     decisions: list[Decision | None] = [None] * live.size
     rows = _block_rows(k)
     n = 0
-    steps = _FIRST_BLOCK
+    steps = _FIRST_BLOCK // 2  # so that the first block is _FIRST_BLOCK steps at most
     while live.size:
-        steps = min(steps, n_max - n, rows)
+        steps = min(max(_FIRST_BLOCK, rows // live.size), 2 * steps, n_max - n, rows)
         width = max(1, rows // steps)
         done = np.zeros(live.size, dtype=bool)
         for lo in range(0, live.size, width):
@@ -667,5 +702,4 @@ def run_trials(
         n += steps
         keep = ~done
         live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]
-        steps *= 2
     return decisions

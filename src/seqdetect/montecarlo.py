@@ -73,13 +73,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.kinds:
-            raise ConfigError("at least one test kind required")
+            raise ConfigError("must name at least one test kind", "kinds")
         if len(set(self.kinds)) != len(self.kinds):
-            raise ConfigError("duplicate test kinds")
+            raise ConfigError("must not hold duplicate test kinds", "kinds")
         if not self.thresholds:
-            raise ConfigError("at least one threshold pair required")
+            raise ConfigError("must hold at least one threshold pair", "thresholds")
         if self.trials < 1:
-            raise ConfigError("trials must be positive")
+            raise ConfigError("must be positive", "trials")
         engine._require_run(self.model, self.theta, self.n_max)
         if engine.TestKind.CONSTRAINED in self.kinds and not self.theta.is_constrained(
             self.model.space
@@ -198,7 +198,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     true_signal = config.theta.signal_set(config.model.space)
     rates = first_order_rates(config.model, config.theta, config.kinds)
     cells = [(th, kind) for th in config.thresholds for kind in config.kinds]
-    chunk = -(-config.trials // (4 * workers))
+    # One process runs each cell whole, as one batch: the kernel's blocks
+    # then hold the most live trials.  A pool gets at least 4 jobs per
+    # worker over the whole experiment, to balance their load.
+    jobs_per_cell = 1 if workers == 1 else -(-4 * workers // len(cells))
+    chunk = -(-config.trials // jobs_per_cell)
     starts = range(0, config.trials, chunk)
     jobs = [
         (config.model, config.theta, th, kind, true_signal, config.base_seed,

@@ -328,7 +328,9 @@ def _stepwise_horizon(model, theta, n, trials, rng):
 def _stepwise_martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     ratios = np.empty(trials)
     for i, state in enumerate(_stepwise_horizon(model, theta, n, trials, rng)):
-        true_ll = sum(stat_loglik(model, st, t) for st, t in zip(state.stats, theta.thetas))
+        true_ll = _engine._total(
+            stat_loglik(model, st, t) for st, t in zip(state.stats, theta.thetas)
+        )
         ratios[i] = math.exp(state.adaptive_loglik - true_ll)
     return ratios
 

@@ -230,6 +230,24 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", cfg, "--trials", "0"]) == 2
         assert "trials must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "run, flags, message",
+        [
+            ({}, ["--trials", "0"], "error: --trials must be positive"),
+            ({"trials": 0}, [], "error: run.trials must be positive"),
+            ({"kinds": []}, [], "error: run.kinds must name at least one test kind"),
+            ({"n_max": 0}, [], "error: run.n_max must be at least 1"),
+            ({"log_thresholds": []}, [], "error: run.log_thresholds must hold"),
+        ],
+    )
+    def test_config_errors_name_the_key_or_flag(self, tmp_path, capsys, run, flags, message):
+        # The checks live in ExperimentConfig; the CLI names where the value came from.
+        cfg_dict = base_config()
+        cfg_dict["run"].update(run)
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["simulate", "--config", cfg, *flags]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["trials", "n_max"])
     def test_validate_rejects_nonpositive_counts(self, tmp_path, capsys, key):
         # Every subcommand loads the same checked experiment config, so

@@ -5,6 +5,7 @@ operation of update/check_stop in the same order, so the tolerance is zero:
 each decision (stop time, selected set, truncation flag) must equal the one
 run_to_decision returns on the same seed, for both families.
 """
+import math
 import random
 
 import numpy as np
@@ -176,7 +177,9 @@ class TestKernelMatchesScalar:
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize("n_max", [1, 37])
     def test_truncation(self, kind, n_max):
-        # 37 falls inside the second block (steps 17 to 48), which is cut there.
+        # 12 live trials of K = 2 would fill a block of 113 steps, so blocks
+        # grow by the factor of 2 from 16 steps: 37 falls inside the second
+        # block (steps 17 to 48), which is cut there.
         theta = _truth(GAUSS, 2, {1})
         got = _assert_same(
             GAUSS, theta, Thresholds(log_a=30.0, log_b=30.0), kind, range(12), n_max=n_max
@@ -201,6 +204,47 @@ class TestKernelMatchesScalar:
         outside = JointParameter((0.5, 0.0))
         with pytest.raises(ConfigError):
             run_trials(GAUSS, outside, Thresholds(1.0, 1.0), TestKind.CONSTRAINED, _rngs([1]))
+
+
+def test_blocks_run_few_steps_past_the_stops(monkeypatch):
+    # The desk_fig1 truth and thresholds, 100 trials per cell as one batch
+    # each: blocks sized to the live count keep the steps drawn and scored
+    # within 1.25x the steps up to the stops.
+    theta = _truth(GAUSS, 2, {0})
+    drawn = 0
+    advance = engine._advance
+
+    def counting(*args):
+        nonlocal drawn
+        drawn += len(args[4]) * args[-1]  # trials x steps
+        return advance(*args)
+
+    monkeypatch.setattr(engine, "_advance", counting)
+    stops = 0
+    cell = 0
+    for c in (2.0, 5.0, 10.0, 20.0):
+        for kind in TestKind:
+            rngs = _rngs(montecarlo.derive_trial_seed(20260819, cell, t) for t in range(100))
+            decisions = run_trials(GAUSS, theta, Thresholds(c, c), kind, rngs)
+            stops += sum(d.stopped_at for d in decisions)
+            cell += 1
+    assert drawn <= 1.25 * stops, (drawn, stops)
+
+
+@pytest.mark.parametrize(
+    "row, total",
+    [
+        ([1e16, 1.0, -1e16], 0.0),
+        ([-0.0], 0.0),
+        ([-0.0, -0.0], 0.0),
+        ([0.1, 0.2, 0.3], 0.6000000000000001),
+    ],
+)
+def test_stream_totals_add_left_to_right(row, total):
+    # 0.0 + x0 + x1 + ... on every Python: the builtin sum() compensates from
+    # 3.12 on (1.0 for the first row), so neither total may follow it.
+    for got in (engine._total(row), engine._row_sums(np.array([row, row]))[1]):
+        assert got == total and math.copysign(1.0, got) == 1.0
 
 
 @pytest.mark.parametrize("kind", list(TestKind))

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from seqdetect import montecarlo
 from seqdetect.engine import TestKind, Thresholds
 from seqdetect.errors import ConfigError
 from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
@@ -152,10 +153,22 @@ class TestRunExperiment:
         assert s.ess_se == 0.0
         assert s.ess >= 1.0
 
+    def test_one_worker_runs_each_cell_as_one_batch(self, monkeypatch):
+        calls = []
+        run_batch = montecarlo._run_batch
+
+        def recording(*job):
+            calls.append((job[6], job[7], job[8]))  # cell, start, stop
+            return run_batch(*job)
+
+        monkeypatch.setattr(montecarlo, "_run_batch", recording)
+        run_experiment(small_config(), workers=1)
+        assert calls == [(0, 0, 20), (1, 0, 20)]
+
     def test_worker_count_does_not_change_results(self):
-        # 19 trials split into uneven batches at every worker count, across
-        # four cells, so each cell's records are cut from the middle of the
-        # batch list.
+        # 19 trials across four cells: one batch per cell at 1 worker, uneven
+        # batches at 2 (10 + 9) and 3 (7 + 7 + 5), so each cell's records are
+        # cut from the middle of the batch list.
         cfg = small_config(
             thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 2.0)), trials=19
         )
