@@ -250,7 +250,7 @@ def _parse_output(section) -> str:
 def load_config(path_or_preset: str) -> RunSpec:
     """Load a config file, falling back to a bundled preset by name."""
     p = Path(path_or_preset)
-    if p.exists():
+    if p.is_file():
         text = p.read_text()
     else:
         name = path_or_preset if path_or_preset.endswith(".json") else path_or_preset + ".json"

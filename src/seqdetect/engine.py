@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -339,63 +338,32 @@ def run_to_decision(
 # more of numpy's library into memory, in 64 KiB steps, and that shows in
 # peak RSS: lexsort, argsort, argmax and integer comparisons each cost 128 to
 # 320 KiB on x86-64 with numpy 2.4, where float comparisons, reductions and
-# a complex sort reuse code already mapped or cost 64 KiB.
+# a complex sort reuse code already mapped or cost 64 KiB.  The argsort in
+# np.unique (the Bernoulli logs) costs no more than the per-bound masks it
+# replaced: perfbench's peak_rss_mb reads 37.9 MiB on wide_bernoulli with
+# either, and 38.8 against 39.1 MiB on validate_quick.
 
 
-def _libm(fn, x: np.ndarray, known: Sequence[float] = ()) -> np.ndarray:
+def _libm(fn, x: np.ndarray) -> np.ndarray:
     """The scalar ``math`` function ``fn`` applied elementwise.
 
     numpy's own log differs from libm's in the last bit on some inputs; going
     through ``math`` keeps every transcendental rounded as the scalar path
-    rounds it.  Entries equal to a value in ``known`` take ``fn`` of that
-    value, computed once, so only the other entries go through the map.
+    rounds it.
     """
-    flat = x.ravel()
-    if not known:
-        return np.fromiter(map(fn, flat.tolist()), float, x.size).reshape(x.shape)
-    out = np.empty(x.size)
-    free = np.ones(x.size, dtype=bool)
-    for c in known:
-        at = flat == c
-        out = np.where(at, fn(c), out)
-        free &= ~at
-    rest = flat[free]
-    out[free] = np.fromiter(map(fn, rest.tolist()), float, rest.size)
-    return out.reshape(x.shape)
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    return _libm(math.log, x)
-
-
-def _region_logs(model: StreamModel):
-    """``log`` and ``log1p`` for :func:`_loglik` at parameters clipped to the
-    model's regions.
-
-    Fitted parameters sit on a region bound whenever the sample mean falls
-    outside the region; those entries take the bound's libm value directly.
-    """
-    sp = model.space
-    bounds = (sp.theta0_lo, sp.theta0_hi, sp.theta1_lo, sp.theta1_hi)
-    return (
-        partial(_libm, math.log, known=bounds),
-        partial(_libm, math.log1p, known=tuple(-b for b in bounds)),
-    )
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _logs_at(model: StreamModel, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(log theta, log1p(-theta)) through :func:`_region_logs` for the
-    Bernoulli; () for the Gaussian, whose closed form takes no logs."""
+    """The ``logs`` of :func:`_loglik` at ``theta``: (log theta, log1p(-theta))
+    through libm for the Bernoulli, () for the Gaussian.  Each distinct value
+    is mapped once; fitted parameters repeat, clipped to a region bound or at
+    equal means k/n."""
     if model.family is Family.GAUSSIAN:
         return ()
-    log, log1p = _region_logs(model)
-    return log(theta), log1p(-theta)
-
-
-def _taken(values: np.ndarray):
-    """A ``log`` or ``log1p`` for :func:`_loglik` that returns its values at
-    theta, taken beforehand."""
-    return lambda _: values
+    values, at = np.unique(theta, return_inverse=True)
+    at = at.reshape(theta.shape)
+    return _libm(math.log, values)[at], _libm(math.log1p, -values)[at]
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -430,7 +398,7 @@ def _draw_normals(rngs, count: int) -> np.ndarray:
     )
     u = _unit(np.frombuffer(raw, dtype="<u4").reshape(-1, 4))
     x2pi = u[:, 0] * _TWOPI
-    g2rad = np.sqrt(-2.0 * _log(1.0 - u[:, 1]))
+    g2rad = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[:, 1]))
     z = np.empty((len(u), 2))
     z[:, 0] = _libm(math.cos, x2pi) * g2rad
     z[:, 1] = _libm(math.sin, x2pi) * g2rad
@@ -461,7 +429,8 @@ def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region
     lo, hi = model.space.region_bounds(region)
     occupied = n > 0
     n = np.where(occupied, n, 1.0)
-    value = _loglik(model, n, s, np.clip(s / n, lo, hi), *_region_logs(model))
+    fit = np.clip(s / n, lo, hi)
+    value = _loglik(model, n, s, fit, _logs_at(model, fit))
     return np.where(occupied, value, 0.0)
 
 
@@ -590,21 +559,14 @@ def _absorb(
     sp = model.space
     fit0 = np.clip(mean, sp.theta0_lo, sp.theta0_hi)
     fit1 = np.clip(mean, sp.theta1_lo, sp.theta1_hi)
-    logs0, logs1, logs_mle = (_logs_at(model, t) for t in (fit0, fit1, mle[:, None]))
     # Each stream's two restricted maxima, computed once, give both the
     # refreshed MLE and the signal-set estimate.
-    q0 = _loglik(model, count, s, fit0, *map(_taken, logs0))
-    q1 = _loglik(model, count, s, fit1, *map(_taken, logs1))
+    q0 = _loglik(model, count, s, fit0, _logs_at(model, fit0))
+    q1 = _loglik(model, count, s, fit1, _logs_at(model, fit1))
     member = q1 >= q0
     fit = np.where(member, fit1, fit0)
     lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
-    # The lagged MLE is the previous step's fit, whose logs are taken above;
-    # only the carried MLE's are new.
-    logs = (
-        np.concatenate((first, np.where(member, v1, v0)[:, :-1]), 1)
-        for first, v0, v1 in zip(logs_mle, logs0, logs1)
-    )
-    scores = _loglik(model, 1, x, lagged, *map(_taken, logs))
+    scores = _loglik(model, 1, x, lagged, _logs_at(model, lagged))
     # Step-major, stream-minor: the order update() adds in.
     run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
     sums[:] = s[:, -1]

@@ -225,18 +225,20 @@ def kl(model: StreamModel, theta: float, theta_p: float) -> float:
     )
 
 
-def _loglik(model: StreamModel, n, s, theta, log=math.log, log1p=math.log1p):
+def _loglik(model: StreamModel, n, s, theta, logs=()):
     """Statistic-level log-likelihood of (n, s) at theta, unchecked.
 
     The one home of both closed forms; every public likelihood routes
-    through it.  Callers guarantee theta lies in the parameter set.  The
-    batched engine kernel passes numpy arrays together with elementwise
-    ``log``/``log1p`` that apply the same libm functions, so both paths
+    through it.  Callers guarantee theta lies in the parameter set.  For the
+    Bernoulli, ``logs`` may hold (log(theta), log1p(-theta)) taken
+    beforehand; the batched engine kernel passes numpy arrays with their
+    logs taken by libm, as the scalar default takes them, so both paths
     round identically.
     """
     if model.family is Family.GAUSSIAN:
         return theta * s - 0.5 * n * theta * theta
-    return s * log(theta) + (n - s) * log1p(-theta)
+    log_theta, log1m_theta = logs or (math.log(theta), math.log1p(-theta))
+    return s * log_theta + (n - s) * log1m_theta
 
 
 def stat_loglik(model: StreamModel, stat: SufficientStat, theta: float) -> float:

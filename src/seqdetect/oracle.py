@@ -307,10 +307,11 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
 
 def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     thetas = np.array(theta.thetas)
+    logs = _engine._logs_at(model, thetas)
     ratios = np.empty(trials)
     lo = 0
     for sums, adaptive, *_ in _horizon(model, theta, n, trials, rng):
-        true_ll = _engine._row_sums(_loglik(model, n, sums, thetas, *_engine._region_logs(model)))
+        true_ll = _engine._row_sums(_loglik(model, n, sums, thetas, logs))
         ratios[lo:lo + adaptive.size] = _engine._libm(math.exp, adaptive - true_ll)
         lo += adaptive.size
     return ratios

@@ -208,6 +208,12 @@ class TestPresets:
         assert spec.base_seed == 20260819
         assert spec.theta.thetas == (0.5, -0.5)
 
+    def test_a_directory_does_not_shadow_a_preset(self, tmp_path, monkeypatch):
+        # `simulate --out desk_fig1` leaves such a directory behind.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "desk_fig1").mkdir()
+        assert load_config("desk_fig1").experiment == "desk_fig1"
+
     def test_full_sweep_preset_with_extension(self):
         spec = load_config("paper_fig1.json")
         assert spec.experiment == "paper_fig1"

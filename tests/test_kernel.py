@@ -19,7 +19,7 @@ from seqdetect.models import Family, JointParameter, ParameterSpace, Region, Str
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
 # validate's tight reference model: nearly every fit sits on a region bound,
-# so most Bernoulli logs come from the bounds' precomputed values.
+# so most Bernoulli fits repeat one of four values.
 TIGHT = StreamModel(Family.BERNOULLI, ParameterSpace(0.40, 0.45, 0.55, 0.60))
 
 
@@ -74,6 +74,26 @@ class TestDraws:
         u = engine._draw_uniforms(ours, count)
         assert u.tolist() == [[r.random() for _ in range(count)] for r in ref]
         assert [r.getstate() for r in ours] == [r.getstate() for r in ref]
+
+
+def test_logs_at_are_the_libm_logs_of_every_entry():
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.05, 0.95, 20_000)
+    log = np.array([math.log(v) for v in u.tolist()])
+    log1m = np.array([math.log1p(-v) for v in u.tolist()])
+    # Values where numpy's logs round differently from libm's.
+    differs = u[(np.log(u) != log) | (np.log1p(-u) != log1m)]
+    assert differs.size
+    sp = BERN.space
+    bounds = [sp.theta0_lo, sp.theta0_hi, sp.theta1_lo, sp.theta1_hi]
+    # Every value twice, in a random order, on three axes as in a block.
+    values = np.concatenate((bounds, differs, u[:100]))
+    theta = rng.permutation(np.tile(values, 2)).reshape(2, 1, -1)
+    got = engine._logs_at(BERN, theta)
+    assert [a.shape for a in got] == [theta.shape] * 2
+    assert got[0].ravel().tolist() == [math.log(v) for v in theta.ravel().tolist()]
+    assert got[1].ravel().tolist() == [math.log1p(-v) for v in theta.ravel().tolist()]
+    assert engine._logs_at(GAUSS, theta) == ()
 
 
 # (count, stream sums) states where a union or a drop candidate decides a
