@@ -377,30 +377,29 @@ def _stepwise_martingale_estimate(model, theta, n, trials, rng) -> tuple[float, 
     return _martingale_estimate(_stepwise_martingale_ratios, model, theta, n, trials, rng)
 
 
-def _lln_margins(model, theta, n, trials, kind, rng):
-    count = np.array([float(n)])
+def _lln_margins(model, theta, n, trials, kinds, rng):
     for sums, adaptive, q0, q1, member in _horizon(model, theta, n, trials, rng):
-        l0, l1 = _engine._error_sups(model, kind, count, sums, q0, q1, member)
-        yield from zip(adaptive.tolist(), l0.tolist(), l1.tolist())
+        sups = (_engine._error_sups(model, kind, float(n), sums, q0, q1, member) for kind in kinds)
+        yield from zip(adaptive.tolist(), *(zip(l0.tolist(), l1.tolist()) for l0, l1 in sups))
 
 
-def _stepwise_lln_margins(model, theta, n, trials, kind, rng):
+def _stepwise_lln_margins(model, theta, n, trials, kinds, rng):
     for state in _stepwise_horizon(model, theta, n, trials, rng):
-        yield (state.adaptive_loglik, *_engine.sup_loglik_error_sets(state, kind))
+        yield (state.adaptive_loglik, *(_engine.sup_loglik_error_sets(state, k) for k in kinds))
 
 
-def _lln_estimate(margins_of, model, theta, n, trials, kind, rng) -> tuple[float, float]:
+def _lln_estimate(margins_of, model, theta, n, trials, kinds, rng):
     theta.require_constrained(model.space)
     if n < 500:
         raise DomainError("rate estimate needs n >= 500")
     if trials < 1:
         raise DomainError("at least one trial required")
-    acc0 = 0.0
-    acc1 = 0.0
-    for adaptive, l0, l1 in margins_of(model, theta, n, trials, kind, rng):
-        acc0 += (adaptive - l0) / n
-        acc1 += (adaptive - l1) / n
-    return acc0 / trials, acc1 / trials
+    if not kinds:
+        raise DomainError("at least one test kind required")
+    acc = np.zeros((len(kinds), 2))
+    for adaptive, *sups in margins_of(model, theta, n, trials, kinds, rng):
+        acc += (adaptive - np.array(sups)) / n
+    return dict(zip(kinds, map(tuple, (acc / trials).tolist())))
 
 
 def lln_rate_estimate(
@@ -408,22 +407,22 @@ def lln_rate_estimate(
     theta: JointParameter,
     n: int,
     trials: int,
-    kind: "_engine.TestKind",
+    kinds: "tuple[_engine.TestKind, ...]",
     rng: random.Random,
-) -> tuple[float, float]:
+) -> "dict[_engine.TestKind, tuple[float, float]]":
     """Monte Carlo means of the normalized stopping statistics at time n.
 
-    Returns the averages of (adaptive_loglik - logL0)/n and
-    (adaptive_loglik - logL1)/n, which converge to the information constants
-    governing the chosen kind.  Requires a coupled truth and n >= 500 so the
-    normalized statistics are near their limits.  Runs on the engine's block
-    step; the result and the generator's final state equal those of
-    :func:`_stepwise_lln_rate_estimate`.
+    Maps each of ``kinds`` to the means of (adaptive_loglik - logL0)/n and
+    (adaptive_loglik - logL1)/n, which converge to its information constants;
+    all kinds are scored on one simulated horizon.  Requires a coupled truth
+    and n >= 500 so the normalized statistics are near their limits.  Runs on
+    the engine's block step; the result and the generator's final state equal
+    those of :func:`_stepwise_lln_rate_estimate`.
     """
-    return _lln_estimate(_lln_margins, model, theta, n, trials, kind, rng)
+    return _lln_estimate(_lln_margins, model, theta, n, trials, kinds, rng)
 
 
-def _stepwise_lln_rate_estimate(model, theta, n, trials, kind, rng) -> tuple[float, float]:
+def _stepwise_lln_rate_estimate(model, theta, n, trials, kinds, rng):
     """:func:`lln_rate_estimate` one observation at a time through
     :func:`~seqdetect.engine.update`; the reference for the block step."""
-    return _lln_estimate(_stepwise_lln_margins, model, theta, n, trials, kind, rng)
+    return _lln_estimate(_stepwise_lln_margins, model, theta, n, trials, kinds, rng)

@@ -227,8 +227,9 @@ def test_criterion_5_martingale_mean_one():
 def test_criterion_6_lln_drift():
     lines = []
     ok = True
+    means = lln_rate_estimate(GAUSS, TRUTH, 2000, 500, tuple(TestKind), random.Random(13))
     for kind, target in ((TestKind.CONSTRAINED, 0.26), (TestKind.UNCONSTRAINED, 0.18)):
-        m0, m1 = lln_rate_estimate(GAUSS, TRUTH, 2000, 500, kind, random.Random(13))
+        m0, m1 = means[kind]
         dev = max(abs(m0 - target), abs(m1 - target)) / target
         ok = ok and dev <= 0.05
         lines.append(f"{kind.value}: means ({m0:.4f}, {m1:.4f}) vs {target} (dev {dev:.1%})")

@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+from importlib import resources
 
 import pytest
 
-from seqdetect import engine
+from seqdetect import engine, oracle
 from seqdetect.cli import FIGURE_HEADER, SIMULATE_HEADER, load_config, main
 from seqdetect.errors import ConfigError
 from seqdetect.montecarlo import ExperimentConfig, run_experiment
@@ -389,6 +390,26 @@ class TestValidateCommand:
         assert "PASS martingale-n10" in out
         assert "PASS lln-constrained" in out
         assert "lln-unconstrained" not in out
+        assert "all checks passed" in out
+        assert "FAIL" not in out
+
+    def test_infinite_drift_targets_skip_the_simulation(self, tmp_path, monkeypatch, capsys):
+        # With no signal stream both kinds' first-order rates are infinite,
+        # so check 5 prints its SKIP lines and simulates nothing.
+        cfg_dict = json.loads(
+            resources.files("seqdetect").joinpath("presets/desk_fig1.json").read_text()
+        )
+        cfg_dict["truth"]["signal_set"] = []
+        cfg = write_config(tmp_path, cfg_dict)
+
+        def unexpected(*args):
+            raise AssertionError("lln_rate_estimate called")
+
+        monkeypatch.setattr(oracle, "lln_rate_estimate", unexpected)
+        assert main(["validate", "--config", cfg, "--quick"]) == 0
+        out = capsys.readouterr().out
+        for kind in engine.TestKind:
+            assert f"SKIP lln-{kind.value}: infinite target for this truth" in out
         assert "all checks passed" in out
         assert "FAIL" not in out
 

@@ -14,7 +14,14 @@ import pytest
 from seqdetect import engine, montecarlo
 from seqdetect.engine import TestKind, Thresholds, run_to_decision, run_trials
 from seqdetect.errors import ConfigError
-from seqdetect.models import Family, JointParameter, ParameterSpace, Region, StreamModel
+from seqdetect.models import (
+    Family,
+    JointParameter,
+    ParameterSpace,
+    Region,
+    StreamModel,
+    sup_stat_loglik,
+)
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
@@ -94,6 +101,23 @@ def test_logs_at_are_the_libm_logs_of_every_entry():
     assert got[0].ravel().tolist() == [math.log(v) for v in theta.ravel().tolist()]
     assert got[1].ravel().tolist() == [math.log1p(-v) for v in theta.ravel().tolist()]
     assert engine._logs_at(GAUSS, theta) == ()
+
+
+@pytest.mark.parametrize("region", list(Region))
+def test_bernoulli_region_suprema_are_the_scalar_ones(region):
+    # Every count up to 300 with every sum, and an empty statistic.  Some
+    # fits s/n fall where numpy's log, and others where its log1p, rounds
+    # differently from libm's, so a kernel log taken outside libm shows in
+    # the last bit.  (Up to 100, the log's differences vanish in the sums.)
+    n = np.repeat(np.arange(301.0), np.arange(1, 302))
+    s = np.concatenate([np.arange(m + 1.0) for m in range(301)])
+    lo, hi = BERN.space.region_bounds(region)
+    fit = np.clip(s[n > 0] / n[n > 0], lo, hi)
+    assert (np.log(fit) != [math.log(v) for v in fit.tolist()]).any()
+    assert (np.log1p(-fit) != [math.log1p(-v) for v in fit.tolist()]).any()
+    got = engine._region_sup(BERN, n[:, None], s[:, None], region)[:, 0]
+    want = [sup_stat_loglik(BERN, int(c), v, region) for c, v in zip(n.tolist(), s.tolist())]
+    assert got.tolist() == want
 
 
 # (count, stream sums) states where a union or a drop candidate decides a

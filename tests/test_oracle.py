@@ -228,22 +228,25 @@ class TestMartingaleEstimate:
 class TestLLNRateEstimate:
     def test_validation(self):
         rng = random.Random(1)
+        kinds = (TestKind.CONSTRAINED,)
         with pytest.raises(DomainError):
-            lln_rate_estimate(GAUSS, TRUTH, 499, 10, TestKind.CONSTRAINED, rng)
+            lln_rate_estimate(GAUSS, TRUTH, 499, 10, kinds, rng)
         with pytest.raises(DomainError):
-            lln_rate_estimate(GAUSS, TRUTH, 500, 0, TestKind.CONSTRAINED, rng)
+            lln_rate_estimate(GAUSS, TRUTH, 500, 0, kinds, rng)
+        with pytest.raises(DomainError):
+            lln_rate_estimate(GAUSS, TRUTH, 500, 1, (), rng)
         with pytest.raises(ConfigError):
-            lln_rate_estimate(
-                GAUSS, JointParameter((0.5, 0.7)), 500, 1, TestKind.CONSTRAINED, rng
-            )
+            lln_rate_estimate(GAUSS, JointParameter((0.5, 0.7)), 500, 1, kinds, rng)
+        assert rng.getstate() == random.Random(1).getstate()
 
     def test_short_horizon_scale(self):
         # Quick version of the drift check: by n = 500 both normalized
         # statistics sit within 15 percent of their limiting constants.
-        r0, r1 = lln_rate_estimate(GAUSS, TRUTH, 500, 20, TestKind.CONSTRAINED, random.Random(3))
+        means = lln_rate_estimate(GAUSS, TRUTH, 500, 20, tuple(TestKind), random.Random(3))
+        r0, r1 = means[TestKind.CONSTRAINED]
         assert abs(r0 - 0.26) <= 0.15 * 0.26
         assert abs(r1 - 0.26) <= 0.15 * 0.26
-        u0, u1 = lln_rate_estimate(GAUSS, TRUTH, 500, 20, TestKind.UNCONSTRAINED, random.Random(3))
+        u0, u1 = means[TestKind.UNCONSTRAINED]
         assert abs(u0 - 0.18) <= 0.15 * 0.18
         assert abs(u1 - 0.18) <= 0.15 * 0.18
 
@@ -253,6 +256,11 @@ class TestLLNRateEstimate:
 REF_MODEL = StreamModel(Family.BERNOULLI, ParameterSpace(0.40, 0.45, 0.55, 0.60))
 REF_THETA = JointParameter.coupled(2, frozenset({0}), 0.55, 0.45)
 TRUTH3 = JointParameter.coupled(3, frozenset({0, 2}), 0.5, -0.5)
+
+
+def _first(kind):
+    """Every test kind, ``kind`` first."""
+    return (kind, *(other for other in TestKind if other is not kind))
 
 
 def _assert_matches_stepwise(batched, stepwise, args, rng=lambda: random.Random(5)):
@@ -303,6 +311,7 @@ class TestBatchedMatchesStepwise:
             rng,
         )
 
+    # Each drift test scores every kind on one horizon, the named kind first.
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize(
         "model, theta",
@@ -312,7 +321,9 @@ class TestBatchedMatchesStepwise:
     def test_lln_with_a_partial_last_chunk(self, kind, model, theta):
         # At n = 500 and K = 2 a chunk holds two trials; five leave one over.
         _assert_matches_stepwise(
-            lln_rate_estimate, oracle._stepwise_lln_rate_estimate, (model, theta, 500, 5, kind)
+            lln_rate_estimate,
+            oracle._stepwise_lln_rate_estimate,
+            (model, theta, 500, 5, _first(kind)),
         )
 
     @pytest.mark.parametrize("kind", list(TestKind))
@@ -320,5 +331,23 @@ class TestBatchedMatchesStepwise:
         theta = JointParameter.coupled(9, frozenset(range(4)), 0.5, -0.5)
         assert 500 > _block_rows(theta.k)
         _assert_matches_stepwise(
-            lln_rate_estimate, oracle._stepwise_lln_rate_estimate, (GAUSS, theta, 500, 2, kind)
+            lln_rate_estimate,
+            oracle._stepwise_lln_rate_estimate,
+            (GAUSS, theta, 500, 2, _first(kind)),
         )
+
+    @pytest.mark.parametrize(
+        "model, theta",
+        [(GAUSS, TRUTH), (REF_MODEL, REF_THETA)],
+        ids=["gaussian", "bernoulli"],
+    )
+    def test_lln_each_kind_equals_a_call_for_it_alone(self, model, theta):
+        # Scoring several kinds on one horizon gives each kind the means
+        # of a call for it alone, and draws what that call draws.
+        together = random.Random(6)
+        means = lln_rate_estimate(model, theta, 500, 5, tuple(TestKind), together)
+        assert list(means) == list(TestKind)
+        for kind in TestKind:
+            alone = random.Random(6)
+            assert means[kind] == lln_rate_estimate(model, theta, 500, 5, (kind,), alone)[kind]
+            assert alone.getstate() == together.getstate()
