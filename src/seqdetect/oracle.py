@@ -1,19 +1,20 @@
 """Reference implementations and Monte Carlo checks for cross-checking.
 
-The references are deliberately slow and simple.  The constrained
-error-set suprema and the information constants are found by enumerating
-all 2^K signal-set assignments, either with the closed-form projections
-(the ``subset_*`` references, exact) or by scanning dense parameter grids
-(the ``grid_*`` references); enumeration is capped at MAX_STREAMS streams.
-The martingale and law-of-large-numbers properties of the adaptive
-likelihood are estimated by Monte Carlo on the kernel that simulations
-run: its block step and its error-set suprema.  The private ``_stepwise_*``
-estimators repeat them one observation at a time through the engine's
+The references are deliberately slow and simple.  The error-set suprema
+and the information constants come from one search over all 2^K
+signal-set assignments, :func:`_family_extremes`, capped at MAX_STREAMS
+streams; an assignment costs its closed-form projections (the
+``subset_*`` references, exact) or its scans of dense parameter grids (the
+``grid_*`` references).  The martingale and law-of-large-numbers
+properties of the adaptive likelihood are estimated by Monte Carlo on the
+kernel that simulations run: its block step and its error-set suprema.
+The private ``_stepwise_martingale_ratios`` and ``_stepwise_lln_margins``
+repeat each trial one observation at a time through the engine's
 step-at-a-time reference (:func:`~seqdetect.engine.update` and
 :func:`~seqdetect.engine.sup_loglik_error_sets`) and are the tests'
-bit-for-bit reference for the batched ones.  The test suite and the
-``validate`` command compare the fast implementations against these
-references.
+trial-by-trial, bit-for-bit reference for the batched ones.  The test
+suite and the ``validate`` command compare the fast implementations
+against these references.
 
 Grid scans are valid only while the relevant sample means stay inside the
 grid box; :func:`grid_sup_loglik` checks that at call time.  Grid maxima of
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import engine as _engine
 from .errors import CapacityError, DomainError
-from .geometry import InfoConstants, assignment_kl, per_stream_constants
+from .geometry import InfoConstants, assignment_kl, kl_to_region
 from .models import (
     Family,
     JointParameter,
@@ -55,18 +56,34 @@ def _require_enumerable(k: int) -> None:
         raise CapacityError(f"subset enumeration supports at most {MAX_STREAMS} streams")
 
 
-def _error_masks(k: int, signal_set):
-    """Every assignment mask of k streams with its error-family membership:
-    yields (mask, adds a stream to signal_set, drops one from it), skipping
-    the assignment equal to signal_set."""
-    a_mask = 0
-    for i in signal_set:
-        a_mask |= 1 << i
-    for mask in range(1 << k):
-        adds = bool(mask & ~a_mask)
-        drops = bool(a_mask & ~mask)
-        if adds or drops:
-            yield mask, adds, drops
+def _family_extremes(reduce, empty: float, k: int, signal_set, cost) -> tuple[float, float]:
+    """The one 2^K assignment search: (``reduce`` of ``cost(members, rest)``
+    over every assignment of k streams that adds a stream to signal_set,
+    the same over every one that drops a stream from it).  ``reduce`` is
+    max or min, ``empty`` its value over an empty family; members and rest
+    list an assignment's signal and noise streams in index order."""
+    members_of = [[]]  # indexed by assignment mask
+    for i in range(k):
+        members_of += [members + [i] for members in members_of]
+    a_mask = sum(1 << i for i in signal_set)
+    full = (1 << k) - 1
+    adds = drops = empty
+    for mask, members in enumerate(members_of):
+        add = mask & ~a_mask
+        drop = a_mask & ~mask
+        if add or drop:
+            v = cost(members, members_of[full ^ mask])
+            if add:
+                adds = reduce(adds, v)
+            if drop:
+                drops = reduce(drops, v)
+    return adds, drops
+
+
+def _per_stream(sig: list[float], noise: list[float]):
+    """Assignment cost when every stream takes its own value on its side:
+    ``sig[i]`` for a signal stream, ``noise[i]`` for a noise stream."""
+    return lambda members, rest: sum(sig[i] for i in members) + sum(noise[i] for i in rest)
 
 
 def subset_sup_loglik_error_sets(
@@ -84,41 +101,35 @@ def subset_sup_loglik_error_sets(
     _require_enumerable(k)
     n_total = sum(st.n for st in stats)
     s_total = sum(st.s for st in stats)
-    l0 = _NEG_INF
-    l1 = _NEG_INF
-    for mask, adds, drops in _error_masks(k, signal_estimate):
-        nb = 0
-        sb = 0.0
-        for i in range(k):
-            if mask >> i & 1:
-                nb += stats[i].n
-                sb += stats[i].s
-        val = sup_stat_loglik(model, nb, sb, Region.SIGNAL) + sup_stat_loglik(
+
+    def pooled(members, rest):
+        nb = sum(stats[i].n for i in members)
+        sb = _engine._total(stats[i].s for i in members)
+        return sup_stat_loglik(model, nb, sb, Region.SIGNAL) + sup_stat_loglik(
             model, n_total - nb, s_total - sb, Region.NOISE
         )
-        if adds and val > l0:
-            l0 = val
-        if drops and val > l1:
-            l1 = val
-    return l0, l1
+
+    return _family_extremes(max, _NEG_INF, k, signal_estimate, pooled)
 
 
 def subset_info_constants(model: StreamModel, theta: JointParameter) -> InfoConstants:
-    """Information constants by enumerating all 2^K signal-set assignments
-    through :func:`~seqdetect.geometry.assignment_kl`; exact, the reference
-    for the count-pair minimum in :func:`~seqdetect.geometry.info_constants`."""
+    """Information constants by enumerating all 2^K signal-set assignments;
+    exact, the reference for the count-pair minimum in
+    :func:`~seqdetect.geometry.info_constants`.  i0 and i1 take each
+    assignment's :func:`~seqdetect.geometry.assignment_kl`, the tilde
+    constants its sum of :func:`~seqdetect.geometry.kl_to_region` over the
+    streams it moves across the gap."""
     _require_enumerable(theta.k)
     theta.require_constrained(model.space)
     a_set = theta.signal_set(model.space)
-    i0 = math.inf
-    i1 = math.inf
-    for mask, adds, drops in _error_masks(theta.k, a_set):
-        v = assignment_kl(model, theta, [i for i in range(theta.k) if mask >> i & 1])
-        if adds and v < i0:
-            i0 = v
-        if drops and v < i1:
-            i1 = v
-    i0_tilde, i1_tilde = per_stream_constants(model, theta)
+    i0, i1 = _family_extremes(
+        min, math.inf, theta.k, a_set, lambda members, rest: assignment_kl(model, theta, members)
+    )
+    # kl_to_region is 0 on a stream's own side, so a single flip costs
+    # exactly its divergence and every further flip adds a term >= 0.
+    sig = [kl_to_region(model, t, Region.SIGNAL) for t in theta.thetas]
+    noise = [kl_to_region(model, t, Region.NOISE) for t in theta.thetas]
+    i0_tilde, i1_tilde = _family_extremes(min, math.inf, theta.k, a_set, _per_stream(sig, noise))
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 
@@ -211,32 +222,17 @@ def grid_sup_loglik(
     noise_curves = [_stat_loglik_curve(model, st.n, st.s, noise_pts) for st in stats]
 
     if kind is _engine.TestKind.UNCONSTRAINED:
-        sig_max = [_group_extreme(np.max, _NEG_INF, sig_curves, [i]) for i in range(k)]
-        noise_max = [_group_extreme(np.max, _NEG_INF, noise_curves, [i]) for i in range(k)]
-        full_max = [max(a, b) for a, b in zip(sig_max, noise_max)]
-        total = sum(full_max)
-        l0 = _NEG_INF
-        l1 = _NEG_INF
-        for i in range(k):
-            if i in signal_estimate:
-                l1 = max(l1, total - full_max[i] + noise_max[i])
-            else:
-                l0 = max(l0, total - full_max[i] + sig_max[i])
-        return l0, l1
+        # Each stream takes its own best grid value on its side.
+        sig = [float(c.max(initial=_NEG_INF)) for c in sig_curves]
+        noise = [float(c.max(initial=_NEG_INF)) for c in noise_curves]
+        return _family_extremes(max, _NEG_INF, k, signal_estimate, _per_stream(sig, noise))
 
-    l0 = _NEG_INF
-    l1 = _NEG_INF
-    for mask, adds, drops in _error_masks(k, signal_estimate):
-        members = [i for i in range(k) if mask >> i & 1]
-        rest = [i for i in range(k) if not mask >> i & 1]
-        val = _group_extreme(np.max, _NEG_INF, sig_curves, members) + _group_extreme(
+    def pooled(members, rest):
+        return _group_extreme(np.max, _NEG_INF, sig_curves, members) + _group_extreme(
             np.max, _NEG_INF, noise_curves, rest
         )
-        if adds and val > l0:
-            l0 = val
-        if drops and val > l1:
-            l1 = val
-    return l0, l1
+
+    return _family_extremes(max, _NEG_INF, k, signal_estimate, pooled)
 
 
 def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -> InfoConstants:
@@ -253,26 +249,16 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
     sig_kl = [_kl_curve(model, t, sig_pts) for t in theta.thetas]
     noise_kl = [_kl_curve(model, t, noise_pts) for t in theta.thetas]
 
-    i0 = math.inf
-    i1 = math.inf
-    for mask, adds, drops in _error_masks(k, a_set):
-        members = [i for i in range(k) if mask >> i & 1]
-        rest = [i for i in range(k) if not mask >> i & 1]
-        v = _group_extreme(np.min, math.inf, sig_kl, members) + _group_extreme(
+    def pooled(members, rest):
+        return _group_extreme(np.min, math.inf, sig_kl, members) + _group_extreme(
             np.min, math.inf, noise_kl, rest
         )
-        if adds and v < i0:
-            i0 = v
-        if drops and v < i1:
-            i1 = v
 
-    i0_tilde = math.inf
-    i1_tilde = math.inf
-    for i in range(k):
-        if i in a_set:
-            i1_tilde = min(i1_tilde, _group_extreme(np.min, math.inf, noise_kl, [i]))
-        else:
-            i0_tilde = min(i0_tilde, _group_extreme(np.min, math.inf, sig_kl, [i]))
+    i0, i1 = _family_extremes(min, math.inf, k, a_set, pooled)
+    # A stream costs 0 on its own side and its grid minimum across the gap.
+    sig = [0.0 if i in a_set else float(c.min(initial=math.inf)) for i, c in enumerate(sig_kl)]
+    noise = [float(c.min(initial=math.inf)) if i in a_set else 0.0 for i, c in enumerate(noise_kl)]
+    i0_tilde, i1_tilde = _family_extremes(min, math.inf, k, a_set, _per_stream(sig, noise))
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 
@@ -336,20 +322,6 @@ def _stepwise_martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     return ratios
 
 
-def _martingale_estimate(ratios_of, model, theta, n, trials, rng) -> tuple[float, float]:
-    theta.require_constrained(model.space)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    if trials < 10_000:
-        raise DomainError("martingale estimate needs at least 10^4 trials")
-    if n == 0:
-        return 1.0, 0.0
-    ratios = ratios_of(model, theta, n, trials, rng)
-    mean = float(ratios.mean())
-    se = float(ratios.std(ddof=1) / math.sqrt(trials))
-    return mean, se
-
-
 def mean_one_martingale_estimate(
     model: StreamModel,
     theta: JointParameter,
@@ -365,16 +337,18 @@ def mean_one_martingale_estimate(
     statistics, in the engine's statistic-level convention, so the base
     measure cancels.  Requires a coupled truth and at least 10^4 trials;
     n = 0 returns (1.0, 0.0) since both log-likelihoods are empty sums.
-    Runs on the engine's block step; the result and the generator's final
-    state equal those of :func:`_stepwise_martingale_estimate`.
+    Runs on the engine's block step; each trial's ratio and the generator's
+    final state equal those of :func:`_stepwise_martingale_ratios`.
     """
-    return _martingale_estimate(_martingale_ratios, model, theta, n, trials, rng)
-
-
-def _stepwise_martingale_estimate(model, theta, n, trials, rng) -> tuple[float, float]:
-    """:func:`mean_one_martingale_estimate` one observation at a time through
-    :func:`~seqdetect.engine.update`; the reference for the block step."""
-    return _martingale_estimate(_stepwise_martingale_ratios, model, theta, n, trials, rng)
+    theta.require_constrained(model.space)
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    if trials < 10_000:
+        raise DomainError("martingale estimate needs at least 10^4 trials")
+    if n == 0:
+        return 1.0, 0.0
+    ratios = _martingale_ratios(model, theta, n, trials, rng)
+    return float(ratios.mean()), float(ratios.std(ddof=1) / math.sqrt(trials))
 
 
 def _lln_margins(model, theta, n, trials, kinds, rng):
@@ -386,20 +360,6 @@ def _lln_margins(model, theta, n, trials, kinds, rng):
 def _stepwise_lln_margins(model, theta, n, trials, kinds, rng):
     for state in _stepwise_horizon(model, theta, n, trials, rng):
         yield (state.adaptive_loglik, *(_engine.sup_loglik_error_sets(state, k) for k in kinds))
-
-
-def _lln_estimate(margins_of, model, theta, n, trials, kinds, rng):
-    theta.require_constrained(model.space)
-    if n < 500:
-        raise DomainError("rate estimate needs n >= 500")
-    if trials < 1:
-        raise DomainError("at least one trial required")
-    if not kinds:
-        raise DomainError("at least one test kind required")
-    acc = np.zeros((len(kinds), 2))
-    for adaptive, *sups in margins_of(model, theta, n, trials, kinds, rng):
-        acc += (adaptive - np.array(sups)) / n
-    return dict(zip(kinds, map(tuple, (acc / trials).tolist())))
 
 
 def lln_rate_estimate(
@@ -416,13 +376,17 @@ def lln_rate_estimate(
     (adaptive_loglik - logL1)/n, which converge to its information constants;
     all kinds are scored on one simulated horizon.  Requires a coupled truth
     and n >= 500 so the normalized statistics are near their limits.  Runs on
-    the engine's block step; the result and the generator's final state equal
-    those of :func:`_stepwise_lln_rate_estimate`.
+    the engine's block step; each trial's margins and the generator's final
+    state equal those of :func:`_stepwise_lln_margins`.
     """
-    return _lln_estimate(_lln_margins, model, theta, n, trials, kinds, rng)
-
-
-def _stepwise_lln_rate_estimate(model, theta, n, trials, kinds, rng):
-    """:func:`lln_rate_estimate` one observation at a time through
-    :func:`~seqdetect.engine.update`; the reference for the block step."""
-    return _lln_estimate(_stepwise_lln_margins, model, theta, n, trials, kinds, rng)
+    theta.require_constrained(model.space)
+    if n < 500:
+        raise DomainError("rate estimate needs n >= 500")
+    if trials < 1:
+        raise DomainError("at least one trial required")
+    if not kinds:
+        raise DomainError("at least one test kind required")
+    acc = np.zeros((len(kinds), 2))
+    for adaptive, *sups in _lln_margins(model, theta, n, trials, kinds, rng):
+        acc += (adaptive - np.array(sups)) / n
+    return dict(zip(kinds, map(tuple, (acc / trials).tolist())))

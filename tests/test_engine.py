@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -27,6 +26,7 @@ from seqdetect.models import (
     sample,
     sup_stat_loglik,
 )
+from seqdetect.oracle import _family_extremes
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
@@ -366,20 +366,12 @@ class TestErrorSetSuprema:
                     total += sup_stat_loglik(GAUSS, s.n, s.s, region)
                 return total
 
-            cands0, cands1 = [], []
-            for r in range(k + 1):
-                for b in map(frozenset, itertools.combinations(range(k), r)):
-                    if b - ahat:
-                        cands0.append(free(b))
-                    if ahat - b:
-                        cands1.append(free(b))
+            ref0, ref1 = _family_extremes(
+                max, -math.inf, k, ahat, lambda members, rest: free(members)
+            )
             l0, l1 = sup_loglik_error_sets(st, TestKind.UNCONSTRAINED)
-            assert l0 == pytest.approx(
-                max(cands0) if cands0 else -math.inf, abs=1e-10
-            )
-            assert l1 == pytest.approx(
-                max(cands1) if cands1 else -math.inf, abs=1e-10
-            )
+            assert l0 == pytest.approx(ref0, abs=1e-10)
+            assert l1 == pytest.approx(ref1, abs=1e-10)
 
     def test_constrained_never_exceeds_unconstrained(self):
         rng = random.Random(44)

@@ -24,10 +24,23 @@ from seqdetect.models import (
     StreamModel,
     kl,
 )
+from seqdetect.oracle import subset_info_constants
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
 ANCHOR = JointParameter((0.5, -0.5))
+
+
+def grid_kl(model, theta, u):
+    """KL(f_theta, f_u) along an array u, written from the densities.
+
+    Bernoulli: the expectation over x in {0, 1} of log f_theta(x) / f_u(x).
+    Gaussian with unit variance: E[(X - u)^2 - (X - theta)^2] / 2 under
+    f_theta, which is (theta - u)^2 / 2.
+    """
+    if model.family is Family.GAUSSIAN:
+        return 0.5 * (theta - u) ** 2
+    return sum(p * (math.log(p) - np.log(q)) for p, q in ((theta, u), (1.0 - theta, 1.0 - u)))
 
 
 def brute_assignment_kl(model, theta, b_set, points=20001):
@@ -37,7 +50,6 @@ def brute_assignment_kl(model, theta, b_set, points=20001):
     a wide finite window (minimizers always land inside it here).
     """
     k = theta.k
-    a_set = theta.signal_set(model.space)
     best = 0.0
     for region, members in (
         (Region.NOISE, [i for i in range(k) if i not in b_set]),
@@ -46,14 +58,8 @@ def brute_assignment_kl(model, theta, b_set, points=20001):
         if not members:
             continue
         lo, hi = model.space.region_bounds(region)
-        lo = max(lo, -4.0)
-        hi = min(hi, 4.0)
-        grid = np.linspace(lo, hi, points)
-        totals = np.zeros(points)
-        for i in members:
-            totals += np.array([kl(model, theta.thetas[i], u) for u in grid])
-        best += float(totals.min())
-    del a_set
+        grid = np.linspace(max(lo, -4.0), min(hi, 4.0), points)
+        best += float(sum(grid_kl(model, theta.thetas[i], grid) for i in members).min())
     return best
 
 
@@ -123,7 +129,7 @@ class TestKLToRegion:
                 for region in (Region.NOISE, Region.SIGNAL):
                     lo, hi = sp.region_bounds(region)
                     grid = np.linspace(max(lo, -4.0), min(hi, 4.0), 20001)
-                    brute = min(kl(model, theta, u) for u in grid)
+                    brute = float(grid_kl(model, theta, grid).min())
                     assert kl_to_region(model, theta, region) == pytest.approx(
                         brute, abs=1e-6
                     )
@@ -228,21 +234,15 @@ class TestInfoConstants:
 
     def test_mixed_family_agreement_with_definition(self):
         # i0 is the cheapest assignment adding a false signal, i1 the
-        # cheapest dropping a true one; check directly over all subsets.
+        # cheapest dropping a true one; check against the oracle's search
+        # over all subsets.
         rng = random.Random(41)
         for model in (GAUSS, BERN):
             theta = random_coupled(model, rng, 3)
-            a_set = theta.signal_set(model.space)
-            cand0, cand1 = [], []
-            for r in range(4):
-                for b in map(set, itertools.combinations(range(3), r)):
-                    if b - a_set:
-                        cand0.append(assignment_kl(model, theta, b))
-                    if a_set - b:
-                        cand1.append(assignment_kl(model, theta, b))
+            ref = subset_info_constants(model, theta)
             c = info_constants(model, theta)
-            assert c.i0 == pytest.approx(min(cand0) if cand0 else math.inf, abs=1e-12)
-            assert c.i1 == pytest.approx(min(cand1) if cand1 else math.inf, abs=1e-12)
+            assert c.i0 == pytest.approx(ref.i0, abs=1e-12)
+            assert c.i1 == pytest.approx(ref.i1, abs=1e-12)
 
     def test_invariant_enforced_on_construction(self):
         with pytest.raises(DomainError):

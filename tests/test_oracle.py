@@ -264,16 +264,20 @@ def _first(kind):
 
 
 def _assert_matches_stepwise(batched, stepwise, args, rng=lambda: random.Random(5)):
-    """Bit-identical estimates, and the generators end in the same state."""
+    """Bit-identical values trial by trial, and the generators end in the
+    same state."""
     ours, ref = rng(), rng()
-    assert batched(*args, ours) == stepwise(*args, ref)
+    got = list(batched(*args, ours))
+    assert len(got) == args[3]
+    assert got == list(stepwise(*args, ref))
     assert ours.getstate() == ref.getstate()
     return ours
 
 
 class TestBatchedMatchesStepwise:
-    """The block-step estimators against their one-observation-at-a-time
-    references: zero tolerance, generator state included."""
+    """The block-step martingale ratios and drift margins against their
+    one-observation-at-a-time references: each trial's values with zero
+    tolerance, generator state included."""
 
     @pytest.mark.parametrize(
         "model, theta, n, trials",
@@ -291,8 +295,8 @@ class TestBatchedMatchesStepwise:
     )
     def test_martingale(self, model, theta, n, trials):
         rng = _assert_matches_stepwise(
-            mean_one_martingale_estimate,
-            oracle._stepwise_martingale_estimate,
+            oracle._martingale_ratios,
+            oracle._stepwise_martingale_ratios,
             (model, theta, n, trials),
         )
         if model is GAUSS:
@@ -305,8 +309,8 @@ class TestBatchedMatchesStepwise:
             return r
 
         _assert_matches_stepwise(
-            mean_one_martingale_estimate,
-            oracle._stepwise_martingale_estimate,
+            oracle._martingale_ratios,
+            oracle._stepwise_martingale_ratios,
             (GAUSS, TRUTH, 2, 10_000),
             rng,
         )
@@ -321,8 +325,8 @@ class TestBatchedMatchesStepwise:
     def test_lln_with_a_partial_last_chunk(self, kind, model, theta):
         # At n = 500 and K = 2 a chunk holds two trials; five leave one over.
         _assert_matches_stepwise(
-            lln_rate_estimate,
-            oracle._stepwise_lln_rate_estimate,
+            oracle._lln_margins,
+            oracle._stepwise_lln_margins,
             (model, theta, 500, 5, _first(kind)),
         )
 
@@ -331,8 +335,8 @@ class TestBatchedMatchesStepwise:
         theta = JointParameter.coupled(9, frozenset(range(4)), 0.5, -0.5)
         assert 500 > _block_rows(theta.k)
         _assert_matches_stepwise(
-            lln_rate_estimate,
-            oracle._stepwise_lln_rate_estimate,
+            oracle._lln_margins,
+            oracle._stepwise_lln_margins,
             (GAUSS, theta, 500, 2, _first(kind)),
         )
 

@@ -8,9 +8,11 @@ of by stream), so agreement is to 1e-12 * (1 + |value|).
 """
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqdetect import geometry, oracle
 from seqdetect.engine import EngineState, TestKind, estimate_signal_set, sup_loglik_error_sets
 from seqdetect.geometry import info_constants
 from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel, SufficientStat
@@ -107,3 +109,25 @@ def test_info_constants_match_subset_enumeration(case):
     for name in ("i0", "i1", "i0_tilde", "i1_tilde"):
         g, r = getattr(got, name), getattr(ref, name)
         assert g == r if math.isinf(r) else abs(g - r) <= 1e-12, (name, g, r)
+
+
+@pytest.mark.parametrize(
+    "model, theta",
+    [
+        (GAUSS, JointParameter.coupled(3, {0}, 0.5, -0.5)),
+        (BOUNDED, JointParameter.coupled(5, {0, 2, 4}, 1.5, -1.0)),
+        (BERN, JointParameter.coupled(4, set(), None, 0.3)),
+    ],
+)
+def test_info_reference_derives_its_own_tilde_constants(monkeypatch, model, theta):
+    # The reference must not take i0_tilde and i1_tilde from the function
+    # under test, or the comparison above checks them against themselves.
+    want = info_constants(model, theta)
+
+    def stub(*args):
+        raise AssertionError("the reference called per_stream_constants")
+
+    monkeypatch.setattr(geometry, "per_stream_constants", stub)
+    monkeypatch.setattr(oracle, "per_stream_constants", stub, raising=False)
+    got = subset_info_constants(model, theta)
+    assert (got.i0_tilde, got.i1_tilde) == (want.i0_tilde, want.i1_tilde)
