@@ -344,14 +344,16 @@ def run_to_decision(
 # either, and 38.8 against 39.1 MiB on validate_quick.
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """The scalar ``math`` function ``fn`` applied elementwise.
+def _libm(fn, values: list) -> np.ndarray:
+    """The scalar ``math`` function ``fn`` of each float in ``values`` (a
+    list, as a 1-D array's ``tolist()`` gives it), as a 1-D array.
 
     numpy's own log differs from libm's in the last bit on some inputs; going
     through ``math`` keeps every transcendental rounded as the scalar path
-    rounds it.
+    rounds it.  Callers that map several functions over one array build its
+    list once.
     """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(fn, values), float, len(values))
 
 
 def _logs_at(model: StreamModel, theta: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -363,7 +365,7 @@ def _logs_at(model: StreamModel, theta: np.ndarray) -> tuple[np.ndarray, ...]:
         return ()
     values, at = np.unique(theta, return_inverse=True)
     at = at.reshape(theta.shape)
-    return _libm(math.log, values)[at], _libm(math.log1p, -values)[at]
+    return _libm(math.log, values.tolist())[at], _libm(math.log1p, (-values).tolist())[at]
 
 
 def _unit(words: np.ndarray) -> np.ndarray:
@@ -397,8 +399,10 @@ def _draw_normals(rngs, count: int) -> np.ndarray:
         rng.getrandbits(128 * p).to_bytes(16 * p, "little") for rng, p in zip(rngs, pairs)
     )
     u = _unit(np.frombuffer(raw, dtype="<u4").reshape(-1, 4))
-    x2pi = u[:, 0] * _TWOPI
-    g2rad = np.sqrt(-2.0 * _libm(math.log, 1.0 - u[:, 1]))
+    g2rad = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[:, 1]).tolist()))
+    # One list of angles for both maps, built after the log map's list is
+    # freed so that the two are never alive together.
+    x2pi = (u[:, 0] * _TWOPI).tolist()
     z = np.empty((len(u), 2))
     z[:, 0] = _libm(math.cos, x2pi) * g2rad
     z[:, 1] = _libm(math.sin, x2pi) * g2rad

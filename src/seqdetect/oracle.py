@@ -269,9 +269,12 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
     the order of a loop over trials that calls
     :func:`~seqdetect.engine.update` once per step, so the generator ends
     where that loop leaves it.  Each block's widest temporary keeps within
-    the kernel's element budget.  Yields per chunk the stream sums, the
-    adaptive log-likelihoods and the last step's q0, q1 and estimate (see
-    :func:`seqdetect.engine._absorb`).
+    the kernel's element budget.  Yields per chunk the slice of its trials,
+    their stream sums and adaptive log-likelihoods, and the last step's q0,
+    q1 and estimate (see :func:`seqdetect.engine._absorb`); the last three
+    are views into the chunk's step arrays, so a caller that keeps them past
+    the chunk copies them.  The martingale ratios are scored chunk by chunk,
+    the drift margins once per kind over all trials (:func:`_lln_margins`).
     """
     k = theta.k
     thetas = np.array(theta.thetas)
@@ -288,18 +291,16 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
         for t in range(0, n, steps):
             x = _engine._observations(model, thetas, [rng], (c, min(steps, n - t), k))
             _, _, q0, q1, member, _ = _engine._absorb(model, x, sums, mle, adaptive, t)
-        yield sums, adaptive, q0[:, -1], q1[:, -1], member[:, -1]
+        yield slice(lo, lo + c), sums, adaptive, q0[:, -1], q1[:, -1], member[:, -1]
 
 
 def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     thetas = np.array(theta.thetas)
     logs = _engine._logs_at(model, thetas)
     ratios = np.empty(trials)
-    lo = 0
-    for sums, adaptive, *_ in _horizon(model, theta, n, trials, rng):
+    for rows, sums, adaptive, *_ in _horizon(model, theta, n, trials, rng):
         true_ll = _engine._row_sums(_loglik(model, n, sums, thetas, logs))
-        ratios[lo:lo + adaptive.size] = _engine._libm(math.exp, adaptive - true_ll)
-        lo += adaptive.size
+        ratios[rows] = _engine._libm(math.exp, (adaptive - true_ll).tolist())
     return ratios
 
 
@@ -352,9 +353,23 @@ def mean_one_martingale_estimate(
 
 
 def _lln_margins(model, theta, n, trials, kinds, rng):
-    for sums, adaptive, q0, q1, member in _horizon(model, theta, n, trials, rng):
-        sups = (_engine._error_sups(model, kind, float(n), sums, q0, q1, member) for kind in kinds)
-        yield from zip(adaptive.tolist(), *(zip(l0.tolist(), l1.tolist()) for l0, l1 in sups))
+    """Each trial's adaptive log-likelihood and (logL0, logL1) per kind at
+    time n, in trial order.
+
+    The chunks' last-step states are copied into arrays over all trials
+    (copies, so no chunk's step arrays outlive it), and each kind's error-set
+    suprema are scored by one :func:`~seqdetect.engine._error_sups` call over
+    all of them.
+    """
+    k = theta.k
+    sums, q0, q1 = (np.empty((trials, k)) for _ in range(3))
+    member = np.empty((trials, k), bool)
+    adaptive = np.empty(trials)
+    for rows, *chunk in _horizon(model, theta, n, trials, rng):
+        for whole, part in zip((sums, adaptive, q0, q1, member), chunk):
+            whole[rows] = part
+    sups = [_engine._error_sups(model, kind, float(n), sums, q0, q1, member) for kind in kinds]
+    return zip(adaptive.tolist(), *(zip(l0.tolist(), l1.tolist()) for l0, l1 in sups))
 
 
 def _stepwise_lln_margins(model, theta, n, trials, kinds, rng):
@@ -374,10 +389,11 @@ def lln_rate_estimate(
 
     Maps each of ``kinds`` to the means of (adaptive_loglik - logL0)/n and
     (adaptive_loglik - logL1)/n, which converge to its information constants;
-    all kinds are scored on one simulated horizon.  Requires a coupled truth
-    and n >= 500 so the normalized statistics are near their limits.  Runs on
-    the engine's block step; each trial's margins and the generator's final
-    state equal those of :func:`_stepwise_lln_margins`.
+    all kinds are scored on one simulated horizon, each kind's margins once
+    over all trials.  Requires a coupled truth and n >= 500 so the normalized
+    statistics are near their limits.  Runs on the engine's block step; each
+    trial's margins and the generator's final state equal those of
+    :func:`_stepwise_lln_margins`, and the means add them trial by trial.
     """
     theta.require_constrained(model.space)
     if n < 500:

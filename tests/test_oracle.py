@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from seqdetect import oracle
+from seqdetect import engine, oracle
 from seqdetect.engine import EngineState, TestKind, _block_rows, sup_loglik_error_sets
 from seqdetect.errors import CapacityError, ConfigError, DomainError
 from seqdetect.models import (
@@ -250,6 +251,33 @@ class TestLLNRateEstimate:
         assert abs(u0 - 0.18) <= 0.15 * 0.18
         assert abs(u1 - 0.18) <= 0.15 * 0.18
 
+    def test_scores_each_kind_once_over_all_trials(self, monkeypatch):
+        # At n = 500 and K = 2 the five trials run in three chunks; the
+        # suprema of each kind still come from one call over all of them.
+        calls = []
+        error_sups = engine._error_sups
+
+        def counting(model, kind, *args):
+            calls.append((kind, args[1].shape))
+            return error_sups(model, kind, *args)
+
+        monkeypatch.setattr(engine, "_error_sups", counting)
+        lln_rate_estimate(GAUSS, TRUTH, 500, 5, tuple(TestKind), random.Random(3))
+        assert calls == [(kind, (5, 2)) for kind in TestKind]
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        # Each chunk's step arrays are freed once its last-step state is
+        # copied out; views into them would keep every chunk's alive.
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                lln_rate_estimate(GAUSS, TRUTH, 500, trials, tuple(TestKind), random.Random(4))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200) <= 1.5 * peak(20)
+
 
 # The tight Bernoulli instance of validate's and criterion 5's deeper
 # martingale checks: its fits sit on a region bound almost always.
@@ -329,6 +357,20 @@ class TestBatchedMatchesStepwise:
             oracle._stepwise_lln_margins,
             (model, theta, 500, 5, _first(kind)),
         )
+
+    # 1,503 normals a trial: a Box-Muller sine left pending by one trial is
+    # the next one's first draw, inside a chunk of two trials (n = 501) or
+    # across chunks of one (n = 513), and the last trial leaves one pending.
+    @pytest.mark.parametrize("kind", list(TestKind))
+    @pytest.mark.parametrize("n, width", [(501, 2), (513, 1)])
+    def test_lln_with_odd_draws_per_trial(self, kind, n, width):
+        assert _block_rows(TRUTH3.k) // n == width
+        rng = _assert_matches_stepwise(
+            oracle._lln_margins,
+            oracle._stepwise_lln_margins,
+            (GAUSS, TRUTH3, n, 3, _first(kind)),
+        )
+        assert rng.gauss_next is not None
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_lln_trial_spanning_several_blocks(self, kind):
