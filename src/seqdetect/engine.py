@@ -444,9 +444,13 @@ def _coupled_sups(
     """The constrained branch of :func:`sup_loglik_error_sets` over leading axes.
 
     ``s`` holds stream sums on its last axis, ``member`` the estimate and
-    ``n`` the shared count (broadcast against ``s[..., :1]``).  Evaluates the
-    same candidates one group at a time with a running maximum, so no table
-    wider than K + 1 is ever built.
+    ``n`` the shared count (broadcast against ``s[..., :1]``).  With
+    a = |estimate|, the candidates form two tables: the top sets T_m, m = 0..K,
+    which add a stream when m > a and drop one when m < a; and the edge sets
+    of sizes e = 1..K-1, T_{e-1} plus the strongest outsider for e <= a
+    (adding) and T_{e+1} minus the weakest member for e >= a (dropping).  At
+    e = a both name the swap, summed the first way, as the scalar path does.
+    Each supremum is a maximum over masked entries of both tables.
     """
     k = s.shape[-1]
     # Sizes are floats so that every comparison below is a float one.
@@ -460,33 +464,24 @@ def _coupled_sups(
     ranked = -np.sort(key, -1).imag
     prefix = np.cumsum(np.concatenate((np.zeros_like(s[..., :1]), ranked), -1), -1)
     total = _row_sums(s)[..., None]
+    # The weakest member and the strongest outsider (masked where none).
+    s_in = np.take_along_axis(ranked, np.maximum(a - 1, 0).astype(int), -1)
+    s_out = np.take_along_axis(ranked, np.minimum(a, k - 1).astype(int), -1)
 
     def value(size, sb):
         return _region_sup(model, n * size, sb, Region.SIGNAL) + _region_sup(
             model, n * (k - size), total - sb, Region.NOISE
         )
 
+    def best(table, keep):
+        return np.where(keep, table, -np.inf).max(-1, initial=-np.inf)
+
     m = np.arange(k + 1.0)
+    e = m[1:-1]
     top = value(m, prefix)
-    l0 = np.where(m > a, top, -np.inf).max(-1)
-    l1 = np.where(m < a, top, -np.inf).max(-1)
-    inner = (0 < a) & (a < k)
-    below = np.maximum(a - 1, 0).astype(int)
-    s_in = np.take_along_axis(ranked, below, -1)
-    s_out = np.take_along_axis(ranked, np.minimum(a, k - 1).astype(int), -1)
-    # The swap T_{a-1} + j* = T_{a+1} - i* serves both families.
-    swap = value(a, np.take_along_axis(prefix, below, -1) + s_out)
-    swap = np.where(inner, swap, -np.inf)[..., 0]
-    l0 = np.maximum(l0, swap)
-    l1 = np.maximum(l1, swap)
-    if k < 3:  # no union or drop candidates
-        return l0, l1
-    j = m[:-1]  # T_j plus the strongest outsider, j < a - 1
-    union = value(j + 1, prefix[..., :-1] + s_out)
-    l0 = np.maximum(l0, np.where(inner & (j < a - 1), union, -np.inf).max(-1))
-    j = m[1:]  # T_j minus the weakest member, j > a + 1
-    drop = value(j - 1, prefix[..., 1:] - s_in)
-    l1 = np.maximum(l1, np.where(inner & (j > a + 1), drop, -np.inf).max(-1))
+    edge = value(e, np.where(e <= a, prefix[..., :-2] + s_out, prefix[..., 2:] - s_in))
+    l0 = np.maximum(best(top, m > a), best(edge, (e <= a) & (a < k)))
+    l1 = np.maximum(best(top, m < a), best(edge, (e >= a) & (a > 0)))
     return l0, l1
 
 

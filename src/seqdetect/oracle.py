@@ -155,16 +155,15 @@ class Grid:
         return np.linspace(self.lo, self.hi, self.points)
 
     def region_points(self, model: StreamModel, region: Region) -> np.ndarray:
-        """Grid points inside one region, with the clipped region endpoints
-        appended so boundary optima are hit exactly."""
+        """Ascending grid points inside one region plus its clipped endpoints,
+        so boundary optima are hit exactly (plain np.unique imports numpy.ma)."""
         rlo, rhi = model.space.region_bounds(region)
         lo = max(self.lo, rlo)
         hi = min(self.hi, rhi)
-        if lo > hi:
-            return np.empty(0)
+        if lo >= hi:
+            return np.array([lo] if lo == hi else [], float)
         ax = self.axis()
-        pts = ax[(ax >= lo) & (ax <= hi)]
-        return np.unique(np.concatenate([pts, [lo, hi]]))
+        return np.concatenate(([lo], ax[(ax > lo) & (ax < hi)], [hi]))
 
 
 def _stat_loglik_curve(model: StreamModel, n: int, s: float, pts: np.ndarray) -> np.ndarray:

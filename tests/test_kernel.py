@@ -122,9 +122,9 @@ def test_bernoulli_region_suprema_are_the_scalar_ones(region):
     assert got.tolist() == want
 
 
-# (count, stream sums) states where a union or a drop candidate decides a
-# supremum: at K = 3 only in the last bit, where it ties another candidate;
-# at K = 6 the miss family is won by T_4 without its weakest member.
+# (count, stream sums) states where an edge candidate other than the swap
+# decides a supremum: at K = 3 only in the last bit, where it ties another
+# candidate; at K = 6 the miss family is won by T_4 without its weakest member.
 _DECISIVE = {
     (Family.BERNOULLI, 3): [(8, [4.0, 1.0, 4.0])],
     (Family.GAUSSIAN, 6): [(4, [4 * m for m in (0.06, 0.05, -0.01, -0.02, -2.0, -2.0)])],
@@ -178,6 +178,24 @@ def test_coupled_suprema_equal_the_scalar_ones(model, k):
 @_STREAMS
 def test_free_suprema_equal_the_scalar_ones(model, k):
     _assert_suprema_equal_the_scalar_ones(TestKind.UNCONSTRAINED, model, k)
+
+
+@_STREAMS
+def test_coupled_suprema_score_two_tables(monkeypatch, k):
+    # The top and the edge table, each a signal and a noise region supremum:
+    # four _region_sup calls at every K, whatever the estimates' sizes.
+    calls = []
+    region_sup = engine._region_sup
+
+    def counted(*args):
+        calls.append(args)
+        return region_sup(*args)
+
+    monkeypatch.setattr(engine, "_region_sup", counted)
+    s = np.tile(np.arange(float(k)), (3, 1))
+    member = s >= np.array([[k], [k / 2], [0]])
+    engine._coupled_sups(GAUSS, np.full((3, 1), 3.0), s, member)
+    assert len(calls) == 4
 
 
 class TestKernelMatchesScalar:

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -77,6 +80,66 @@ class TestGrid:
         sig = g.region_points(GAUSS, Region.SIGNAL)
         assert sig.size > 0
         assert sig.min() >= 0.2
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid(-5.0, 5.0, 101),
+            Grid(0.2, 5.0, 50),
+            Grid(-5, 5),
+            Grid(0.0, 1.0, 11),
+            Grid(-0.1, 0.1, 3),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "space",
+        [
+            GAUSS.space,
+            BERN.space,
+            ParameterSpace(-1.0, -0.2, 0.3, 1.5),
+            ParameterSpace(-9.0, -5.0, 5.0, 9.0),
+            ParameterSpace.gaussian_indifference(0.5),
+        ],
+    )
+    @pytest.mark.parametrize("region", [Region.NOISE, Region.SIGNAL])
+    def test_region_points_are_the_sorted_unique_points(self, grid, space, region):
+        # The reference: the axis points in the closed region plus both
+        # ends, sorted and deduplicated by np.unique.  Where the clipped
+        # region is one point, an integer grid end must still come back as a
+        # float.
+        model = StreamModel(Family.GAUSSIAN, space)
+        rlo, rhi = space.region_bounds(region)
+        lo, hi = max(grid.lo, rlo), min(grid.hi, rhi)
+        ax = grid.axis()
+        want = np.unique(np.concatenate([ax[(ax >= lo) & (ax <= hi)], [lo, hi]]))
+        got = grid.region_points(model, region)
+        assert got.dtype == np.float64
+        if lo > hi:
+            assert got.size == 0
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_region_points_leave_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use; every validate process
+        # would pay for that import.
+        code = (
+            "import sys, numpy\n"
+            "if 'numpy.ma' in sys.modules: print('preloaded'); raise SystemExit\n"
+            "from seqdetect.models import Region, StreamModel, Family, ParameterSpace\n"
+            "from seqdetect.oracle import Grid\n"
+            "model = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))\n"
+            "for region in Region: Grid().region_points(model, region)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.strip()
+        if out == "preloaded":
+            pytest.skip("import numpy already loads numpy.ma")
+        assert out == "False"
 
 
 class TestGridSupLoglik:

@@ -1,21 +1,29 @@
-"""The sorted-candidate suprema and the count-pair information constants
-against the oracle's 2^K subset enumeration.
+"""The sorted-candidate suprema (the scalar path's and the kernel's) and the
+count-pair information constants against the oracle's 2^K subset enumeration.
 
-Bernoulli sums are integers, so every pooled sum is exact in either
-summation order and the two implementations must agree bit for bit.
+Bernoulli sums are integers, so every pooled sum is exact in any
+summation order and each implementation must agree with it bit for bit.
 Gaussian pooled sums are added in a different order (sorted by sum instead
 of by stream), so agreement is to 1e-12 * (1 + |value|).
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqdetect import geometry, oracle
+from seqdetect import engine, geometry, oracle
 from seqdetect.engine import EngineState, TestKind, estimate_signal_set, sup_loglik_error_sets
 from seqdetect.geometry import info_constants
-from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel, SufficientStat
+from seqdetect.models import (
+    Family,
+    JointParameter,
+    ParameterSpace,
+    Region,
+    StreamModel,
+    SufficientStat,
+)
 from seqdetect.oracle import subset_info_constants, subset_sup_loglik_error_sets
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
@@ -92,9 +100,20 @@ def test_constrained_suprema_match_subset_enumeration(case):
         n=stats[0].n,
     )
     got = sup_loglik_error_sets(state, TestKind.CONSTRAINED)
-    ref = subset_sup_loglik_error_sets(model, stats, estimate_signal_set(state))
+    estimate = estimate_signal_set(state)
+    ref = subset_sup_loglik_error_sets(model, stats, estimate)
     exact = model.family is Family.BERNOULLI
     assert all(close(g, r, exact) for g, r in zip(got, ref)), (got, ref)
+    # The kernel on the same state as a 1 x K row.
+    count = np.array([[float(state.n)]])
+    sums = np.array([[s.s for s in stats]])
+    q0 = engine._region_sup(model, count, sums, Region.NOISE)
+    q1 = engine._region_sup(model, count, sums, Region.SIGNAL)
+    member = q1 >= q0
+    assert set(np.flatnonzero(member[0]).tolist()) == estimate
+    kernel = engine._error_sups(model, TestKind.CONSTRAINED, count, sums, q0, q1, member)
+    kernel = [float(v[0]) for v in kernel]
+    assert all(close(g, r, exact) for g, r in zip(kernel, ref)), (kernel, ref)
 
 
 @settings(max_examples=100, **FIXED)
