@@ -24,7 +24,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -316,6 +316,8 @@ def _render_set(members: frozenset) -> str:
 
 def cmd_info(spec: RunSpec, out_dir: Path) -> int:
     constants = geometry.info_constants(spec.model, spec.theta)
+    names = [f.name for f in fields(constants)]
+    rates = montecarlo.first_order_rates(spec.model, spec.theta, tuple(engine.TestKind))
     sp = spec.model.space
     print(f"experiment     {spec.experiment}")
     print(f"family         {spec.model.family.value}")
@@ -325,7 +327,7 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
     print(f"signal set     {_render_set(spec.theta.signal_set(sp))}")
     print()
     print("information constants")
-    for name in ("i0", "i1", "i0_tilde", "i1_tilde"):
+    for name in names:
         print(f"  {name:<9} {format(getattr(constants, name), '.12g')}")
     print()
 
@@ -342,9 +344,8 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
                 f"log_a={th.log_a:g} log_b={th.log_b:g}: outside the lower bound's "
                 "hypothesis (needs alpha, beta in (0, 1) with alpha + beta < 1/2)"
             )
-        approx_c = montecarlo.approx_ess(constants.i0, constants.i1, th)
-        approx_u = montecarlo.approx_ess(constants.i0_tilde, constants.i1_tilde, th)
-        rows.append([th.log_a, th.log_b, alpha, beta, bound, approx_c, approx_u])
+        approx = [montecarlo.approx_ess(*rates[kind], th) for kind in engine.TestKind]
+        rows.append([th.log_a, th.log_b, alpha, beta, bound, *approx])
 
     _print_table(
         ["log_a", "log_b", "alpha", "beta", "lower_bound", "approx_con", "approx_unc"],
@@ -353,9 +354,7 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
     for note in notes:
         print("note:", note)
 
-    csv_rows = [["i0", "", "", constants.i0], ["i1", "", "", constants.i1],
-                ["i0_tilde", "", "", constants.i0_tilde],
-                ["i1_tilde", "", "", constants.i1_tilde]]
+    csv_rows = [[name, "", "", getattr(constants, name)] for name in names]
     for row in rows:
         csv_rows.append(["lower_bound", row[0], row[1], row[4]])
         csv_rows.append(["approx_constrained", row[0], row[1], row[5]])
@@ -367,13 +366,8 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
 
 
 def _summary_rows(summaries: list[montecarlo.Summary]) -> list[list]:
-    rows = []
-    for s in summaries:
-        rows.append([
-            s.kind.value, s.log_a, s.log_b, s.trials, s.ess, s.ess_se,
-            s.fwer1, s.fwer1_ci, s.fwer2, s.fwer2_ci, s.truncated, s.approx_ess,
-        ])
-    return rows
+    """The ``Summary`` fields that SIMULATE_HEADER names, the kind by its value."""
+    return [[s.kind.value, *(getattr(s, name) for name in SIMULATE_HEADER[1:])] for s in summaries]
 
 
 def cmd_simulate(spec: RunSpec, out_dir: Path) -> int:
@@ -510,19 +504,15 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
     # so deeper horizons run on a tight Bernoulli reference instance that
     # exercises the same update path; the configured model is checked at n=1.
     trials = 10_000 if quick else 100_000
-    mean, se = oracle.mean_one_martingale_estimate(model, spec.theta, 1, trials, rng)
-    dev = abs(mean - 1.0)
-    _check(
-        "martingale-config-n1", dev <= 3.0 * se,
-        f"mean {mean:.5f}, |dev| {dev:.5f} vs 3*SE {3.0 * se:.5f}", failures,
-    )
     ref_model = StreamModel(Family.BERNOULLI, ParameterSpace(0.40, 0.45, 0.55, 0.60))
     ref_theta = JointParameter.coupled(2, frozenset({0}), 0.55, 0.45)
-    for n in (1, 5, 10):
-        mean, se = oracle.mean_one_martingale_estimate(ref_model, ref_theta, n, trials, rng)
+    cases = [("martingale-config-n1", model, spec.theta, 1)]
+    cases += [(f"martingale-n{n}", ref_model, ref_theta, n) for n in (1, 5, 10)]
+    for name, case_model, theta, n in cases:
+        mean, se = oracle.mean_one_martingale_estimate(case_model, theta, n, trials, rng)
         dev = abs(mean - 1.0)
         _check(
-            f"martingale-n{n}", dev <= 3.0 * se,
+            name, dev <= 3.0 * se,
             f"mean {mean:.5f}, |dev| {dev:.5f} vs 3*SE {3.0 * se:.5f}", failures,
         )
 

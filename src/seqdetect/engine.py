@@ -60,9 +60,9 @@ _TWOPI = 2.0 * math.pi
 # Steps after which a trial is truncated unless the caller sets its own limit.
 DEFAULT_N_MAX = 10**6
 
-# Most elements a block's widest temporary (a candidate group, trials x
-# steps x (K + 1)) may hold: 32 KiB as an array, about 160 KiB as the Python
-# floats that the libm maps build from it.
+# Most elements a block's widest temporary (the top-set table of
+# _coupled_sups, trials x steps x (K + 1)) may hold: 32 KiB as an array,
+# about 160 KiB as the Python floats that the libm maps build from it.
 _BLOCK_ELEMENTS = 1 << 12
 # Steps in a trial's first block, and the fewest any block takes short of
 # n_max: more live trials than such a block holds advance in chunks.
@@ -368,20 +368,16 @@ def _logs_at(model: StreamModel, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     return _libm(math.log, values.tolist())[at], _libm(math.log1p, (-values).tolist())[at]
 
 
-def _unit(words: np.ndarray) -> np.ndarray:
-    """random() values from consecutive pairs of 32-bit words on the last axis."""
-    return ((words[..., 0::2] >> 5) * _TWO_26 + (words[..., 1::2] >> 6)) * _TWO_M53
+def _draw_uniforms(rngs, counts) -> np.ndarray:
+    """The next ``counts[i]`` rng.random() values of each generator ``rngs[i]``,
+    bit for bit, one after another in a flat array.
 
-
-def _draw_uniforms(rngs, count: int) -> np.ndarray:
-    """The next ``count`` rng.random() values of each generator, bit for bit.
-
-    getrandbits(64 * count) consumes the same generator outputs as ``count``
-    random() calls and lays them out from the least significant word up.
-    Returns shape (len(rngs), count).
+    getrandbits(64 * c) consumes the same generator outputs as c random()
+    calls and lays them out from the least significant word up.
     """
-    raw = b"".join(rng.getrandbits(64 * count).to_bytes(8 * count, "little") for rng in rngs)
-    return _unit(np.frombuffer(raw, dtype="<u4").reshape(len(rngs), 2 * count))
+    raw = b"".join(r.getrandbits(64 * c).to_bytes(8 * c, "little") for r, c in zip(rngs, counts))
+    words = np.frombuffer(raw, dtype="<u4")
+    return ((words[0::2] >> 5) * _TWO_26 + (words[1::2] >> 6)) * _TWO_M53
 
 
 def _draw_normals(rngs, count: int) -> np.ndarray:
@@ -395,10 +391,7 @@ def _draw_normals(rngs, count: int) -> np.ndarray:
     pending = [rng.gauss_next for rng in rngs]
     fresh = [count - (g is not None) for g in pending]
     pairs = [(m + 1) // 2 for m in fresh]
-    raw = b"".join(
-        rng.getrandbits(128 * p).to_bytes(16 * p, "little") for rng, p in zip(rngs, pairs)
-    )
-    u = _unit(np.frombuffer(raw, dtype="<u4").reshape(-1, 4))
+    u = _draw_uniforms(rngs, [2 * p for p in pairs]).reshape(-1, 2)
     g2rad = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[:, 1]).tolist()))
     # One list of angles for both maps, built after the log map's list is
     # freed so that the two are never alive together.
@@ -428,13 +421,18 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
+def _fit(model: StreamModel, n, s: np.ndarray, region: Region) -> tuple[np.ndarray, np.ndarray]:
+    """The mean s / n clipped into ``region`` and the log-likelihood there,
+    elementwise over counts n > 0 and sums."""
+    lo, hi = model.space.region_bounds(region)
+    fit = np.clip(s / n, lo, hi)
+    return fit, _loglik(model, n, s, fit, _logs_at(model, fit))
+
+
 def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
     """:func:`sup_stat_loglik` elementwise over pooled counts and sums; 0 where n is 0."""
-    lo, hi = model.space.region_bounds(region)
     occupied = n > 0
-    n = np.where(occupied, n, 1.0)
-    fit = np.clip(s / n, lo, hi)
-    value = _loglik(model, n, s, fit, _logs_at(model, fit))
+    _, value = _fit(model, np.where(occupied, n, 1.0), s, region)
     return np.where(occupied, value, 0.0)
 
 
@@ -515,8 +513,9 @@ def _error_sups(
 
 
 def _block_rows(k: int) -> int:
-    """Trial-steps in one block of ``k`` streams: its widest temporary, a
-    candidate group of trials x steps x (K + 1), keeps within _BLOCK_ELEMENTS."""
+    """Trial-steps in one block of ``k`` streams: its widest temporary, the
+    top-set table of :func:`_coupled_sups` (trials x steps x (K + 1)), keeps
+    within _BLOCK_ELEMENTS."""
     return max(1, _BLOCK_ELEMENTS // (k + 1))
 
 
@@ -530,7 +529,13 @@ def _observations(model: StreamModel, thetas: np.ndarray, rngs, shape) -> np.nda
     count = math.prod(shape) // len(rngs)
     if model.family is Family.GAUSSIAN:
         return thetas + _draw_normals(rngs, count).reshape(shape)
-    return np.where(_draw_uniforms(rngs, count).reshape(shape) < thetas, 1.0, 0.0)
+    return np.where(_draw_uniforms(rngs, [count] * len(rngs)).reshape(shape) < thetas, 1.0, 0.0)
+
+
+def _fresh(model: StreamModel, trials: int, k: int) -> tuple[np.ndarray, ...]:
+    """:func:`init`'s state for ``trials`` trials of ``k`` streams, as :func:`_absorb`
+    takes it: stream sums, lagged estimates (trials x K) and adaptive log-likelihoods."""
+    return np.zeros((trials, k)), np.full((trials, k), model.space.theta1_lo), np.zeros(trials)
 
 
 def _absorb(
@@ -554,14 +559,10 @@ def _absorb(
     b, steps, k = x.shape
     s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)[:, 1:]
     count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
-    mean = s / count
-    sp = model.space
-    fit0 = np.clip(mean, sp.theta0_lo, sp.theta0_hi)
-    fit1 = np.clip(mean, sp.theta1_lo, sp.theta1_hi)
     # Each stream's two restricted maxima, computed once, give both the
     # refreshed MLE and the signal-set estimate.
-    q0 = _loglik(model, count, s, fit0, _logs_at(model, fit0))
-    q1 = _loglik(model, count, s, fit1, _logs_at(model, fit1))
+    fit0, q0 = _fit(model, count, s, Region.NOISE)
+    fit1, q1 = _fit(model, count, s, Region.SIGNAL)
     member = q1 >= q0
     fit = np.where(member, fit1, fit0)
     lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
@@ -631,9 +632,7 @@ def run_trials(
     k = theta_true.k
     thetas = np.array(theta_true.thetas)
     live = np.arange(len(rngs))
-    sums = np.zeros((live.size, k))
-    mle = np.full((live.size, k), model.space.theta1_lo)
-    adaptive = np.zeros(live.size)
+    sums, mle, adaptive = _fresh(model, live.size, k)
     decisions: list[Decision | None] = [None] * live.size
     rows = _block_rows(k)
     n = 0

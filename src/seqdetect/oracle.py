@@ -268,12 +268,11 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
     the order of a loop over trials that calls
     :func:`~seqdetect.engine.update` once per step, so the generator ends
     where that loop leaves it.  Each block's widest temporary keeps within
-    the kernel's element budget.  Yields per chunk the slice of its trials,
-    their stream sums and adaptive log-likelihoods, and the last step's q0,
-    q1 and estimate (see :func:`seqdetect.engine._absorb`); the last three
-    are views into the chunk's step arrays, so a caller that keeps them past
-    the chunk copies them.  The martingale ratios are scored chunk by chunk,
-    the drift margins once per kind over all trials (:func:`_lln_margins`).
+    the kernel's element budget.  Yields per chunk the slice of its trials
+    and their final stream sums and adaptive log-likelihoods: the chunk's
+    state arrays, not views into its step arrays, so keeping them keeps no
+    step array alive.  The martingale ratios are scored chunk by chunk, the
+    drift margins once per kind over all trials (:func:`_lln_margins`).
     """
     k = theta.k
     thetas = np.array(theta.thetas)
@@ -284,20 +283,18 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
     steps = min(n, rows)
     for lo in range(0, trials, width):
         c = min(width, trials - lo)
-        sums = np.zeros((c, k))
-        mle = np.full((c, k), model.space.theta1_lo)
-        adaptive = np.zeros(c)
+        sums, mle, adaptive = _engine._fresh(model, c, k)
         for t in range(0, n, steps):
             x = _engine._observations(model, thetas, [rng], (c, min(steps, n - t), k))
-            _, _, q0, q1, member, _ = _engine._absorb(model, x, sums, mle, adaptive, t)
-        yield slice(lo, lo + c), sums, adaptive, q0[:, -1], q1[:, -1], member[:, -1]
+            _engine._absorb(model, x, sums, mle, adaptive, t)
+        yield slice(lo, lo + c), sums, adaptive
 
 
 def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     thetas = np.array(theta.thetas)
     logs = _engine._logs_at(model, thetas)
     ratios = np.empty(trials)
-    for rows, sums, adaptive, *_ in _horizon(model, theta, n, trials, rng):
+    for rows, sums, adaptive in _horizon(model, theta, n, trials, rng):
         true_ll = _engine._row_sums(_loglik(model, n, sums, thetas, logs))
         ratios[rows] = _engine._libm(math.exp, (adaptive - true_ll).tolist())
     return ratios
@@ -355,19 +352,20 @@ def _lln_margins(model, theta, n, trials, kinds, rng):
     """Each trial's adaptive log-likelihood and (logL0, logL1) per kind at
     time n, in trial order.
 
-    The chunks' last-step states are copied into arrays over all trials
-    (copies, so no chunk's step arrays outlive it), and each kind's error-set
-    suprema are scored by one :func:`~seqdetect.engine._error_sups` call over
-    all of them.
+    The chunks' final sums and adaptive log-likelihoods are gathered over all
+    trials.  Each stream's restricted maxima q0 and q1, and so the estimate,
+    come from the final sums by two :func:`~seqdetect.engine._region_sup`
+    calls, and each kind's error-set suprema from one
+    :func:`~seqdetect.engine._error_sups` call over all trials.
     """
-    k = theta.k
-    sums, q0, q1 = (np.empty((trials, k)) for _ in range(3))
-    member = np.empty((trials, k), bool)
+    sums = np.empty((trials, theta.k))
     adaptive = np.empty(trials)
     for rows, *chunk in _horizon(model, theta, n, trials, rng):
-        for whole, part in zip((sums, adaptive, q0, q1, member), chunk):
-            whole[rows] = part
-    sups = [_engine._error_sups(model, kind, float(n), sums, q0, q1, member) for kind in kinds]
+        sums[rows], adaptive[rows] = chunk
+    count = float(n)
+    q0 = _engine._region_sup(model, count, sums, Region.NOISE)
+    q1 = _engine._region_sup(model, count, sums, Region.SIGNAL)
+    sups = [_engine._error_sups(model, kind, count, sums, q0, q1, q1 >= q0) for kind in kinds]
     return zip(adaptive.tolist(), *(zip(l0.tolist(), l1.tolist()) for l0, l1 in sups))
 
 

@@ -14,15 +14,17 @@ the test is kept faithful rather than widened.
 import math
 import random
 
+import numpy as np
 import pytest
 
-from seqdetect.cli import _experiment_config, load_config
-from seqdetect.engine import EngineState, TestKind, Thresholds, estimate_signal_set, sup_loglik_error_sets
+from seqdetect.cli import load_config
+from seqdetect.engine import TestKind, Thresholds, _error_sups, _region_sup
 from seqdetect.geometry import info_constants, lower_bound
 from seqdetect.models import (
     Family,
     JointParameter,
     ParameterSpace,
+    Region,
     StreamModel,
     SufficientStat,
 )
@@ -57,7 +59,7 @@ def desk_sweep():
     """The bundled desk-scale sweep: log a = log b in {2, 5, 10, 20},
     2000 trials per cell, both kinds, fixed seed."""
     spec = load_config("desk_fig1")
-    out = run_experiment(_experiment_config(spec))
+    out = run_experiment(spec)
     return {(s.kind, s.log_a): s for s in out}
 
 
@@ -156,17 +158,17 @@ def test_criterion_4_grid_equivalence():
     for _ in range(100):
         k = rng.choice((2, 3))
         n = rng.randint(1, 50)
-        stats = [SufficientStat(n, n * rng.uniform(-2.0, 2.0)) for _ in range(k)]
-        state = EngineState(
-            model=GAUSS,
-            stats=stats,
-            lagged_mle=[0.1] * k,
-            adaptive_loglik=0.0,
-            n=n,
-        )
-        a_hat = estimate_signal_set(state)
+        sums = [n * rng.uniform(-2.0, 2.0) for _ in range(k)]
+        # The kernel's suprema on a one-trial row, as validate scores them.
+        count = np.array([[float(n)]])
+        s = np.array([sums])
+        q0 = _region_sup(GAUSS, count, s, Region.NOISE)
+        q1 = _region_sup(GAUSS, count, s, Region.SIGNAL)
+        member = q1 >= q0
+        a_hat = frozenset(np.flatnonzero(member[0]).tolist())
+        stats = [SufficientStat(n, x) for x in sums]
         for kind in TestKind:
-            got = sup_loglik_error_sets(state, kind)
+            got = np.concatenate(_error_sups(GAUSS, kind, count, s, q0, q1, member)).tolist()
             ref = grid_sup_loglik(GAUSS, stats, a_hat, kind, grid)
             for g, r in zip(got, ref):
                 if math.isinf(g) or math.isinf(r):

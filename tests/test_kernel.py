@@ -3,7 +3,9 @@
 The kernel reproduces random.Random's draws in bulk and every floating-point
 operation of update/check_stop in the same order, so the tolerance is zero:
 each decision (stop time, selected set, truncation flag) must equal the one
-run_to_decision returns on the same seed, for both families.
+run_to_decision returns on the same seed, for both families.  The last tests
+run the kernel on a truth off the coupled space, where only the
+unconstrained test keeps its familywise guarantee.
 """
 import math
 import random
@@ -77,11 +79,17 @@ class TestDraws:
         assert ours[0].getstate() == ref[0].getstate()
         assert ours[0].gauss_next is not None
 
-    @pytest.mark.parametrize("count", [1, 2, 5, 64])
-    def test_uniforms_equal_successive_random_calls(self, count):
+    # Equal counts per generator, and unequal ones with a generator that
+    # draws nothing.
+    @pytest.mark.parametrize(
+        "counts",
+        [[1] * 3, [2] * 3, [5] * 3, [64] * 3, [0, 3, 64]],
+        ids=["1", "2", "5", "64", "0-3-64"],
+    )
+    def test_uniforms_equal_successive_random_calls(self, counts):
         ours, ref = _rngs(range(3)), _rngs(range(3))
-        u = engine._draw_uniforms(ours, count)
-        assert u.tolist() == [[r.random() for _ in range(count)] for r in ref]
+        u = engine._draw_uniforms(ours, counts)
+        assert u.tolist() == [r.random() for r, c in zip(ref, counts) for _ in range(c)]
         assert [r.getstate() for r in ours] == [r.getstate() for r in ref]
 
 
@@ -329,3 +337,35 @@ def test_records_do_not_depend_on_batch_composition(kind):
     whole = records(trials)
     assert records(1) == whole
     assert records(7) == whole
+
+
+# A truth off the coupled space: a strong and a weak signal, a strong and a
+# weak noise stream.  ExperimentConfig refuses constrained cells on it; the
+# kernel runs them, which shows what the coupling assumption buys.
+DECOUPLED = JointParameter((0.9, 0.11, -0.9, -0.11))
+
+
+def _decoupled_error_rates(kind, trials):
+    """FWER1 and FWER2 at log_a = log_b = 4, and the cap exp(-4) + 3 SE."""
+    rngs = _rngs(montecarlo.derive_trial_seed(77, 0, i) for i in range(trials))
+    decisions = run_trials(GAUSS, DECOUPLED, Thresholds(4.0, 4.0), kind, rngs)
+    assert not any(d.truncated for d in decisions)
+    truth = DECOUPLED.signal_set(GAUSS.space)
+    fwer1 = sum(bool(d.selected - truth) for d in decisions) / trials
+    fwer2 = sum(bool(truth - d.selected) for d in decisions) / trials
+    level = math.exp(-4.0)
+    return fwer1, fwer2, level + 3.0 * math.sqrt(level * (1.0 - level) / trials)
+
+
+def test_constrained_test_loses_its_guarantee_off_the_coupled_space():
+    with pytest.raises(ConfigError):
+        montecarlo.ExperimentConfig(
+            GAUSS, DECOUPLED, (TestKind.CONSTRAINED,), (Thresholds(4.0, 4.0),), 300, 77
+        )
+    fwer1, fwer2, cap = _decoupled_error_rates(TestKind.CONSTRAINED, 300)
+    assert fwer1 > cap and fwer2 > cap, (fwer1, fwer2, cap)
+
+
+def test_unconstrained_test_keeps_its_guarantee_off_the_coupled_space():
+    fwer1, fwer2, cap = _decoupled_error_rates(TestKind.UNCONSTRAINED, 100)
+    assert fwer1 <= cap and fwer2 <= cap, (fwer1, fwer2, cap)
