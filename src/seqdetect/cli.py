@@ -36,7 +36,6 @@ from .models import (
     Family,
     JointParameter,
     ParameterSpace,
-    Region,
     StreamModel,
     SufficientStat,
 )
@@ -482,15 +481,10 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
             sums = [n * rng.uniform(-2.0, 2.0) for _ in range(k)]
         else:
             sums = [float(rng.randint(0, n)) for _ in range(k)]
-        count = np.array([[float(n)]])
-        s = np.array([sums])
-        q0 = engine._region_sup(model, count, s, Region.NOISE)
-        q1 = engine._region_sup(model, count, s, Region.SIGNAL)
-        member = q1 >= q0
+        member, sups = engine._scores(model, float(n), np.array([sums]), engine.TestKind)
         a_hat = frozenset(i for i, v in enumerate(member[0].tolist()) if v)
         stats = [SufficientStat(n, x) for x in sums]
-        for kind in (engine.TestKind.CONSTRAINED, engine.TestKind.UNCONSTRAINED):
-            got = engine._error_sups(model, kind, count, s, q0, q1, member)
+        for kind, got in zip(engine.TestKind, sups):
             ref = oracle.grid_sup_loglik(model, stats, a_hat, kind, grid)
             worst = max(worst, _deviation(np.concatenate(got).tolist(), ref))
     _check(

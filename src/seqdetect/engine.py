@@ -512,6 +512,15 @@ def _error_sups(
     return _coupled_sups(model, count, s, member)
 
 
+def _scores(model: StreamModel, count, s: np.ndarray, kinds) -> tuple[np.ndarray, list]:
+    """The signal-set estimate and each of ``kinds``' (logL0, logL1) for
+    stream sums ``s`` at the shared ``count``, over leading axes."""
+    q0 = _region_sup(model, count, s, Region.NOISE)
+    q1 = _region_sup(model, count, s, Region.SIGNAL)
+    member = q1 >= q0
+    return member, [_error_sups(model, kind, count, s, q0, q1, member) for kind in kinds]
+
+
 def _block_rows(k: int) -> int:
     """Trial-steps in one block of ``k`` streams: its widest temporary, the
     top-set table of :func:`_coupled_sups` (trials x steps x (K + 1)), keeps

@@ -3,9 +3,9 @@
 Runs independent trials per cell, where a cell is one (thresholds, kind)
 pair, and reduces them to operating characteristics: expected sample size,
 familywise error rates of both types, and the first-order theoretical
-approximation for the cell.  Trial seeds are derived, not shared, so the
-summary is independent of execution order and of the degree of
-parallelism.
+approximation for the cell.  Jobs split the trials, one range per worker,
+and each runs every cell; trial seeds are derived, not shared, so the
+summary does not depend on execution order or the degree of parallelism.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import random
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import product, repeat
 
 import numpy as np
 
@@ -76,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError("must name at least one test kind", "kinds")
         if len(set(self.kinds)) != len(self.kinds):
             raise ConfigError("must not hold duplicate test kinds", "kinds")
+        if len(set(self.thresholds)) != len(self.thresholds):
+            raise ConfigError("must not hold duplicate threshold pairs", "thresholds")
         if not self.thresholds:
             raise ConfigError("must hold at least one threshold pair", "thresholds")
         if self.trials < 1:
@@ -109,27 +112,20 @@ class Summary:
     fwer2_certifiable: bool
 
 
-def _run_batch(
-    model: StreamModel,
-    theta: JointParameter,
-    thresholds: engine.Thresholds,
-    kind: engine.TestKind,
-    true_signal: frozenset,
-    base_seed: int,
-    cell_index: int,
-    start: int,
-    stop: int,
-    n_max: int,
-) -> list[tuple[int, bool, bool, bool]]:
-    rngs = [
-        random.Random(derive_trial_seed(base_seed, cell_index, trial))
-        for trial in range(start, stop)
-    ]
+def _run_batch(config: ExperimentConfig, start: int, stop: int) -> list[list[tuple]]:
+    """Trials start..stop-1 of every cell, thresholds-major: per cell, one
+    kernel batch and one list of (stopped_at, truncated, type I error,
+    type II error) records."""
+    truth = config.theta.signal_set(config.model.space)
     out = []
-    for d in engine.run_trials(model, theta, thresholds, kind, rngs, n_max=n_max):
-        err1 = bool(d.selected - true_signal)
-        err2 = bool(true_signal - d.selected)
-        out.append((d.stopped_at, d.truncated, err1, err2))
+    for cell, (th, kind) in enumerate(product(config.thresholds, config.kinds)):
+        seeds = (derive_trial_seed(config.base_seed, cell, i) for i in range(start, stop))
+        rngs = [random.Random(seed) for seed in seeds]
+        decisions = engine.run_trials(config.model, config.theta, th, kind, rngs, config.n_max)
+        out.append([
+            (d.stopped_at, d.truncated, bool(d.selected - truth), bool(truth - d.selected))
+            for d in decisions
+        ])
     return out
 
 
@@ -191,38 +187,29 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
 
     Cells are enumerated thresholds-major, kinds-minor; each trial draws its
     own seed from (base_seed, cell, trial), so results do not depend on how
-    work is scheduled.  Truncated trials are excluded from the expected
-    sample size (with a warning) but still count toward the error rates.
+    trials are cut into jobs or scheduled.  Truncated trials are excluded from
+    the expected sample size (with a warning) but still count toward the
+    error rates.
     """
     workers = _resolve_workers(workers)
-    true_signal = config.theta.signal_set(config.model.space)
     rates = first_order_rates(config.model, config.theta, config.kinds)
-    cells = [(th, kind) for th in config.thresholds for kind in config.kinds]
-    # One process runs each cell whole, as one batch: the kernel's blocks
-    # then hold the most live trials.  A pool gets at least 4 jobs per
-    # worker over the whole experiment, to balance their load.
-    jobs_per_cell = 1 if workers == 1 else -(-4 * workers // len(cells))
-    chunk = -(-config.trials // jobs_per_cell)
-    starts = range(0, config.trials, chunk)
-    jobs = [
-        (config.model, config.theta, th, kind, true_signal, config.base_seed,
-         cell_index, start, min(start + chunk, config.trials), config.n_max)
-        for cell_index, (th, kind) in enumerate(cells)
-        for start in starts
-    ]
     # _run_batch is looked up at call time so that a wrapper bound to the
     # module attribute (the benchmark's span tracer) runs in the workers.
     if workers == 1:
-        batches = [_run_batch(*job) for job in jobs]
+        # One job of all trials: each cell is one batch, whose blocks hold
+        # the most live trials.
+        batches = [_run_batch(config, 0, config.trials)]
     else:
+        # Each job runs every cell on an equal range of trials, so jobs carry
+        # equal work and one job per worker balances the pool.
+        starts = range(0, config.trials, -(-config.trials // workers))
+        stops = [*starts[1:], config.trials]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_batch, *zip(*jobs)))
+            batches = list(pool.map(_run_batch, repeat(config), starts, stops))
 
     summaries = []
-    per_cell = len(starts)
-    for cell_index, (th, kind) in enumerate(cells):
-        cell_batches = batches[cell_index * per_cell:(cell_index + 1) * per_cell]
-        records = [r for batch in cell_batches for r in batch]
+    for cell_index, (th, kind) in enumerate(product(config.thresholds, config.kinds)):
+        records = [r for batch in batches for r in batch[cell_index]]
         stopped = np.array([r[0] for r in records], dtype=float)
         trunc = np.array([r[1] for r in records], dtype=bool)
         err1 = sum(1 for r in records if r[2])

@@ -353,19 +353,14 @@ def _lln_margins(model, theta, n, trials, kinds, rng):
     time n, in trial order.
 
     The chunks' final sums and adaptive log-likelihoods are gathered over all
-    trials.  Each stream's restricted maxima q0 and q1, and so the estimate,
-    come from the final sums by two :func:`~seqdetect.engine._region_sup`
-    calls, and each kind's error-set suprema from one
-    :func:`~seqdetect.engine._error_sups` call over all trials.
+    trials, and every kind is scored on them in one
+    :func:`~seqdetect.engine._scores` call.
     """
     sums = np.empty((trials, theta.k))
     adaptive = np.empty(trials)
     for rows, *chunk in _horizon(model, theta, n, trials, rng):
         sums[rows], adaptive[rows] = chunk
-    count = float(n)
-    q0 = _engine._region_sup(model, count, sums, Region.NOISE)
-    q1 = _engine._region_sup(model, count, sums, Region.SIGNAL)
-    sups = [_engine._error_sups(model, kind, count, sums, q0, q1, q1 >= q0) for kind in kinds]
+    _, sups = _engine._scores(model, float(n), sums, kinds)
     return zip(adaptive.tolist(), *(zip(l0.tolist(), l1.tolist()) for l0, l1 in sups))
 
 

@@ -245,6 +245,10 @@ class TestMainExitCodes:
             ({"kinds": []}, [], "error: run.kinds must name at least one test kind"),
             ({"n_max": 0}, [], "error: run.n_max must be at least 1"),
             ({"log_thresholds": []}, [], "error: run.log_thresholds must hold"),
+            (
+                {"log_thresholds": [2, 2]}, [],
+                "error: run.log_thresholds must not hold duplicate threshold pairs",
+            ),
         ],
     )
     def test_config_errors_name_the_key_or_flag(self, tmp_path, capsys, run, flags, message):

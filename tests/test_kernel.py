@@ -321,18 +321,23 @@ def test_stream_totals_add_left_to_right(row, total):
 
 @pytest.mark.parametrize("kind", list(TestKind))
 def test_records_do_not_depend_on_batch_composition(kind):
-    theta = _truth(GAUSS, 2, {1})
-    th = Thresholds(log_a=5.0, log_b=5.0)
     trials = 30
+    config = montecarlo.ExperimentConfig(
+        model=GAUSS,
+        theta=_truth(GAUSS, 2, {1}),
+        kinds=(kind,),
+        thresholds=(Thresholds(log_a=5.0, log_b=5.0), Thresholds(log_a=2.0, log_b=3.0)),
+        trials=trials,
+        base_seed=11,
+    )
 
     def records(size):
-        out = []
+        cells = [[], []]
         for start in range(0, trials, size):
-            out += montecarlo._run_batch(
-                GAUSS, theta, th, kind, frozenset({1}), 11, 3, start,
-                min(start + size, trials), 10**6,
-            )
-        return out
+            job = montecarlo._run_batch(config, start, min(start + size, trials))
+            for cell, batch in zip(cells, job):
+                cell += batch
+        return cells
 
     whole = records(trials)
     assert records(1) == whole

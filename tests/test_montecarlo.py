@@ -88,6 +88,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(kinds=(TestKind.CONSTRAINED, TestKind.CONSTRAINED))
 
+    def test_thresholds_must_be_distinct(self):
+        # Summaries are keyed by thresholds and kind, so a repeated pair
+        # would stand for two cells under one key.
+        with pytest.raises(ConfigError, match="duplicate threshold pairs"):
+            small_config(thresholds=(Thresholds(2.0, 2.0), Thresholds(2.0, 2.0)))
+        small_config(thresholds=(Thresholds(2.0, 2.0), Thresholds(2.0, 3.0)))
+
     def test_thresholds_and_counts(self):
         with pytest.raises(ConfigError):
             small_config(thresholds=())
@@ -154,21 +161,28 @@ class TestRunExperiment:
         assert s.ess >= 1.0
 
     def test_one_worker_runs_each_cell_as_one_batch(self, monkeypatch):
-        calls = []
-        run_batch = montecarlo._run_batch
+        jobs, batches = [], []
+        run_batch, run_trials = montecarlo._run_batch, montecarlo.engine.run_trials
 
-        def recording(*job):
-            calls.append((job[6], job[7], job[8]))  # cell, start, stop
-            return run_batch(*job)
+        def recording_job(config, start, stop):
+            jobs.append((start, stop))
+            return run_batch(config, start, stop)
 
-        monkeypatch.setattr(montecarlo, "_run_batch", recording)
+        def recording_batch(model, theta, thresholds, kind, rngs, n_max):
+            batches.append((thresholds.log_a, kind, len(rngs)))
+            return run_trials(model, theta, thresholds, kind, rngs, n_max)
+
+        monkeypatch.setattr(montecarlo, "_run_batch", recording_job)
+        monkeypatch.setattr(montecarlo.engine, "run_trials", recording_batch)
         run_experiment(small_config(), workers=1)
-        assert calls == [(0, 0, 20), (1, 0, 20)]
+        assert jobs == [(0, 20)]
+        assert batches == [(2.0, TestKind.CONSTRAINED, 20), (2.0, TestKind.UNCONSTRAINED, 20)]
 
     def test_worker_count_does_not_change_results(self):
-        # 19 trials across four cells: one batch per cell at 1 worker, uneven
-        # batches at 2 (10 + 9) and 3 (7 + 7 + 5), so each cell's records are
-        # cut from the middle of the batch list.
+        # 19 trials across four cells: one job of all trials at 1 worker,
+        # uneven trial ranges at 2 (10 + 9) and 3 (7 + 7 + 5), each job
+        # running all four cells, so each cell's records are joined from
+        # every job.
         cfg = small_config(
             thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 2.0)), trials=19
         )
