@@ -36,6 +36,7 @@ from .models import (
     Family,
     JointParameter,
     ParameterSpace,
+    Region,
     StreamModel,
     SufficientStat,
 )
@@ -95,6 +96,10 @@ def _parse_region(raw, family: Family, name: str) -> tuple[float, float]:
     return out[0], out[1]
 
 
+def _values(enum) -> str:
+    return ", ".join(member.value for member in enum)
+
+
 def _parse_model(section) -> StreamModel:
     if not isinstance(section, dict):
         raise ConfigError("model section must be an object")
@@ -103,7 +108,7 @@ def _parse_model(section) -> StreamModel:
     try:
         family = Family(family_raw)
     except ValueError:
-        raise ConfigError(f"model.family must be one of gaussian, bernoulli; got {family_raw!r}")
+        raise ConfigError(f"model.family must be one of {_values(Family)}; got {family_raw!r}")
     has_delta = "delta" in section
     has_regions = "noise_region" in section or "signal_region" in section
     if has_delta and has_regions:
@@ -140,24 +145,16 @@ def _parse_truth(section, model: StreamModel) -> JointParameter:
             raise ConfigError(f"truth.signal_set lists stream {i} twice")
         members.add(i - 1)
 
-    theta1 = section.get("theta1")
-    theta0 = section.get("theta0")
-    sp = model.space
-    if theta1 is not None:
-        theta1 = _number(theta1, "truth.theta1")
-        if not sp.in_signal(theta1):
-            raise ConfigError(
-                f"truth.theta1={theta1} not in the signal region "
-                f"[{sp.theta1_lo}, {sp.theta1_hi}]"
-            )
-    if theta0 is not None:
-        theta0 = _number(theta0, "truth.theta0")
-        if not sp.in_noise(theta0):
-            raise ConfigError(
-                f"truth.theta0={theta0} not in the noise region "
-                f"[{sp.theta0_lo}, {sp.theta0_hi}]"
-            )
-    return JointParameter.coupled(k, members, theta1, theta0)
+    values = {"theta1": None, "theta0": None}
+    for key, region in (("theta1", Region.SIGNAL), ("theta0", Region.NOISE)):
+        if section.get(key) is not None:
+            value = values[key] = _number(section[key], f"truth.{key}")
+            lo, hi = model.space.region_bounds(region)
+            if not lo <= value <= hi:
+                raise ConfigError(
+                    f"truth.{key}={value} not in the {region.value} region [{lo}, {hi}]"
+                )
+    return JointParameter.coupled(k, members, **values)
 
 
 def _parse_run(section) -> tuple[dict, dict]:
@@ -175,7 +172,7 @@ def _parse_run(section) -> tuple[dict, dict]:
         try:
             kinds.append(engine.TestKind(v))
         except ValueError:
-            raise ConfigError(f"run.kinds entry {v!r} not one of constrained, unconstrained")
+            raise ConfigError(f"run.kinds entry {v!r} not one of {_values(engine.TestKind)}")
 
     given = [key for key in ("thresholds", "log_thresholds", "levels") if key in section]
     if len(given) != 1:
@@ -184,30 +181,16 @@ def _parse_run(section) -> tuple[dict, dict]:
     raw = section[key]
     if not isinstance(raw, list):
         raise ConfigError(f"run.{key} must be a list")
+    names, make = ("log_a", "log_b"), engine.Thresholds
+    if key == "levels":
+        names, make = ("alpha", "beta"), montecarlo.thresholds_from_levels
     thresholds = []
-    if key == "log_thresholds":
-        for v in raw:
-            c = _number(v, "run.log_thresholds entry")
-            thresholds.append(engine.Thresholds(log_a=c, log_b=c))
-    elif key == "thresholds":
-        for v in raw:
-            if not (isinstance(v, list) and len(v) == 2):
-                raise ConfigError("run.thresholds entries must be [log_a, log_b] pairs")
-            thresholds.append(
-                engine.Thresholds(
-                    log_a=_number(v[0], "run.thresholds log_a"),
-                    log_b=_number(v[1], "run.thresholds log_b"),
-                )
-            )
-    else:
-        for v in raw:
-            if not (isinstance(v, list) and len(v) == 2):
-                raise ConfigError("run.levels entries must be [alpha, beta] pairs")
-            thresholds.append(
-                montecarlo.thresholds_from_levels(
-                    _number(v[0], "run.levels alpha"), _number(v[1], "run.levels beta")
-                )
-            )
+    for v in raw:
+        if key == "log_thresholds":  # one number sets both margins
+            v = [_number(v, "run.log_thresholds entry")] * 2
+        elif not (isinstance(v, list) and len(v) == 2):
+            raise ConfigError(f"run.{key} entries must be [{', '.join(names)}] pairs")
+        thresholds.append(make(*(_number(x, f"run.{key} {name}") for name, x in zip(names, v))))
 
     fields = dict(
         kinds=tuple(kinds),
@@ -332,6 +315,7 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
 
     rows = []
     notes = []
+    csv_rows = [[name, "", "", getattr(constants, name)] for name in names]
     for th in spec.thresholds:
         alpha = math.exp(-th.log_a)
         beta = math.exp(-th.log_b)
@@ -345,6 +329,9 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
             )
         approx = [montecarlo.approx_ess(*rates[kind], th) for kind in engine.TestKind]
         rows.append([th.log_a, th.log_b, alpha, beta, bound, *approx])
+        csv_rows.append(["lower_bound", th.log_a, th.log_b, bound])
+        for kind, value in zip(engine.TestKind, approx):
+            csv_rows.append([f"approx_{kind.value}", th.log_a, th.log_b, value])
 
     _print_table(
         ["log_a", "log_b", "alpha", "beta", "lower_bound", "approx_con", "approx_unc"],
@@ -353,11 +340,6 @@ def cmd_info(spec: RunSpec, out_dir: Path) -> int:
     for note in notes:
         print("note:", note)
 
-    csv_rows = [[name, "", "", getattr(constants, name)] for name in names]
-    for row in rows:
-        csv_rows.append(["lower_bound", row[0], row[1], row[4]])
-        csv_rows.append(["approx_constrained", row[0], row[1], row[5]])
-        csv_rows.append(["approx_unconstrained", row[0], row[1], row[6]])
     path = out_dir / f"{spec.experiment}_info.csv"
     _write_csv(path, ["quantity", "log_a", "log_b", "value"], csv_rows)
     print(f"\nwrote {path}")
@@ -386,16 +368,14 @@ def cmd_simulate(spec: RunSpec, out_dir: Path) -> int:
 
 
 def cmd_figure(spec: RunSpec, out_dir: Path) -> int:
-    for th in spec.thresholds:
-        if th.log_a != th.log_b:
-            raise ConfigError("figure requires an equal-threshold sweep (log_a == log_b)")
+    if any(th.log_a != th.log_b for th in spec.thresholds):
+        raise ConfigError("figure requires an equal-threshold sweep (log_a == log_b)")
     summaries = montecarlo.run_experiment(spec)
     by_cell = {(s.kind, s.log_a): s for s in summaries}
+    kinds = [kind for kind in engine.TestKind if kind in spec.kinds]
     rows = []
     for th in spec.thresholds:
-        for kind in (engine.TestKind.CONSTRAINED, engine.TestKind.UNCONSTRAINED):
-            if kind not in spec.kinds:
-                continue
+        for kind in kinds:
             s = by_cell[(kind, th.log_a)]
             rows.append([f"{kind.value}_ess", th.log_a, s.ess, s.ess_se])
             rows.append([f"{kind.value}_approx", th.log_a, s.approx_ess, 0.0])

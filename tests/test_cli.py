@@ -259,6 +259,54 @@ class TestMainExitCodes:
         assert main(["simulate", "--config", cfg, *flags]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("truth", {"theta1": 0.05}, "truth.theta1=0.05 not in the signal region [0.1, inf]"),
+            ("truth", {"theta1": "x"}, "truth.theta1 must be a number"),
+            ("truth", {"theta0": -0.05}, "truth.theta0=-0.05 not in the noise region [-inf, -0.1]"),
+            ("truth", {"theta0": [1]}, "truth.theta0 must be a number"),
+            (
+                "model", {"family": "poisson"},
+                "model.family must be one of gaussian, bernoulli; got 'poisson'",
+            ),
+            (
+                "run", {"kinds": ["constrained", "bayes"]},
+                "run.kinds entry 'bayes' not one of constrained, unconstrained",
+            ),
+        ],
+    )
+    def test_config_messages(self, tmp_path, capsys, section, values, message):
+        cfg_dict = base_config()
+        cfg_dict[section].update(values)
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["info", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key, entry, message",
+        [
+            ("thresholds", [2.0], "run.thresholds entries must be [log_a, log_b] pairs"),
+            ("thresholds", 2.0, "run.thresholds entries must be [log_a, log_b] pairs"),
+            ("thresholds", ["x", 2.0], "run.thresholds log_a must be a number"),
+            ("thresholds", [2.0, None], "run.thresholds log_b must be a number"),
+            ("levels", [0.1, 0.1, 0.1], "run.levels entries must be [alpha, beta] pairs"),
+            ("levels", [True, 0.1], "run.levels alpha must be a number"),
+            ("levels", [0.1, "x"], "run.levels beta must be a number"),
+            ("levels", [0.1, 1.0], "alpha and beta must lie in (0, 1)"),
+            ("log_thresholds", [2.0, 2.0], "run.log_thresholds entry must be a number"),
+        ],
+    )
+    def test_threshold_entry_messages(self, tmp_path, capsys, key, entry, message):
+        # A valid entry first, so the check runs on every entry.
+        cfg_dict = base_config()
+        del cfg_dict["run"]["log_thresholds"]
+        valid = {"thresholds": [2.0, 3.0], "levels": [0.5, 0.5], "log_thresholds": 2.0}[key]
+        cfg_dict["run"][key] = [valid, entry]
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["info", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("key", ["trials", "n_max"])
     def test_validate_rejects_nonpositive_counts(self, tmp_path, capsys, key):
         # Every subcommand loads the same checked experiment config, so
@@ -292,6 +340,25 @@ class TestInfoCommand:
         assert float(by_name["i0"][3]) == pytest.approx(0.26, abs=1e-12)
         assert float(by_name["i1_tilde"][3]) == pytest.approx(0.18, abs=1e-12)
         assert "lower_bound" in by_name and "approx_constrained" in by_name
+
+    def test_csv_quantity_order(self, tmp_path, capsys):
+        # The constants, then each threshold pair's bound and approximations.
+        cfg_dict = base_config()
+        del cfg_dict["run"]["log_thresholds"]
+        cfg_dict["run"]["thresholds"] = [[2.0, 3.0], [4.0, 1.5]]
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["info", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = read_csv(tmp_path / "unit_info.csv")
+        assert [r[:3] for r in rows[1:]] == [
+            ["i0", "", ""], ["i1", "", ""], ["i0_tilde", "", ""], ["i1_tilde", "", ""],
+            ["lower_bound", "2", "3"],
+            ["approx_constrained", "2", "3"],
+            ["approx_unconstrained", "2", "3"],
+            ["lower_bound", "4", "1.5"],
+            ["approx_constrained", "4", "1.5"],
+            ["approx_unconstrained", "4", "1.5"],
+        ]
 
     def test_out_of_hypothesis_cell_noted(self, tmp_path, capsys):
         cfg_dict = base_config()
@@ -357,8 +424,13 @@ class TestSimulateCommand:
 
 
 class TestFigureCommand:
-    def test_series_layout(self, tmp_path, capsys):
+    # The series follow the test kinds' order, not the order the config lists.
+    @pytest.mark.parametrize(
+        "kinds", [["constrained", "unconstrained"], ["unconstrained", "constrained"]]
+    )
+    def test_series_layout(self, tmp_path, capsys, kinds):
         cfg_dict = base_config()
+        cfg_dict["run"]["kinds"] = kinds
         cfg_dict["run"]["log_thresholds"] = [2.0, 3.0]
         cfg = write_config(tmp_path, cfg_dict)
         assert main(["figure", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -5,7 +5,8 @@ operation of update/check_stop in the same order, so the tolerance is zero:
 each decision (stop time, selected set, truncation flag) must equal the one
 run_to_decision returns on the same seed, for both families.  The last tests
 run the kernel on a truth off the coupled space, where only the
-unconstrained test keeps its familywise guarantee.
+unconstrained test keeps its familywise guarantee, and on the coupled truth
+at the indifference boundary, where both keep it.
 """
 import math
 import random
@@ -350,16 +351,20 @@ def test_records_do_not_depend_on_batch_composition(kind):
 DECOUPLED = JointParameter((0.9, 0.11, -0.9, -0.11))
 
 
-def _decoupled_error_rates(kind, trials):
-    """FWER1 and FWER2 at log_a = log_b = 4, and the cap exp(-4) + 3 SE."""
-    rngs = _rngs(montecarlo.derive_trial_seed(77, 0, i) for i in range(trials))
-    decisions = run_trials(GAUSS, DECOUPLED, Thresholds(4.0, 4.0), kind, rngs)
+def _error_events(kind, theta, log_t, seed, trials):
+    """Type I and type II error events at log_a = log_b = log_t, on generators
+    seeded from ``seed`` (a base seed and a cell index), and the cap on their
+    rates, exp(-log_t) + 3 SE."""
+    rngs = _rngs(montecarlo.derive_trial_seed(*seed, i) for i in range(trials))
+    decisions = run_trials(GAUSS, theta, Thresholds(log_t, log_t), kind, rngs)
     assert not any(d.truncated for d in decisions)
-    truth = DECOUPLED.signal_set(GAUSS.space)
-    fwer1 = sum(bool(d.selected - truth) for d in decisions) / trials
-    fwer2 = sum(bool(truth - d.selected) for d in decisions) / trials
-    level = math.exp(-4.0)
-    return fwer1, fwer2, level + 3.0 * math.sqrt(level * (1.0 - level) / trials)
+    truth = theta.signal_set(GAUSS.space)
+    events = (
+        sum(bool(d.selected - truth) for d in decisions),
+        sum(bool(truth - d.selected) for d in decisions),
+    )
+    level = math.exp(-log_t)
+    return events, level + 3.0 * math.sqrt(level * (1.0 - level) / trials)
 
 
 def test_constrained_test_loses_its_guarantee_off_the_coupled_space():
@@ -367,10 +372,23 @@ def test_constrained_test_loses_its_guarantee_off_the_coupled_space():
         montecarlo.ExperimentConfig(
             GAUSS, DECOUPLED, (TestKind.CONSTRAINED,), (Thresholds(4.0, 4.0),), 300, 77
         )
-    fwer1, fwer2, cap = _decoupled_error_rates(TestKind.CONSTRAINED, 300)
-    assert fwer1 > cap and fwer2 > cap, (fwer1, fwer2, cap)
+    events, cap = _error_events(TestKind.CONSTRAINED, DECOUPLED, 4.0, (77, 0), 300)
+    assert all(e / 300 > cap for e in events), (events, cap)
 
 
 def test_unconstrained_test_keeps_its_guarantee_off_the_coupled_space():
-    fwer1, fwer2, cap = _decoupled_error_rates(TestKind.UNCONSTRAINED, 100)
-    assert fwer1 <= cap and fwer2 <= cap, (fwer1, fwer2, cap)
+    events, cap = _error_events(TestKind.UNCONSTRAINED, DECOUPLED, 4.0, (77, 0), 100)
+    assert all(e / 100 <= cap for e in events), (events, cap)
+
+
+# The least-favourable coupled truth: both values on the indifference
+# boundary, where each error rate comes closest to exp(-t).  Each cell is
+# sized to see at least 10 events of each type at t = 1, so that it tests the
+# guarantee rather than reading 0.
+@pytest.mark.parametrize(
+    "kind, cell, trials", [(TestKind.CONSTRAINED, 0, 1_000), (TestKind.UNCONSTRAINED, 1, 7_000)]
+)
+def test_familywise_guarantee_at_the_indifference_boundary(kind, cell, trials):
+    events, cap = _error_events(kind, JointParameter((0.1, -0.1)), 1.0, (7, cell), trials)
+    assert min(events) >= 10, events
+    assert all(e / trials <= cap for e in events), (events, cap)
