@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -421,18 +422,22 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _fit(model: StreamModel, n, s: np.ndarray, region: Region) -> tuple[np.ndarray, np.ndarray]:
+def _fit(
+    model: StreamModel, n, s: np.ndarray, mean: np.ndarray, region: Region
+) -> tuple[np.ndarray, np.ndarray]:
     """The mean s / n clipped into ``region`` and the log-likelihood there,
-    elementwise over counts n > 0 and sums."""
+    elementwise over counts n > 0 and sums.  The caller divides, so that
+    one mean serves both regions."""
     lo, hi = model.space.region_bounds(region)
-    fit = np.clip(s / n, lo, hi)
+    fit = np.clip(mean, lo, hi)
     return fit, _loglik(model, n, s, fit, _logs_at(model, fit))
 
 
 def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
     """:func:`sup_stat_loglik` elementwise over pooled counts and sums; 0 where n is 0."""
     occupied = n > 0
-    _, value = _fit(model, np.where(occupied, n, 1.0), s, region)
+    n = np.where(occupied, n, 1.0)
+    _, value = _fit(model, n, s, s / n, region)
     return np.where(occupied, value, 0.0)
 
 
@@ -570,8 +575,9 @@ def _absorb(
     count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
     # Each stream's two restricted maxima, computed once, give both the
     # refreshed MLE and the signal-set estimate.
-    fit0, q0 = _fit(model, count, s, Region.NOISE)
-    fit1, q1 = _fit(model, count, s, Region.SIGNAL)
+    mean = s / count
+    fit0, q0 = _fit(model, count, s, mean, Region.NOISE)
+    fit1, q1 = _fit(model, count, s, mean, Region.SIGNAL)
     member = q1 >= q0
     fit = np.where(member, fit1, fit0)
     lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
@@ -587,8 +593,7 @@ def _absorb(
 def _advance(
     model: StreamModel,
     thetas: np.ndarray,
-    thresholds: Thresholds,
-    kind: TestKind,
+    cells: Sequence[tuple[Thresholds, TestKind]],
     rngs,
     sums: np.ndarray,
     mle: np.ndarray,
@@ -598,77 +603,93 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance trials that share the count ``n`` by ``steps`` steps.
 
-    Draws each trial's observations from its generator, feeds them to
+    Draws each trial's observations from its generator once, feeds them to
     :func:`_absorb` (which updates ``sums``, ``mle`` and ``adaptive`` in
-    place) and applies :func:`check_stop`'s rule after every step.  Returns
-    each trial's index in the block of the first step at which both margins
-    clear (``steps`` if none) and the signal-set estimate after every step
-    (trials x steps x K).
+    place) and applies each cell's :func:`check_stop` rule after every step.
+    The suprema do not depend on the thresholds, so each distinct kind's are
+    taken once and every cell of that kind reads them.  Returns the index in
+    the block of the first step at which both of a cell's margins clear
+    (``steps`` if none), as floats (trials x cells), and the signal-set
+    estimate after every step (trials x steps x K).
     """
     x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
     count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
-    l0, l1 = _error_sups(model, kind, count, s, q0, q1, member)
-    stop = (run - l0 >= thresholds.log_b) & (run - l1 >= thresholds.log_a)
+    sups = {
+        kind: _error_sups(model, kind, count, s, q0, q1, member)
+        for kind in dict.fromkeys(kind for _, kind in cells)
+    }
+    # Each cell's suprema and thresholds on a last axis (trials x steps x cells).
+    l0, l1 = (np.stack([sups[kind][i] for _, kind in cells], -1) for i in (0, 1))
+    log_a, log_b = np.array([(th.log_a, th.log_b) for th, _ in cells]).T
+    run = run[..., None]
+    stop = (run - l0 >= log_b) & (run - l1 >= log_a)
     # A float minimum rather than argmax (see above); `steps` means no stop.
-    first = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(1)
-    return first.astype(int), member
+    first = np.where(stop, np.arange(steps, dtype=float)[:, None], float(steps)).min(1)
+    return first, member
 
 
 def run_trials(
     model: StreamModel,
     theta_true: JointParameter,
-    thresholds: Thresholds,
-    kind: TestKind,
+    cells: Sequence[tuple[Thresholds, TestKind]],
     rngs: Sequence,
     n_max: int = DEFAULT_N_MAX,
-) -> list[Decision]:
-    """Run one trial per ``random.Random`` in ``rngs``, all streams following ``model``.
+) -> list[list[Decision]]:
+    """Run one trial per ``random.Random`` in ``rngs``, all streams following
+    ``model``, and score it for every (thresholds, kind) cell in ``cells``.
 
-    Decision i is the one :func:`run_to_decision` returns on a generator in
-    the state of ``rngs[i]``: the draws of ``rng.gauss``/``rng.random`` are
+    Returns one list of decisions per cell.  Decision i of a cell is the one
+    :func:`run_to_decision` returns for that cell on a generator in the
+    state of ``rngs[i]``: every cell reads the one trajectory that the
+    generator draws, the draws of ``rng.gauss``/``rng.random`` are
     reproduced in bulk, bit for bit, and every statistic is computed with
     the scalar path's operations in its order.  Live trials advance together
-    in blocks of steps, as numpy arrays; a trial leaves at its stop.  A block
-    spans at most :func:`_block_rows` trial-steps, and its length fills that
-    budget with the trials still live: at least _FIRST_BLOCK steps, at most
-    twice the previous block, and never past ``n_max``.  Blocks thus stay
-    short while many trials are live, so a trial's stopping block runs few
-    steps past its stop, and lengthen as trials leave.  Draws run to the end
-    of the stopping block, so the generators end past where run_to_decision
-    would leave them.
+    in blocks of steps, as numpy arrays; a trial leaves once every one of
+    its cells has stopped.  A block spans at most :func:`_block_rows`
+    trial-steps, and its length fills that budget with the trials still
+    live: at least _FIRST_BLOCK steps, at most twice the previous block, and
+    never past ``n_max``.  Blocks thus stay short while many trials are
+    live, so a trial's last stopping block runs few steps past its last
+    stop, and lengthen as trials leave.  Draws run to the end of the block
+    in which a trial's last cell stops, so the generators end past where
+    run_to_decision would leave them.
     """
     _require_run(model, theta_true, n_max)
     k = theta_true.k
     thetas = np.array(theta_true.thetas)
     live = np.arange(len(rngs))
     sums, mle, adaptive = _fresh(model, live.size, k)
-    decisions: list[Decision | None] = [None] * live.size
+    decisions: list[list[Decision | None]] = [[None] * live.size for _ in cells]
+    # The cells each live trial has yet to decide.
+    open_cells = np.ones((live.size, len(cells)), dtype=bool)
+    streams = range(k)
     rows = _block_rows(k)
     n = 0
     steps = _FIRST_BLOCK // 2  # so that the first block is _FIRST_BLOCK steps at most
     while live.size:
         steps = min(max(_FIRST_BLOCK, rows // live.size), 2 * steps, n_max - n, rows)
         width = max(1, rows // steps)
-        done = np.zeros(live.size, dtype=bool)
         for lo in range(0, live.size, width):
             hi = lo + width
             first, member = _advance(
-                model, thetas, thresholds, kind, [rngs[i] for i in live[lo:hi]],
+                model, thetas, cells, [rngs[i] for i in live[lo:hi]],
                 sums[lo:hi], mle[lo:hi], adaptive[lo:hi], n, steps,
             )
-            for j, at in enumerate(first.tolist()):
-                if at == steps and n + steps < n_max:
-                    continue
-                # A trial still running at n_max ends at the block's last step.
-                last = min(at, steps - 1)
-                estimate = member[j, last].tolist()
-                decisions[live[lo + j]] = Decision(
-                    stopped_at=n + last + 1,
-                    selected=frozenset(i for i, v in enumerate(estimate) if v),
-                    truncated=at == steps,
+            ends = open_cells[lo:hi] & ((first < steps) | (n + steps >= n_max))
+            open_cells[lo:hi] &= ~ends
+            trial, cell = np.nonzero(ends)
+            at = first[trial, cell]
+            # A cell still running at n_max ends at the block's last step.
+            last = np.minimum(at, steps - 1).astype(int)
+            for i, c, stopped_at, estimate, truncated in zip(
+                live[lo:hi][trial].tolist(), cell.tolist(), (n + 1 + last).tolist(),
+                member[trial, last].tolist(), (at == steps).tolist(),
+            ):
+                decisions[c][i] = Decision(
+                    stopped_at, frozenset(compress(streams, estimate)), truncated
                 )
-                done[lo + j] = True
         n += steps
-        keep = ~done
+        keep = open_cells.any(1)
         live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]
+        open_cells = open_cells[keep]
     return decisions

@@ -1,11 +1,13 @@
 """Monte Carlo evaluation of the sequential tests.
 
-Runs independent trials per cell, where a cell is one (thresholds, kind)
-pair, and reduces them to operating characteristics: expected sample size,
-familywise error rates of both types, and the first-order theoretical
-approximation for the cell.  Jobs split the trials, one range per worker,
-and each runs every cell; trial seeds are derived, not shared, so the
-summary does not depend on execution order or the degree of parallelism.
+Runs independent trials, scores each for every cell, where a cell is one
+(thresholds, kind) pair, and reduces each cell's decisions to operating
+characteristics: expected sample size, familywise error rates of both
+types, and the first-order theoretical approximation for the cell.  Cells
+share each trial's trajectory, so comparisons across cells are paired.
+Jobs split the trials, one range per worker, and each runs every cell;
+trial seeds are derived from the trial index, so the summary does not
+depend on execution order or the degree of parallelism.
 """
 from __future__ import annotations
 
@@ -113,20 +115,19 @@ class Summary:
 
 
 def _run_batch(config: ExperimentConfig, start: int, stop: int) -> list[list[tuple]]:
-    """Trials start..stop-1 of every cell, thresholds-major: per cell, one
-    kernel batch and one list of (stopped_at, truncated, type I error,
-    type II error) records."""
+    """Trials start..stop-1 of every cell, thresholds-major: one kernel batch
+    that scores each trial for every cell and, per cell, one list of
+    (stopped_at, truncated, type I error, type II error) records."""
     truth = config.theta.signal_set(config.model.space)
-    out = []
-    for cell, (th, kind) in enumerate(product(config.thresholds, config.kinds)):
-        seeds = (derive_trial_seed(config.base_seed, cell, i) for i in range(start, stop))
-        rngs = [random.Random(seed) for seed in seeds]
-        decisions = engine.run_trials(config.model, config.theta, th, kind, rngs, config.n_max)
-        out.append([
+    rngs = [random.Random(derive_trial_seed(config.base_seed, 0, i)) for i in range(start, stop)]
+    cells = list(product(config.thresholds, config.kinds))
+    return [
+        [
             (d.stopped_at, d.truncated, bool(d.selected - truth), bool(truth - d.selected))
             for d in decisions
-        ])
-    return out
+        ]
+        for decisions in engine.run_trials(config.model, config.theta, cells, rngs, config.n_max)
+    ]
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -185,19 +186,21 @@ def first_order_rates(
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[Summary]:
     """Run every cell of the experiment and summarize.
 
-    Cells are enumerated thresholds-major, kinds-minor; each trial draws its
-    own seed from (base_seed, cell, trial), so results do not depend on how
-    trials are cut into jobs or scheduled.  Truncated trials are excluded from
-    the expected sample size (with a warning) but still count toward the
-    error rates.
+    Cells are enumerated thresholds-major, kinds-minor.  Each trial draws its
+    own seed from (base_seed, trial) (``derive_trial_seed`` at cell index 0)
+    and every cell scores that one trajectory, so results do not depend on
+    how trials are cut into jobs or scheduled, and each cell's decisions are
+    those of the cell run alone on the same seeds.  Truncated trials are
+    excluded from the expected sample size (with a warning) but still count
+    toward the error rates.
     """
     workers = _resolve_workers(workers)
     rates = first_order_rates(config.model, config.theta, config.kinds)
     # _run_batch is looked up at call time so that a wrapper bound to the
     # module attribute (the benchmark's span tracer) runs in the workers.
     if workers == 1:
-        # One job of all trials: each cell is one batch, whose blocks hold
-        # the most live trials.
+        # One job of all trials: one batch, whose blocks hold the most live
+        # trials.
         batches = [_run_batch(config, 0, config.trials)]
     else:
         # Each job runs every cell on an equal range of trials, so jobs carry

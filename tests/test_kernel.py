@@ -10,6 +10,7 @@ at the indifference boundary, where both keep it.
 """
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def _assert_same(model, theta, thresholds, kind, seeds, n_max=10**6):
         run_to_decision(model, theta, thresholds, kind, rng, n_max=n_max)
         for rng in _rngs(seeds)
     ]
-    got = run_trials(model, theta, thresholds, kind, _rngs(seeds), n_max=n_max)
+    (got,) = run_trials(model, theta, [(thresholds, kind)], _rngs(seeds), n_max=n_max)
     assert got == want
     return got
 
@@ -273,35 +274,63 @@ class TestKernelMatchesScalar:
     def test_rejects_bad_arguments(self):
         theta = _truth(GAUSS, 2, {1})
         with pytest.raises(ConfigError):
-            run_trials(GAUSS, theta, Thresholds(1.0, 1.0), TestKind.CONSTRAINED, _rngs([1]), 0)
+            run_trials(GAUSS, theta, [(Thresholds(1.0, 1.0), TestKind.CONSTRAINED)], _rngs([1]), 0)
         outside = JointParameter((0.5, 0.0))
         with pytest.raises(ConfigError):
-            run_trials(GAUSS, outside, Thresholds(1.0, 1.0), TestKind.CONSTRAINED, _rngs([1]))
+            run_trials(GAUSS, outside, [(Thresholds(1.0, 1.0), TestKind.CONSTRAINED)], _rngs([1]))
+
+
+# The desk_fig1 cells: thresholds-major, kinds-minor.
+DESK_CELLS = list(product([Thresholds(c, c) for c in (2.0, 5.0, 10.0, 20.0)], TestKind))
 
 
 def test_blocks_run_few_steps_past_the_stops(monkeypatch):
-    # The desk_fig1 truth and thresholds, 100 trials per cell as one batch
-    # each: blocks sized to the live count keep the steps drawn and scored
-    # within 1.25x the steps up to the stops.
+    # The desk_fig1 truth and cells, 100 trials as one batch: blocks sized
+    # to the live count keep the steps drawn and scored within 1.25x the
+    # steps up to each trial's latest stop among the cells.
     theta = _truth(GAUSS, 2, {0})
     drawn = 0
     advance = engine._advance
 
     def counting(*args):
         nonlocal drawn
-        drawn += len(args[4]) * args[-1]  # trials x steps
+        drawn += len(args[3]) * args[-1]  # trials x steps
         return advance(*args)
 
     monkeypatch.setattr(engine, "_advance", counting)
-    stops = 0
-    cell = 0
-    for c in (2.0, 5.0, 10.0, 20.0):
-        for kind in TestKind:
-            rngs = _rngs(montecarlo.derive_trial_seed(20260819, cell, t) for t in range(100))
-            decisions = run_trials(GAUSS, theta, Thresholds(c, c), kind, rngs)
-            stops += sum(d.stopped_at for d in decisions)
-            cell += 1
+    rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
+    cells = run_trials(GAUSS, theta, DESK_CELLS, rngs)
+    stops = sum(max(d.stopped_at for d in trial) for trial in zip(*cells))
     assert drawn <= 1.25 * stops, (drawn, stops)
+
+
+class TestCellsShareOneTrajectory:
+    # One call scores each trial for every cell; each cell's decisions are
+    # those of a call for that cell alone on fresh generators, exactly.
+    def _assert_each_cell_as_alone(self, model, theta, cells, seeds, n_max=10**6):
+        got = run_trials(model, theta, cells, _rngs(seeds), n_max)
+        assert got == [run_trials(model, theta, [cell], _rngs(seeds), n_max)[0] for cell in cells]
+        return got
+
+    def test_gaussian_desk_cells(self):
+        seeds = [montecarlo.derive_trial_seed(20260819, 0, t) for t in range(60)]
+        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, seeds)
+
+    def test_bernoulli_ten_streams(self):
+        cells = list(product([Thresholds(2.0, 2.0), Thresholds(5.0, 3.0)], TestKind))
+        self._assert_each_cell_as_alone(BERN, _truth(BERN, 10, range(5)), cells, range(8))
+
+    def test_cells_stop_and_truncate_in_one_trial(self):
+        # At n_max = 40 the low-threshold cells stop while the high-threshold
+        # ones are truncated, within the same trials.
+        got = self._assert_each_cell_as_alone(
+            GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, range(40), n_max=40
+        )
+        mixed = [
+            trial for trial in zip(*got)
+            if trial[0].stopped_at < 40 and trial[-1].truncated
+        ]
+        assert len(mixed) >= 10
 
 
 @pytest.mark.parametrize(
@@ -356,7 +385,7 @@ def _error_events(kind, theta, log_t, seed, trials):
     seeded from ``seed`` (a base seed and a cell index), and the cap on their
     rates, exp(-log_t) + 3 SE."""
     rngs = _rngs(montecarlo.derive_trial_seed(*seed, i) for i in range(trials))
-    decisions = run_trials(GAUSS, theta, Thresholds(log_t, log_t), kind, rngs)
+    (decisions,) = run_trials(GAUSS, theta, [(Thresholds(log_t, log_t), kind)], rngs)
     assert not any(d.truncated for d in decisions)
     truth = theta.signal_set(GAUSS.space)
     events = (

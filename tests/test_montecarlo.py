@@ -1,5 +1,7 @@
 import math
 import os
+import random
+from itertools import product
 
 import pytest
 
@@ -160,7 +162,7 @@ class TestRunExperiment:
         assert s.ess_se == 0.0
         assert s.ess >= 1.0
 
-    def test_one_worker_runs_each_cell_as_one_batch(self, monkeypatch):
+    def test_one_worker_runs_every_cell_as_one_batch(self, monkeypatch):
         jobs, batches = [], []
         run_batch, run_trials = montecarlo._run_batch, montecarlo.engine.run_trials
 
@@ -168,15 +170,30 @@ class TestRunExperiment:
             jobs.append((start, stop))
             return run_batch(config, start, stop)
 
-        def recording_batch(model, theta, thresholds, kind, rngs, n_max):
-            batches.append((thresholds.log_a, kind, len(rngs)))
-            return run_trials(model, theta, thresholds, kind, rngs, n_max)
+        def recording_batch(model, theta, cells, rngs, n_max):
+            batches.append((list(cells), len(rngs)))
+            return run_trials(model, theta, cells, rngs, n_max)
 
         monkeypatch.setattr(montecarlo, "_run_batch", recording_job)
         monkeypatch.setattr(montecarlo.engine, "run_trials", recording_batch)
         run_experiment(small_config(), workers=1)
         assert jobs == [(0, 20)]
-        assert batches == [(2.0, TestKind.CONSTRAINED, 20), (2.0, TestKind.UNCONSTRAINED, 20)]
+        th = Thresholds(2.0, 2.0)
+        assert batches == [([(th, TestKind.CONSTRAINED), (th, TestKind.UNCONSTRAINED)], 20)]
+
+    def test_every_cell_runs_on_the_cell_zero_seeds(self):
+        # Cells share each trial's generator, seeded from (base_seed, 0, trial):
+        # each cell's records are those of that cell run alone on it.
+        cfg = small_config(thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 3.0)))
+        truth = cfg.theta.signal_set(cfg.model.space)
+        batch = montecarlo._run_batch(cfg, 0, 20)
+        for cell, records in zip(product(cfg.thresholds, cfg.kinds), batch, strict=True):
+            rngs = [random.Random(derive_trial_seed(123, 0, i)) for i in range(20)]
+            (alone,) = montecarlo.engine.run_trials(cfg.model, cfg.theta, [cell], rngs)
+            assert records == [
+                (d.stopped_at, d.truncated, bool(d.selected - truth), bool(truth - d.selected))
+                for d in alone
+            ]
 
     def test_worker_count_does_not_change_results(self):
         # 19 trials across four cells: one job of all trials at 1 worker,
