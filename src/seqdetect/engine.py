@@ -61,9 +61,11 @@ _TWOPI = 2.0 * math.pi
 # Steps after which a trial is truncated unless the caller sets its own limit.
 DEFAULT_N_MAX = 10**6
 
-# Most elements a block's widest temporary (the top-set table of
-# _coupled_sups, trials x steps x (K + 1)) may hold: 32 KiB as an array,
-# about 160 KiB as the Python floats that the libm maps build from it.
+# A block's budget: it spans _BLOCK_ELEMENTS // (K + 1) trial-steps, so its
+# widest temporary, the table of 2K candidates in _coupled_sups (trials x
+# steps x 2K), holds fewer than twice this many elements: under 64 KiB as an
+# array, under about 320 KiB as the Python floats that the libm maps build
+# from it.
 _BLOCK_ELEMENTS = 1 << 12
 # Steps in a trial's first block, and the fewest any block takes short of
 # n_max: more live trials than such a block holds advance in chunks.
@@ -424,20 +426,21 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 def _fit(
     model: StreamModel, n, s: np.ndarray, mean: np.ndarray, region: Region
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mean s / n clipped into ``region`` and the log-likelihood there,
-    elementwise over counts n > 0 and sums.  The caller divides, so that
-    one mean serves both regions."""
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The mean s / n clipped into ``region``, the log-likelihood there and
+    the :func:`_logs_at` it took, elementwise over counts n > 0 and sums.
+    The caller divides, so that one mean serves both regions."""
     lo, hi = model.space.region_bounds(region)
     fit = np.clip(mean, lo, hi)
-    return fit, _loglik(model, n, s, fit, _logs_at(model, fit))
+    logs = _logs_at(model, fit)
+    return fit, _loglik(model, n, s, fit, logs), logs
 
 
 def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
     """:func:`sup_stat_loglik` elementwise over pooled counts and sums; 0 where n is 0."""
     occupied = n > 0
     n = np.where(occupied, n, 1.0)
-    _, value = _fit(model, n, s, s / n, region)
+    _, value, _ = _fit(model, n, s, s / n, region)
     return np.where(occupied, value, 0.0)
 
 
@@ -448,12 +451,13 @@ def _coupled_sups(
 
     ``s`` holds stream sums on its last axis, ``member`` the estimate and
     ``n`` the shared count (broadcast against ``s[..., :1]``).  With
-    a = |estimate|, the candidates form two tables: the top sets T_m, m = 0..K,
-    which add a stream when m > a and drop one when m < a; and the edge sets
-    of sizes e = 1..K-1, T_{e-1} plus the strongest outsider for e <= a
-    (adding) and T_{e+1} minus the weakest member for e >= a (dropping).  At
-    e = a both name the swap, summed the first way, as the scalar path does.
-    Each supremum is a maximum over masked entries of both tables.
+    a = |estimate|, the candidates form one table of 2K: the top sets T_m,
+    m = 0..K, which add a stream when m > a and drop one when m < a; then
+    the edge sets of sizes e = 1..K-1, T_{e-1} plus the strongest outsider
+    for e <= a (adding) and T_{e+1} minus the weakest member for e >= a
+    (dropping).  At e = a both name the swap, summed the first way, as the
+    scalar path does.  Each supremum is a maximum over the table's entries
+    that its family's mask keeps.
     """
     k = s.shape[-1]
     # Sizes are floats so that every comparison below is a float one.
@@ -471,20 +475,18 @@ def _coupled_sups(
     s_in = np.take_along_axis(ranked, np.maximum(a - 1, 0).astype(int), -1)
     s_out = np.take_along_axis(ranked, np.minimum(a, k - 1).astype(int), -1)
 
-    def value(size, sb):
-        return _region_sup(model, n * size, sb, Region.SIGNAL) + _region_sup(
-            model, n * (k - size), total - sb, Region.NOISE
-        )
-
-    def best(table, keep):
-        return np.where(keep, table, -np.inf).max(-1, initial=-np.inf)
-
     m = np.arange(k + 1.0)
     e = m[1:-1]
-    top = value(m, prefix)
-    edge = value(e, np.where(e <= a, prefix[..., :-2] + s_out, prefix[..., 2:] - s_in))
-    l0 = np.maximum(best(top, m > a), best(edge, (e <= a) & (a < k)))
-    l1 = np.maximum(best(top, m < a), best(edge, (e >= a) & (a > 0)))
+    size = np.concatenate((m, e))
+    sb = np.concatenate(
+        (prefix, np.where(e <= a, prefix[..., :-2] + s_out, prefix[..., 2:] - s_in)), -1
+    )
+    table = _region_sup(model, n * size, sb, Region.SIGNAL) + _region_sup(
+        model, n * (k - size), total - sb, Region.NOISE
+    )
+    adds = np.concatenate((m > a, (e <= a) & (a < k)), -1)
+    drops = np.concatenate((m < a, (e >= a) & (a > 0)), -1)
+    l0, l1 = (np.where(keep, table, -np.inf).max(-1, initial=-np.inf) for keep in (adds, drops))
     return l0, l1
 
 
@@ -527,9 +529,10 @@ def _scores(model: StreamModel, count, s: np.ndarray, kinds) -> tuple[np.ndarray
 
 
 def _block_rows(k: int) -> int:
-    """Trial-steps in one block of ``k`` streams: its widest temporary, the
-    top-set table of :func:`_coupled_sups` (trials x steps x (K + 1)), keeps
-    within _BLOCK_ELEMENTS."""
+    """Trial-steps in one block of ``k`` streams: _BLOCK_ELEMENTS // (K + 1),
+    so that its widest temporary, the table of 2K candidates in
+    :func:`_coupled_sups` (trials x steps x 2K), holds fewer than
+    2 * _BLOCK_ELEMENTS elements."""
     return max(1, _BLOCK_ELEMENTS // (k + 1))
 
 
@@ -568,7 +571,10 @@ def _absorb(
     the stream sums, both restricted maxima q0 and q1, the signal-set
     estimate q1 >= q0 and the adaptive log-likelihood (trials x steps).
     Every floating-point operation is the one :func:`update` performs, in
-    the same order.
+    the same order.  The lagged estimates' logs are the fits' logs shifted
+    by a step, after the carried estimates' own, so the Bernoulli takes
+    libm logs of the (trials x K) carried estimates only, not of every
+    lagged one again.
     """
     b, steps, k = x.shape
     s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)[:, 1:]
@@ -576,12 +582,16 @@ def _absorb(
     # Each stream's two restricted maxima, computed once, give both the
     # refreshed MLE and the signal-set estimate.
     mean = s / count
-    fit0, q0 = _fit(model, count, s, mean, Region.NOISE)
-    fit1, q1 = _fit(model, count, s, mean, Region.SIGNAL)
+    fit0, q0, logs0 = _fit(model, count, s, mean, Region.NOISE)
+    fit1, q1, logs1 = _fit(model, count, s, mean, Region.SIGNAL)
     member = q1 >= q0
     fit = np.where(member, fit1, fit0)
     lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
-    scores = _loglik(model, 1, x, lagged, _logs_at(model, lagged))
+    logs = tuple(
+        np.concatenate((carried[:, None], np.where(member, at1, at0)[:, :-1]), 1)
+        for carried, at0, at1 in zip(_logs_at(model, mle), logs0, logs1)
+    )
+    scores = _loglik(model, 1, x, lagged, logs)
     # Step-major, stream-minor: the order update() adds in.
     run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
     sums[:] = s[:, -1]
@@ -595,6 +605,7 @@ def _advance(
     thetas: np.ndarray,
     cells: Sequence[tuple[Thresholds, TestKind]],
     rngs,
+    opened: np.ndarray,
     sums: np.ndarray,
     mle: np.ndarray,
     adaptive: np.ndarray,
@@ -607,19 +618,24 @@ def _advance(
     :func:`_absorb` (which updates ``sums``, ``mle`` and ``adaptive`` in
     place) and applies each cell's :func:`check_stop` rule after every step.
     The suprema do not depend on the thresholds, so each distinct kind's are
-    taken once and every cell of that kind reads them.  Returns the index in
-    the block of the first step at which both of a cell's margins clear
-    (``steps`` if none), as floats (trials x cells), and the signal-set
-    estimate after every step (trials x steps x K).
+    taken once for every cell of that kind, and only on the trials that have
+    a cell of that kind open in ``opened`` (trials x cells); the other
+    trials get +inf, which stops no cell (the caller reads no closed cell).
+    Returns the index in the block of the first step at which both of a
+    cell's margins clear (``steps`` if none), as floats (trials x cells),
+    and the signal-set estimate after every step (trials x steps x K).
     """
     x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
     count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
-    sups = {
-        kind: _error_sups(model, kind, count, s, q0, q1, member)
-        for kind in dict.fromkeys(kind for _, kind in cells)
-    }
+    kinds = [kind for _, kind in cells]
+    sups = {}
+    for kind in dict.fromkeys(kinds):
+        need = opened[:, [c is kind for c in kinds]].any(1)
+        sups[kind] = both = np.full((2, *run.shape), np.inf)
+        if need.any():
+            both[:, need] = _error_sups(model, kind, count, s[need], q0[need], q1[need], member[need])
     # Each cell's suprema and thresholds on a last axis (trials x steps x cells).
-    l0, l1 = (np.stack([sups[kind][i] for _, kind in cells], -1) for i in (0, 1))
+    l0, l1 = (np.stack([sups[kind][i] for kind in kinds], -1) for i in (0, 1))
     log_a, log_b = np.array([(th.log_a, th.log_b) for th, _ in cells]).T
     run = run[..., None]
     stop = (run - l0 >= log_b) & (run - l1 >= log_a)
@@ -652,7 +668,9 @@ def run_trials(
     live, so a trial's last stopping block runs few steps past its last
     stop, and lengthen as trials leave.  Draws run to the end of the block
     in which a trial's last cell stops, so the generators end past where
-    run_to_decision would leave them.
+    run_to_decision would leave them; a kind's suprema are taken only up to
+    the block in which the trial's last cell of that kind stops.  Decisions
+    that report the same signal-set estimate share one frozenset.
     """
     _require_run(model, theta_true, n_max)
     k = theta_true.k
@@ -663,6 +681,7 @@ def run_trials(
     # The cells each live trial has yet to decide.
     open_cells = np.ones((live.size, len(cells)), dtype=bool)
     streams = range(k)
+    selected: dict[tuple, frozenset[int]] = {}
     rows = _block_rows(k)
     n = 0
     steps = _FIRST_BLOCK // 2  # so that the first block is _FIRST_BLOCK steps at most
@@ -672,7 +691,7 @@ def run_trials(
         for lo in range(0, live.size, width):
             hi = lo + width
             first, member = _advance(
-                model, thetas, cells, [rngs[i] for i in live[lo:hi]],
+                model, thetas, cells, [rngs[i] for i in live[lo:hi]], open_cells[lo:hi],
                 sums[lo:hi], mle[lo:hi], adaptive[lo:hi], n, steps,
             )
             ends = open_cells[lo:hi] & ((first < steps) | (n + steps >= n_max))
@@ -683,11 +702,11 @@ def run_trials(
             last = np.minimum(at, steps - 1).astype(int)
             for i, c, stopped_at, estimate, truncated in zip(
                 live[lo:hi][trial].tolist(), cell.tolist(), (n + 1 + last).tolist(),
-                member[trial, last].tolist(), (at == steps).tolist(),
+                map(tuple, member[trial, last].tolist()), (at == steps).tolist(),
             ):
-                decisions[c][i] = Decision(
-                    stopped_at, frozenset(compress(streams, estimate)), truncated
-                )
+                if estimate not in selected:
+                    selected[estimate] = frozenset(compress(streams, estimate))
+                decisions[c][i] = Decision(stopped_at, selected[estimate], truncated)
         n += steps
         keep = open_cells.any(1)
         live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]

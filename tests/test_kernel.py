@@ -10,6 +10,7 @@ at the indifference boundary, where both keep it.
 """
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -191,9 +192,10 @@ def test_free_suprema_equal_the_scalar_ones(model, k):
 
 
 @_STREAMS
-def test_coupled_suprema_score_two_tables(monkeypatch, k):
-    # The top and the edge table, each a signal and a noise region supremum:
-    # four _region_sup calls at every K, whatever the estimates' sizes.
+def test_coupled_suprema_score_one_table(monkeypatch, k):
+    # The top and the edge sets in one table of 2K candidates, a signal and
+    # a noise region supremum: two _region_sup calls at every K, whatever
+    # the estimates' sizes.
     calls = []
     region_sup = engine._region_sup
 
@@ -205,7 +207,8 @@ def test_coupled_suprema_score_two_tables(monkeypatch, k):
     s = np.tile(np.arange(float(k)), (3, 1))
     member = s >= np.array([[k], [k / 2], [0]])
     engine._coupled_sups(GAUSS, np.full((3, 1), 3.0), s, member)
-    assert len(calls) == 4
+    assert len(calls) == 2
+    assert all(args[1].shape == (3, 2 * k) for args in calls)
 
 
 class TestKernelMatchesScalar:
@@ -304,21 +307,103 @@ def test_blocks_run_few_steps_past_the_stops(monkeypatch):
     assert drawn <= 1.25 * stops, (drawn, stops)
 
 
+def _record_blocks(monkeypatch):
+    """Record each block: its cells, generators, start count n and steps,
+    and per kind the number of trials whose suprema it took."""
+    blocks = []
+    advance, error_sups = engine._advance, engine._error_sups
+
+    def advancing(*args):
+        blocks.append((args[2], args[3], args[-2], args[-1], {}))
+        return advance(*args)
+
+    def scoring(model, kind, count, s, *args):
+        blocks[-1][-1][kind] = len(s)
+        return error_sups(model, kind, count, s, *args)
+
+    monkeypatch.setattr(engine, "_advance", advancing)
+    monkeypatch.setattr(engine, "_error_sups", scoring)
+    return blocks
+
+
+def _scoring_paths(blocks, kind):
+    """How the blocks with a cell of ``kind`` took its suprema: on all of
+    their trials, on some or on none."""
+    return Counter(
+        "all" if scored.get(kind) == len(rngs) else "some" if kind in scored else "none"
+        for cells, rngs, _, _, scored in blocks
+        if kind in {k for _, k in cells}
+    )
+
+
+def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
+    # The wide Bernoulli benchmark config: ten streams, log 5, both kinds.
+    # Each kind's suprema are taken on a trial in every block up to the one
+    # in which its last cell of that kind stops, and in no later block.  The
+    # unconstrained cell stops last in each trial here, so its suprema are
+    # taken on every trial-step drawn, as before the constrained ones were
+    # skipped; those are taken on little more than half of them.
+    theta = _truth(BERN, 10, range(1, 6))
+    cells = [(Thresholds(5.0, 5.0), kind) for kind in TestKind]
+    rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(20))
+    trial_of = {id(rng): i for i, rng in enumerate(rngs)}
+    blocks = _record_blocks(monkeypatch)
+    decisions = run_trials(BERN, theta, cells, rngs)
+    scored = {
+        kind: sum(steps * rows.get(kind, 0) for *_, steps, rows in blocks) for kind in TestKind
+    }
+    # A trial needs a kind in a block that starts at count n when its cell of
+    # that kind stops after step n.
+    want = {
+        kind: sum(
+            steps * sum(cell[trial_of[id(rng)]].stopped_at > n for rng in block_rngs)
+            for _, block_rngs, n, steps, _ in blocks
+        )
+        for (_, kind), cell in zip(cells, decisions)
+    }
+    assert scored == want
+    drawn = sum(len(block_rngs) * steps for _, block_rngs, _, steps, _ in blocks)
+    assert scored[TestKind.UNCONSTRAINED] == drawn
+    assert scored[TestKind.CONSTRAINED] < 0.6 * drawn, (scored, drawn)
+
+
 class TestCellsShareOneTrajectory:
     # One call scores each trial for every cell; each cell's decisions are
-    # those of a call for that cell alone on fresh generators, exactly.
+    # those of a call for that cell alone on fresh generators, exactly.  A
+    # kind's suprema are taken only on the trials with a cell of that kind
+    # still open, so the multi-cell calls below also run the blocks that
+    # score a kind on some trials and those that skip it.
     def _assert_each_cell_as_alone(self, model, theta, cells, seeds, n_max=10**6):
         got = run_trials(model, theta, cells, _rngs(seeds), n_max)
         assert got == [run_trials(model, theta, [cell], _rngs(seeds), n_max)[0] for cell in cells]
         return got
 
-    def test_gaussian_desk_cells(self):
+    def test_gaussian_desk_cells(self, monkeypatch):
+        blocks = _record_blocks(monkeypatch)
         seeds = [montecarlo.derive_trial_seed(20260819, 0, t) for t in range(60)]
         self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, seeds)
+        paths = _scoring_paths(blocks, TestKind.CONSTRAINED)
+        assert paths["some"] and paths["none"], paths
 
-    def test_bernoulli_ten_streams(self):
+    def test_bernoulli_ten_streams(self, monkeypatch):
+        blocks = _record_blocks(monkeypatch)
         cells = list(product([Thresholds(2.0, 2.0), Thresholds(5.0, 3.0)], TestKind))
         self._assert_each_cell_as_alone(BERN, _truth(BERN, 10, range(5)), cells, range(8))
+        paths = _scoring_paths(blocks, TestKind.CONSTRAINED)
+        assert paths["some"] and paths["none"], paths
+
+    def test_unconstrained_cells_that_stop_first(self, monkeypatch):
+        # Unequal margins, and an unconstrained cell far below the
+        # constrained one, so that the unconstrained suprema are the ones
+        # taken on some trials and skipped.
+        blocks = _record_blocks(monkeypatch)
+        cells = [
+            (Thresholds(2.0, 1.0), TestKind.UNCONSTRAINED),
+            (Thresholds(16.0, 20.0), TestKind.CONSTRAINED),
+        ]
+        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 3, {1}), cells, range(40))
+        paths = _scoring_paths(blocks, TestKind.UNCONSTRAINED)
+        assert paths["some"] and paths["none"], paths
 
     def test_cells_stop_and_truncate_in_one_trial(self):
         # At n_max = 40 the low-threshold cells stop while the high-threshold
