@@ -62,8 +62,8 @@ _TWOPI = 2.0 * math.pi
 DEFAULT_N_MAX = 10**6
 
 # A block's budget: it spans _BLOCK_ELEMENTS // (K + 1) trial-steps, so its
-# widest temporary, the table of 2K candidates in _coupled_sups (trials x
-# steps x 2K), holds fewer than twice this many elements: under 64 KiB as an
+# widest temporary, the table of 2K candidates in _coupled_sups (2K x trials
+# x steps), holds fewer than twice this many elements: under 64 KiB as an
 # array, under about 320 KiB as the Python floats that the libm maps build
 # from it.
 _BLOCK_ELEMENTS = 1 << 12
@@ -345,6 +345,12 @@ def run_to_decision(
 # np.unique (the Bernoulli logs) costs no more than the per-bound masks it
 # replaced: perfbench's peak_rss_mb reads 37.9 MiB on wide_bernoulli with
 # either, and 38.8 against 39.1 MiB on validate_quick.
+#
+# Streams, candidates and cells run along a leading axis, since numpy
+# reduces a short trailing one row by row: x.max(-1) takes 48.7 us on a
+# (1,360 x 2) array and 27.4 us on a (372 x 20) one, the same maxima over the
+# leading axis of a contiguous copy 1.7 and 4.5 us (numpy 2.4, x86-64).  Max
+# and min round nothing, so no bit depends on the layout.
 
 
 def _libm(fn, values: list) -> np.ndarray:
@@ -457,50 +463,52 @@ def _coupled_sups(
     for e <= a (adding) and T_{e+1} minus the weakest member for e >= a
     (dropping).  At e = a both name the swap, summed the first way, as the
     scalar path does.  Each supremum is a maximum over the table's entries
-    that its family's mask keeps.
+    that its family's mask keeps.  Streams and candidates run along the
+    leading axis (see the note above); only the sort runs along the last.
     """
     k = s.shape[-1]
-    # Sizes are floats so that every comparison below is a float one.
-    a = member.sum(axis=-1, keepdims=True, dtype=float)
     # The scalar order: the estimate first, each part by sum descending.
     # Complex keys sort by (real, imag); equal keys carry equal sums, so
     # the values need no stable sort.
     key = np.empty(s.shape, complex)
     key.real = ~member
     key.imag = -s
-    ranked = -np.sort(key, -1).imag
-    prefix = np.cumsum(np.concatenate((np.zeros_like(s[..., :1]), ranked), -1), -1)
-    total = _row_sums(s)[..., None]
-    # The weakest member and the strongest outsider (masked where none).
-    s_in = np.take_along_axis(ranked, np.maximum(a - 1, 0).astype(int), -1)
-    s_out = np.take_along_axis(ranked, np.minimum(a, k - 1).astype(int), -1)
-
-    m = np.arange(k + 1.0)
-    e = m[1:-1]
-    size = np.concatenate((m, e))
-    sb = np.concatenate(
-        (prefix, np.where(e <= a, prefix[..., :-2] + s_out, prefix[..., 2:] - s_in)), -1
-    )
+    # Streams first: .T reverses every axis (n's padded to s's); results turn back.
+    s_t, member_t = s.T.copy(), member.T.copy()
+    n = np.array(n, ndmin=s.ndim).T
+    # Sizes are floats so that every comparison below is a float one.
+    a = member_t.sum(0, dtype=float)
+    size = np.concatenate((np.arange(k + 1.0), np.arange(1.0, k))).reshape(-1, *(1,) * a.ndim)
+    m, e = size[:k + 1], size[k + 1:]
+    # Signal-group sums: 0.0 and the ranked sums, added up below in cumsum's order.
+    sb = np.zeros((2 * k, *a.shape))
+    np.negative(np.sort(key, -1).imag.T, out=sb[1:k + 1])
+    # The weakest member and the strongest outsider, or a finite filler that is masked.
+    s_in = np.where(member_t, s_t, sb[1]).min(0)
+    s_out = np.where(member_t, sb[k], s_t).max(0)
+    for i in range(1, k + 1):
+        sb[i] += sb[i - 1]
+    sb[k + 1:] = np.where(e <= a, sb[:k - 1] + s_out, sb[2:k + 1] - s_in)
     table = _region_sup(model, n * size, sb, Region.SIGNAL) + _region_sup(
-        model, n * (k - size), total - sb, Region.NOISE
+        model, n * (k - size), _row_sums(s_t.T).T - sb, Region.NOISE
     )
-    adds = np.concatenate((m > a, (e <= a) & (a < k)), -1)
-    drops = np.concatenate((m < a, (e >= a) & (a > 0)), -1)
-    l0, l1 = (np.where(keep, table, -np.inf).max(-1, initial=-np.inf) for keep in (adds, drops))
-    return l0, l1
+    adds = np.concatenate((m > a, (e <= a) & (a < k)))
+    drops = np.concatenate((m < a, (e >= a) & (a > 0)))
+    return tuple(np.where(keep, table, -np.inf).max(0).T for keep in (adds, drops))
 
 
 def _free_sups(q0: np.ndarray, q1: np.ndarray, member: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unconstrained branch of :func:`sup_loglik_error_sets` over leading axes.
 
     ``q0`` and ``q1`` hold each stream's noise and signal supremum on the
-    last axis and ``member`` the estimate (q1 >= q0).
+    last axis and ``member`` the estimate (q1 >= q0); streams go first for
+    the flips' maxima (see the note above).
     """
-    # total - min(flip) written as total + max(-flip), which rounds the same.
     total = _row_sums(np.where(member, q1, q0))
-    gain = q1 - q0
-    l0 = total + np.where(member, -np.inf, gain).max(-1)
-    l1 = total + np.where(member, -gain, -np.inf).max(-1)
+    gain, member = (q1 - q0).T.copy(), member.T.copy()
+    # total - min(flip) written as total + max(-flip), which rounds the same.
+    l0 = total + np.where(member, -np.inf, gain).max(0).T
+    l1 = total + np.where(member, -gain, -np.inf).max(0).T
     return l0, l1
 
 
@@ -531,7 +539,7 @@ def _scores(model: StreamModel, count, s: np.ndarray, kinds) -> tuple[np.ndarray
 def _block_rows(k: int) -> int:
     """Trial-steps in one block of ``k`` streams: _BLOCK_ELEMENTS // (K + 1),
     so that its widest temporary, the table of 2K candidates in
-    :func:`_coupled_sups` (trials x steps x 2K), holds fewer than
+    :func:`_coupled_sups` (2K x trials x steps), holds fewer than
     2 * _BLOCK_ELEMENTS elements."""
     return max(1, _BLOCK_ELEMENTS // (k + 1))
 
@@ -617,31 +625,33 @@ def _advance(
     Draws each trial's observations from its generator once, feeds them to
     :func:`_absorb` (which updates ``sums``, ``mle`` and ``adaptive`` in
     place) and applies each cell's :func:`check_stop` rule after every step.
-    The suprema do not depend on the thresholds, so each distinct kind's are
-    taken once for every cell of that kind, and only on the trials that have
-    a cell of that kind open in ``opened`` (trials x cells); the other
-    trials get +inf, which stops no cell (the caller reads no closed cell).
-    Returns the index in the block of the first step at which both of a
-    cell's margins clear (``steps`` if none), as floats (trials x cells),
-    and the signal-set estimate after every step (trials x steps x K).
+    The suprema do not depend on the thresholds, so each distinct kind's
+    margins are taken once for every cell of that kind, and only on the
+    trials that have a cell of that kind open in ``opened`` (trials x
+    cells); the other trials get -inf, which stops no cell (the caller reads
+    no closed cell).  Returns the index in the block of the first step at
+    which both of a cell's margins clear (``steps`` if none), as floats
+    (trials x cells), and the signal-set estimate after every step (trials
+    x steps x K).
     """
     x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
     count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
     kinds = [kind for _, kind in cells]
-    sups = {}
+    margins = {}
     for kind in dict.fromkeys(kinds):
         need = opened[:, [c is kind for c in kinds]].any(1)
-        sups[kind] = both = np.full((2, *run.shape), np.inf)
+        sups = np.full((2, *run.shape), np.inf)
         if need.any():
-            both[:, need] = _error_sups(model, kind, count, s[need], q0[need], q1[need], member[need])
-    # Each cell's suprema and thresholds on a last axis (trials x steps x cells).
-    l0, l1 = (np.stack([sups[kind][i] for kind in kinds], -1) for i in (0, 1))
-    log_a, log_b = np.array([(th.log_a, th.log_b) for th, _ in cells]).T
-    run = run[..., None]
-    stop = (run - l0 >= log_b) & (run - l1 >= log_a)
+            sups[:, need] = _error_sups(model, kind, count, s[need], q0[need], q1[need], member[need])
+        margins[kind] = run - sups
+    # Each cell's margins, cells x trials x steps: steps first is faster on
+    # blocks of many trials, slower on long ones.
+    m0, m1 = np.array([margins[kind] for kind in kinds]).swapaxes(0, 1)
+    log_a, log_b = np.array([(th.log_a, th.log_b) for th, _ in cells]).T[..., None, None]
+    stop = (m0 >= log_b) & (m1 >= log_a)
     # A float minimum rather than argmax (see above); `steps` means no stop.
-    first = np.where(stop, np.arange(steps, dtype=float)[:, None], float(steps)).min(1)
-    return first, member
+    first = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(-1)
+    return first.T, member
 
 
 def run_trials(

@@ -47,7 +47,11 @@ def _truth(model, k, signal_set):
     )
 
 
-def _assert_same(model, theta, thresholds, kind, seeds, n_max=10**6):
+def _assert_same(model, theta, thresholds, kind, seeds, n_max):
+    """run_trials against run_to_decision, truncated trials included.  Each
+    caller's ``n_max`` is a few times its case's longest stop, so that a
+    kernel defect which delays a stop fails at once rather than running on
+    to the default limit."""
     want = [
         run_to_decision(model, theta, thresholds, kind, rng, n_max=n_max)
         for rng in _rngs(seeds)
@@ -143,39 +147,55 @@ _DECISIVE = {
 
 
 def _assert_suprema_equal_the_scalar_ones(kind, model, k):
-    """Bit-identical estimate and (logL0, logL1) on random states, tied sums included."""
+    """Bit-identical estimate and (logL0, logL1) on random states, tied sums
+    included, laid out as _advance passes them: (trials x steps x K) sums at
+    a (steps x 1) count.  Trial 0 has an empty estimate and trial 1 a full
+    one at every step (a = 0 and a = K), where the kernel has no weakest
+    member or no strongest outsider."""
     rng = random.Random(k)
-    states = list(_DECISIVE.get((model.family, k), []))
-    for _ in range(60):
-        n = rng.randint(1, 40)
-        if model.family is Family.GAUSSIAN:
-            pool = [rng.gauss(0.0, 1.0) * n for _ in range(3)]
-            s = [
-                rng.choice(pool) if rng.random() < 0.4 else rng.gauss(0.0, 1.2) * n
-                for _ in range(k)
-            ]
-        else:
-            s = [float(rng.randint(0, n)) for _ in range(k)]
-        states.append((n, s))
+    decisive = _DECISIVE.get((model.family, k), [])
+    counts = [n for n, _ in decisive] + [rng.randint(1, 40) for _ in range(6)]
+    sums = []
+    for trial in range(12):
+        row = []
+        for step, n in enumerate(counts):
+            if trial == 2 and step < len(decisive):
+                s = decisive[step][1]
+            elif model.family is Family.GAUSSIAN:
+                pool = [rng.gauss(0.0, 1.0) * n for _ in range(3)]
+                s = [
+                    n * ((-1.0, 1.0)[trial] + rng.gauss(0.0, 0.2)) if trial < 2
+                    else rng.choice(pool) if rng.random() < 0.4
+                    else rng.gauss(0.0, 1.2) * n
+                    for _ in range(k)
+                ]
+            else:
+                low, high = ((0, n // 4), (n - n // 4, n), (0, n))[min(trial, 2)]
+                s = [float(rng.randint(low, high)) for _ in range(k)]
+            row.append(s)
+        sums.append(row)
     estimates, want = [], []
-    for n, s in states:
-        state = engine.init(model, k)
-        state.n = n
-        for st, value in zip(state.stats, s):
-            st.n, st.s = n, value
-        estimates.append(engine.estimate_signal_set(state))
-        want.append(engine.sup_loglik_error_sets(state, kind))
-    counts = np.array([[float(n)] for n, _ in states])
-    sums = np.array([s for _, s in states])
-    q0 = engine._region_sup(model, counts, sums, Region.NOISE)
-    q1 = engine._region_sup(model, counts, sums, Region.SIGNAL)
+    for row in sums:
+        for n, s in zip(counts, row):
+            state = engine.init(model, k)
+            state.n = n
+            for st, value in zip(state.stats, s):
+                st.n, st.s = n, value
+            estimates.append(engine.estimate_signal_set(state))
+            want.append(engine.sup_loglik_error_sets(state, kind))
+    count = np.array(counts, dtype=float)[:, None]
+    sums = np.array(sums)
+    q0 = engine._region_sup(model, count, sums, Region.NOISE)
+    q1 = engine._region_sup(model, count, sums, Region.SIGNAL)
     member = q1 >= q0
-    assert [frozenset(np.flatnonzero(row).tolist()) for row in member] == estimates
-    l0, l1 = engine._error_sups(model, kind, counts, sums, q0, q1, member)
-    assert list(zip(l0.tolist(), l1.tolist())) == want
+    assert [frozenset(np.flatnonzero(m).tolist()) for m in member.reshape(-1, k)] == estimates
+    assert not member[0].any() and member[1].all()
+    l0, l1 = engine._error_sups(model, kind, count, sums, q0, q1, member)
+    assert l0.shape == l1.shape == sums.shape[:2]
+    assert list(zip(l0.ravel().tolist(), l1.ravel().tolist())) == want
 
 
-_STREAMS = pytest.mark.parametrize("k", range(1, 11))
+_STREAMS = pytest.mark.parametrize("k", [*range(1, 11), 16, 32])
 _MODELS = pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
 
 
@@ -195,7 +215,8 @@ def test_free_suprema_equal_the_scalar_ones(model, k):
 def test_coupled_suprema_score_one_table(monkeypatch, k):
     # The top and the edge sets in one table of 2K candidates, a signal and
     # a noise region supremum: two _region_sup calls at every K, whatever
-    # the estimates' sizes.
+    # the estimates' sizes.  The candidates run along the table's leading
+    # axis, the rows after it.
     calls = []
     region_sup = engine._region_sup
 
@@ -208,47 +229,58 @@ def test_coupled_suprema_score_one_table(monkeypatch, k):
     member = s >= np.array([[k], [k / 2], [0]])
     engine._coupled_sups(GAUSS, np.full((3, 1), 3.0), s, member)
     assert len(calls) == 2
-    assert all(args[1].shape == (3, 2 * k) for args in calls)
+    assert all(args[1].shape == args[2].shape == (2 * k, 3) for args in calls)
 
 
 class TestKernelMatchesScalar:
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize(
-        "k, signal_set, seeds",
+        "k, signal_set, seeds, n_max",
         [
-            (1, {0}, 40),
-            (2, {1}, 60),
-            (3, {0, 2}, 40),
-            (8, {0, 3, 5}, 15),
-            (12, range(0, 12, 2), 8),
+            (1, {0}, 40, 500),
+            (2, {1}, 60, 500),
+            (3, {0, 2}, 40, 800),
+            (8, {0, 3, 5}, 15, 1_500),
+            (12, range(0, 12, 2), 8, 2_000),
         ],
     )
-    def test_gaussian(self, kind, k, signal_set, seeds):
+    def test_gaussian(self, kind, k, signal_set, seeds, n_max):
+        # Longest stops: 127, 128, 188, 371 and 458 steps.
         theta = _truth(GAUSS, k, signal_set)
-        _assert_same(GAUSS, theta, Thresholds(log_a=3.0, log_b=4.0), kind, range(seeds))
+        _assert_same(GAUSS, theta, Thresholds(log_a=3.0, log_b=4.0), kind, range(seeds), n_max)
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_gaussian_thirty_two_streams(self, kind):
         # 33-wide tables: a block holds few trials, so a round runs in chunks.
+        # Longest stop: 1,159 steps.
         theta = _truth(GAUSS, 32, range(0, 32, 3))
-        _assert_same(GAUSS, theta, Thresholds(log_a=2.0, log_b=1.0), kind, range(4))
+        _assert_same(GAUSS, theta, Thresholds(log_a=2.0, log_b=1.0), kind, range(4), 4_000)
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_gaussian_thirty_two_streams_half_signals(self, kind):
+        # 64 candidates a step, and stops far into the run: the constrained
+        # ones at 287 to 392 steps, the unconstrained at 936 to 1,248.
+        theta = _truth(GAUSS, 32, range(1, 17))
+        _assert_same(GAUSS, theta, Thresholds(log_a=20.0, log_b=20.0), kind, range(3), 5_000)
 
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize("signal_set", [set(), {0, 1, 2}])
     def test_empty_and_full_signal_sets(self, kind, signal_set):
+        # Longest stop: 188 steps.
         theta = _truth(GAUSS, 3, signal_set)
-        _assert_same(GAUSS, theta, Thresholds(log_a=2.0, log_b=5.0), kind, range(30))
+        _assert_same(GAUSS, theta, Thresholds(log_a=2.0, log_b=5.0), kind, range(30), 800)
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_zero_thresholds(self, kind):
+        # Longest stop: 112 steps.
         theta = _truth(GAUSS, 2, {1})
-        got = _assert_same(GAUSS, theta, Thresholds(log_a=0.0, log_b=0.0), kind, range(40))
+        got = _assert_same(GAUSS, theta, Thresholds(log_a=0.0, log_b=0.0), kind, range(40), 500)
         assert min(d.stopped_at for d in got) <= 2
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_negative_thresholds_stop_at_the_first_step(self, kind):
         theta = _truth(GAUSS, 3, {1})
-        got = _assert_same(GAUSS, theta, Thresholds(log_a=-1e9, log_b=-1e9), kind, range(10))
+        got = _assert_same(GAUSS, theta, Thresholds(log_a=-1e9, log_b=-1e9), kind, range(10), 10)
         assert {d.stopped_at for d in got} == {1}
 
     @pytest.mark.parametrize("kind", list(TestKind))
@@ -258,21 +290,23 @@ class TestKernelMatchesScalar:
         # grow by the factor of 2 from 16 steps: 37 falls inside the second
         # block (steps 17 to 48), which is cut there.
         theta = _truth(GAUSS, 2, {1})
-        got = _assert_same(
-            GAUSS, theta, Thresholds(log_a=30.0, log_b=30.0), kind, range(12), n_max=n_max
-        )
+        got = _assert_same(GAUSS, theta, Thresholds(log_a=30.0, log_b=30.0), kind, range(12), n_max)
         assert all(d.truncated and d.stopped_at == n_max for d in got)
 
     @pytest.mark.parametrize("kind", list(TestKind))
-    @pytest.mark.parametrize("k, signal_set, seeds", [(2, {0}, 60), (10, range(5), 6)])
-    def test_bernoulli(self, kind, k, signal_set, seeds):
+    # Longest stops: 114 and 402 steps.
+    @pytest.mark.parametrize(
+        "k, signal_set, seeds, n_max", [(2, {0}, 60, 500), (10, range(5), 6, 1_500)]
+    )
+    def test_bernoulli(self, kind, k, signal_set, seeds, n_max):
         theta = _truth(BERN, k, signal_set)
-        _assert_same(BERN, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(seeds))
+        _assert_same(BERN, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(seeds), n_max)
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_bernoulli_tight_regions(self, kind):
+        # Longest stop: 796 steps.
         theta = JointParameter.coupled(2, frozenset({0}), 0.55, 0.45)
-        _assert_same(TIGHT, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(30))
+        _assert_same(TIGHT, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(30), 3_000)
 
     def test_rejects_bad_arguments(self):
         theta = _truth(GAUSS, 2, {1})
@@ -373,7 +407,8 @@ class TestCellsShareOneTrajectory:
     # kind's suprema are taken only on the trials with a cell of that kind
     # still open, so the multi-cell calls below also run the blocks that
     # score a kind on some trials and those that skip it.
-    def _assert_each_cell_as_alone(self, model, theta, cells, seeds, n_max=10**6):
+    # Each call's n_max is a few times its longest stop, as in _assert_same.
+    def _assert_each_cell_as_alone(self, model, theta, cells, seeds, n_max):
         got = run_trials(model, theta, cells, _rngs(seeds), n_max)
         assert got == [run_trials(model, theta, [cell], _rngs(seeds), n_max)[0] for cell in cells]
         return got
@@ -381,14 +416,16 @@ class TestCellsShareOneTrajectory:
     def test_gaussian_desk_cells(self, monkeypatch):
         blocks = _record_blocks(monkeypatch)
         seeds = [montecarlo.derive_trial_seed(20260819, 0, t) for t in range(60)]
-        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, seeds)
+        # Longest stop: 309 steps.
+        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, seeds, 1_200)
         paths = _scoring_paths(blocks, TestKind.CONSTRAINED)
         assert paths["some"] and paths["none"], paths
 
     def test_bernoulli_ten_streams(self, monkeypatch):
         blocks = _record_blocks(monkeypatch)
         cells = list(product([Thresholds(2.0, 2.0), Thresholds(5.0, 3.0)], TestKind))
-        self._assert_each_cell_as_alone(BERN, _truth(BERN, 10, range(5)), cells, range(8))
+        # Longest stop: 434 steps.
+        self._assert_each_cell_as_alone(BERN, _truth(BERN, 10, range(5)), cells, range(8), 1_500)
         paths = _scoring_paths(blocks, TestKind.CONSTRAINED)
         assert paths["some"] and paths["none"], paths
 
@@ -401,7 +438,8 @@ class TestCellsShareOneTrajectory:
             (Thresholds(2.0, 1.0), TestKind.UNCONSTRAINED),
             (Thresholds(16.0, 20.0), TestKind.CONSTRAINED),
         ]
-        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 3, {1}), cells, range(40))
+        # Longest stop: 204 steps.
+        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 3, {1}), cells, range(40), 800)
         paths = _scoring_paths(blocks, TestKind.UNCONSTRAINED)
         assert paths["some"] and paths["none"], paths
 
