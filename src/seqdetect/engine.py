@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +91,9 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class Decision:
+    """One trial's stop as the scalar reference returns it (run_to_decision,
+    check_stop); run_trials returns the same fields as arrays."""
+
     stopped_at: int
     selected: frozenset[int]
     truncated: bool
@@ -660,11 +662,14 @@ def run_trials(
     cells: Sequence[tuple[Thresholds, TestKind]],
     rngs: Sequence,
     n_max: int = DEFAULT_N_MAX,
-) -> list[list[Decision]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run one trial per ``random.Random`` in ``rngs``, all streams following
     ``model``, and score it for every (thresholds, kind) cell in ``cells``.
 
-    Returns one list of decisions per cell.  Decision i of a cell is the one
+    Returns arrays over cells x trials: the stop times ``stopped_at``
+    (floats), the flags ``truncated`` and the signal-set estimates
+    ``selected`` (one flag per stream, cells x trials x K).  A cell's
+    entries for trial i are those of the :class:`Decision` that
     :func:`run_to_decision` returns for that cell on a generator in the
     state of ``rngs[i]``: every cell reads the one trajectory that the
     generator draws, the draws of ``rng.gauss``/``rng.random`` are
@@ -679,19 +684,18 @@ def run_trials(
     stop, and lengthen as trials leave.  Draws run to the end of the block
     in which a trial's last cell stops, so the generators end past where
     run_to_decision would leave them; a kind's suprema are taken only up to
-    the block in which the trial's last cell of that kind stops.  Decisions
-    that report the same signal-set estimate share one frozenset.
+    the block in which the trial's last cell of that kind stops.
     """
     _require_run(model, theta_true, n_max)
     k = theta_true.k
     thetas = np.array(theta_true.thetas)
     live = np.arange(len(rngs))
     sums, mle, adaptive = _fresh(model, live.size, k)
-    decisions: list[list[Decision | None]] = [[None] * live.size for _ in cells]
+    stopped_at = np.zeros((len(cells), live.size))
+    truncated = np.zeros((len(cells), live.size), dtype=bool)
+    selected = np.zeros((len(cells), live.size, k), dtype=bool)
     # The cells each live trial has yet to decide.
     open_cells = np.ones((live.size, len(cells)), dtype=bool)
-    streams = range(k)
-    selected: dict[tuple, frozenset[int]] = {}
     rows = _block_rows(k)
     n = 0
     steps = _FIRST_BLOCK // 2  # so that the first block is _FIRST_BLOCK steps at most
@@ -709,16 +713,13 @@ def run_trials(
             trial, cell = np.nonzero(ends)
             at = first[trial, cell]
             # A cell still running at n_max ends at the block's last step.
-            last = np.minimum(at, steps - 1).astype(int)
-            for i, c, stopped_at, estimate, truncated in zip(
-                live[lo:hi][trial].tolist(), cell.tolist(), (n + 1 + last).tolist(),
-                map(tuple, member[trial, last].tolist()), (at == steps).tolist(),
-            ):
-                if estimate not in selected:
-                    selected[estimate] = frozenset(compress(streams, estimate))
-                decisions[c][i] = Decision(stopped_at, selected[estimate], truncated)
+            last = np.minimum(at, steps - 1)
+            done = live[lo:hi][trial]
+            stopped_at[cell, done] = n + 1 + last
+            truncated[cell, done] = at == steps
+            selected[cell, done] = member[trial, last.astype(int)]
         n += steps
         keep = open_cells.any(1)
         live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]
         open_cells = open_cells[keep]
-    return decisions
+    return stopped_at, truncated, selected

@@ -114,20 +114,20 @@ class Summary:
     fwer2_certifiable: bool
 
 
-def _run_batch(config: ExperimentConfig, start: int, stop: int) -> list[list[tuple]]:
+def _run_batch(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     """Trials start..stop-1 of every cell, thresholds-major: one kernel batch
-    that scores each trial for every cell and, per cell, one list of
-    (stopped_at, truncated, type I error, type II error) records."""
-    truth = config.theta.signal_set(config.model.space)
+    that scores each trial for every cell, as one (4 x cells x trials) array
+    of stop times, truncation flags and type I and type II error flags."""
+    signals = config.theta.signal_set(config.model.space)
+    truth = np.array([i in signals for i in range(config.theta.k)])
     rngs = [random.Random(derive_trial_seed(config.base_seed, 0, i)) for i in range(start, stop)]
     cells = list(product(config.thresholds, config.kinds))
-    return [
-        [
-            (d.stopped_at, d.truncated, bool(d.selected - truth), bool(truth - d.selected))
-            for d in decisions
-        ]
-        for decisions in engine.run_trials(config.model, config.theta, cells, rngs, config.n_max)
-    ]
+    stopped_at, truncated, selected = engine.run_trials(
+        config.model, config.theta, cells, rngs, config.n_max
+    )
+    return np.stack(
+        (stopped_at, truncated, (selected & ~truth).any(-1), (truth & ~selected).any(-1))
+    )
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -210,16 +210,13 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_batch, repeat(config), starts, stops))
 
+    stopped, truncated, type1, type2 = np.concatenate(batches, axis=-1)
     summaries = []
     for cell_index, (th, kind) in enumerate(product(config.thresholds, config.kinds)):
-        records = [r for batch in batches for r in batch[cell_index]]
-        stopped = np.array([r[0] for r in records], dtype=float)
-        trunc = np.array([r[1] for r in records], dtype=bool)
-        err1 = sum(1 for r in records if r[2])
-        err2 = sum(1 for r in records if r[3])
-
-        kept = stopped[~trunc]
+        trunc = truncated[cell_index].astype(bool)
+        kept = stopped[cell_index][~trunc]
         n_trunc = int(trunc.sum())
+        err1, err2 = int(type1[cell_index].sum()), int(type2[cell_index].sum())
         if n_trunc > 0:
             warnings.warn(
                 f"cell {cell_index}: {n_trunc} truncated trial(s) excluded from ESS",

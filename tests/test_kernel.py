@@ -2,11 +2,11 @@
 
 The kernel reproduces random.Random's draws in bulk and every floating-point
 operation of update/check_stop in the same order, so the tolerance is zero:
-each decision (stop time, selected set, truncation flag) must equal the one
-run_to_decision returns on the same seed, for both families.  The last tests
-run the kernel on a truth off the coupled space, where only the
-unconstrained test keeps its familywise guarantee, and on the coupled truth
-at the indifference boundary, where both keep it.
+its arrays (stop times, truncation flags, selected sets) must equal, entry
+for entry, those of the decisions run_to_decision returns on the same seeds,
+for both families.  The last tests run the kernel on a truth off the coupled
+space, where only the unconstrained test keeps its familywise guarantee, and
+on the coupled truth at the indifference boundary, where both keep it.
 """
 import math
 import random
@@ -47,6 +47,27 @@ def _truth(model, k, signal_set):
     )
 
 
+def _as_arrays(decisions, k):
+    """run_to_decision's decisions, one list per cell, as the arrays that
+    run_trials returns: stop times (floats) and truncation flags, cells x
+    trials, and the selected sets, cells x trials x K."""
+    return (
+        np.array([[d.stopped_at for d in cell] for cell in decisions], dtype=float),
+        np.array([[d.truncated for d in cell] for cell in decisions], dtype=bool),
+        np.array(
+            [[[i in d.selected for i in range(k)] for d in cell] for cell in decisions],
+            dtype=bool,
+        ),
+    )
+
+
+def _assert_arrays_equal(got, want):
+    """Equal run_trials arrays: the same shapes, dtypes and entries, exactly."""
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
 def _assert_same(model, theta, thresholds, kind, seeds, n_max):
     """run_trials against run_to_decision, truncated trials included.  Each
     caller's ``n_max`` is a few times its case's longest stop, so that a
@@ -56,8 +77,8 @@ def _assert_same(model, theta, thresholds, kind, seeds, n_max):
         run_to_decision(model, theta, thresholds, kind, rng, n_max=n_max)
         for rng in _rngs(seeds)
     ]
-    (got,) = run_trials(model, theta, [(thresholds, kind)], _rngs(seeds), n_max=n_max)
-    assert got == want
+    got = run_trials(model, theta, [(thresholds, kind)], _rngs(seeds), n_max=n_max)
+    _assert_arrays_equal(got, _as_arrays([want], theta.k))
     return got
 
 
@@ -274,14 +295,18 @@ class TestKernelMatchesScalar:
     def test_zero_thresholds(self, kind):
         # Longest stop: 112 steps.
         theta = _truth(GAUSS, 2, {1})
-        got = _assert_same(GAUSS, theta, Thresholds(log_a=0.0, log_b=0.0), kind, range(40), 500)
-        assert min(d.stopped_at for d in got) <= 2
+        stopped_at, _, _ = _assert_same(
+            GAUSS, theta, Thresholds(log_a=0.0, log_b=0.0), kind, range(40), 500
+        )
+        assert stopped_at.min() <= 2
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_negative_thresholds_stop_at_the_first_step(self, kind):
         theta = _truth(GAUSS, 3, {1})
-        got = _assert_same(GAUSS, theta, Thresholds(log_a=-1e9, log_b=-1e9), kind, range(10), 10)
-        assert {d.stopped_at for d in got} == {1}
+        stopped_at, _, _ = _assert_same(
+            GAUSS, theta, Thresholds(log_a=-1e9, log_b=-1e9), kind, range(10), 10
+        )
+        assert (stopped_at == 1).all()
 
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize("n_max", [1, 37])
@@ -290,8 +315,10 @@ class TestKernelMatchesScalar:
         # grow by the factor of 2 from 16 steps: 37 falls inside the second
         # block (steps 17 to 48), which is cut there.
         theta = _truth(GAUSS, 2, {1})
-        got = _assert_same(GAUSS, theta, Thresholds(log_a=30.0, log_b=30.0), kind, range(12), n_max)
-        assert all(d.truncated and d.stopped_at == n_max for d in got)
+        stopped_at, truncated, _ = _assert_same(
+            GAUSS, theta, Thresholds(log_a=30.0, log_b=30.0), kind, range(12), n_max
+        )
+        assert truncated.all() and (stopped_at == n_max).all()
 
     @pytest.mark.parametrize("kind", list(TestKind))
     # Longest stops: 114 and 402 steps.
@@ -336,8 +363,8 @@ def test_blocks_run_few_steps_past_the_stops(monkeypatch):
 
     monkeypatch.setattr(engine, "_advance", counting)
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
-    cells = run_trials(GAUSS, theta, DESK_CELLS, rngs)
-    stops = sum(max(d.stopped_at for d in trial) for trial in zip(*cells))
+    stopped_at, _, _ = run_trials(GAUSS, theta, DESK_CELLS, rngs)
+    stops = stopped_at.max(0).sum()
     assert drawn <= 1.25 * stops, (drawn, stops)
 
 
@@ -382,7 +409,7 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(20))
     trial_of = {id(rng): i for i, rng in enumerate(rngs)}
     blocks = _record_blocks(monkeypatch)
-    decisions = run_trials(BERN, theta, cells, rngs)
+    stopped_at, _, _ = run_trials(BERN, theta, cells, rngs)
     scored = {
         kind: sum(steps * rows.get(kind, 0) for *_, steps, rows in blocks) for kind in TestKind
     }
@@ -390,10 +417,10 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
     # that kind stops after step n.
     want = {
         kind: sum(
-            steps * sum(cell[trial_of[id(rng)]].stopped_at > n for rng in block_rngs)
+            steps * sum(stops[trial_of[id(rng)]] > n for rng in block_rngs)
             for _, block_rngs, n, steps, _ in blocks
         )
-        for (_, kind), cell in zip(cells, decisions)
+        for (_, kind), stops in zip(cells, stopped_at)
     }
     assert scored == want
     drawn = sum(len(block_rngs) * steps for _, block_rngs, _, steps, _ in blocks)
@@ -402,15 +429,16 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
 
 
 class TestCellsShareOneTrajectory:
-    # One call scores each trial for every cell; each cell's decisions are
-    # those of a call for that cell alone on fresh generators, exactly.  A
+    # One call scores each trial for every cell; each cell's rows are those
+    # of a call for that cell alone on fresh generators, exactly.  A
     # kind's suprema are taken only on the trials with a cell of that kind
     # still open, so the multi-cell calls below also run the blocks that
     # score a kind on some trials and those that skip it.
     # Each call's n_max is a few times its longest stop, as in _assert_same.
     def _assert_each_cell_as_alone(self, model, theta, cells, seeds, n_max):
         got = run_trials(model, theta, cells, _rngs(seeds), n_max)
-        assert got == [run_trials(model, theta, [cell], _rngs(seeds), n_max)[0] for cell in cells]
+        alone = [run_trials(model, theta, [cell], _rngs(seeds), n_max) for cell in cells]
+        _assert_arrays_equal(got, [np.concatenate(arrays) for arrays in zip(*alone)])
         return got
 
     def test_gaussian_desk_cells(self, monkeypatch):
@@ -446,14 +474,11 @@ class TestCellsShareOneTrajectory:
     def test_cells_stop_and_truncate_in_one_trial(self):
         # At n_max = 40 the low-threshold cells stop while the high-threshold
         # ones are truncated, within the same trials.
-        got = self._assert_each_cell_as_alone(
+        stopped_at, truncated, _ = self._assert_each_cell_as_alone(
             GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, range(40), n_max=40
         )
-        mixed = [
-            trial for trial in zip(*got)
-            if trial[0].stopped_at < 40 and trial[-1].truncated
-        ]
-        assert len(mixed) >= 10
+        mixed = (stopped_at[0] < 40) & truncated[-1]
+        assert mixed.sum() >= 10
 
 
 @pytest.mark.parametrize(
@@ -485,16 +510,16 @@ def test_records_do_not_depend_on_batch_composition(kind):
     )
 
     def records(size):
-        cells = [[], []]
-        for start in range(0, trials, size):
-            job = montecarlo._run_batch(config, start, min(start + size, trials))
-            for cell, batch in zip(cells, job):
-                cell += batch
-        return cells
+        jobs = [
+            montecarlo._run_batch(config, start, min(start + size, trials))
+            for start in range(0, trials, size)
+        ]
+        return np.concatenate(jobs, axis=-1)
 
     whole = records(trials)
-    assert records(1) == whole
-    assert records(7) == whole
+    assert whole.shape == (4, 2, trials)
+    np.testing.assert_array_equal(records(1), whole, strict=True)
+    np.testing.assert_array_equal(records(7), whole, strict=True)
 
 
 # A truth off the coupled space: a strong and a weak signal, a strong and a
@@ -508,12 +533,13 @@ def _error_events(kind, theta, log_t, seed, trials):
     seeded from ``seed`` (a base seed and a cell index), and the cap on their
     rates, exp(-log_t) + 3 SE."""
     rngs = _rngs(montecarlo.derive_trial_seed(*seed, i) for i in range(trials))
-    (decisions,) = run_trials(GAUSS, theta, [(Thresholds(log_t, log_t), kind)], rngs)
-    assert not any(d.truncated for d in decisions)
-    truth = theta.signal_set(GAUSS.space)
+    _, truncated, selected = run_trials(GAUSS, theta, [(Thresholds(log_t, log_t), kind)], rngs)
+    assert not truncated.any()
+    signals = theta.signal_set(GAUSS.space)
+    truth = np.array([i in signals for i in range(theta.k)])
     events = (
-        sum(bool(d.selected - truth) for d in decisions),
-        sum(bool(truth - d.selected) for d in decisions),
+        int((selected & ~truth).any(-1).sum()),
+        int((truth & ~selected).any(-1).sum()),
     )
     level = math.exp(-log_t)
     return events, level + 3.0 * math.sqrt(level * (1.0 - level) / trials)

@@ -3,10 +3,11 @@ import os
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from seqdetect import montecarlo
-from seqdetect.engine import TestKind, Thresholds
+from seqdetect.engine import TestKind, Thresholds, run_to_decision
 from seqdetect.errors import ConfigError
 from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
 from seqdetect.montecarlo import (
@@ -181,19 +182,32 @@ class TestRunExperiment:
         th = Thresholds(2.0, 2.0)
         assert batches == [([(th, TestKind.CONSTRAINED), (th, TestKind.UNCONSTRAINED)], 20)]
 
-    def test_every_cell_runs_on_the_cell_zero_seeds(self):
+    @pytest.mark.parametrize(
+        "thetas", [(-0.1, -0.1), (0.1, -0.1), (0.1, 0.1)], ids=["empty", "partial", "full"]
+    )
+    def test_every_cell_runs_on_the_cell_zero_seeds(self, thetas):
         # Cells share each trial's generator, seeded from (base_seed, 0, trial):
-        # each cell's records are those of that cell run alone on it.
-        cfg = small_config(thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 3.0)))
+        # each cell's row is run_to_decision's decisions for that cell on it,
+        # with the error flags taken as set differences of the selected set
+        # and the truth's signal set.  An empty signal set rules out type II
+        # errors and a full one type I errors; on the indifference boundary
+        # the other type occurs, and the partial set makes both, in the same
+        # trials too.
+        cfg = small_config(
+            theta=JointParameter(thetas), thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 3.0))
+        )
         truth = cfg.theta.signal_set(cfg.model.space)
-        batch = montecarlo._run_batch(cfg, 0, 20)
-        for cell, records in zip(product(cfg.thresholds, cfg.kinds), batch, strict=True):
+        want = []
+        for th, kind in product(cfg.thresholds, cfg.kinds):
             rngs = [random.Random(derive_trial_seed(123, 0, i)) for i in range(20)]
-            (alone,) = montecarlo.engine.run_trials(cfg.model, cfg.theta, [cell], rngs)
-            assert records == [
+            decisions = [run_to_decision(cfg.model, cfg.theta, th, kind, rng) for rng in rngs]
+            want.append([
                 (d.stopped_at, d.truncated, bool(d.selected - truth), bool(truth - d.selected))
-                for d in alone
-            ]
+                for d in decisions
+            ])
+        want = np.array(want, dtype=float).transpose(2, 0, 1)
+        assert want[2].any() == (len(truth) < cfg.theta.k) and want[3].any() == bool(truth)
+        np.testing.assert_array_equal(montecarlo._run_batch(cfg, 0, 20), want, strict=True)
 
     def test_worker_count_does_not_change_results(self):
         # 19 trials across four cells: one job of all trials at 1 worker,
