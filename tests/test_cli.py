@@ -8,7 +8,7 @@ import pytest
 from seqdetect import engine, oracle
 from seqdetect.cli import FIGURE_HEADER, SIMULATE_HEADER, load_config, main
 from seqdetect.errors import ConfigError
-from seqdetect.montecarlo import ExperimentConfig, run_experiment
+from seqdetect.montecarlo import ExperimentConfig, first_order_rates, run_experiment
 
 
 def base_config():
@@ -487,6 +487,32 @@ class TestValidateCommand:
         for kind in engine.TestKind:
             assert f"SKIP lln-{kind.value}: infinite target for this truth" in out
         assert "all checks passed" in out
+        assert "FAIL" not in out
+
+    def test_bernoulli_engine_grid(self, tmp_path, monkeypatch, capsys):
+        # CI's three-stream Bernoulli config, whose engine-grid check runs the
+        # kernel's Bernoulli suprema (numpy logs choose, libm scores).  Both
+        # Monte Carlo estimates are stubbed to their targets to keep it fast.
+        cfg_dict = {
+            "experiment": "bern3",
+            "model": {
+                "family": "bernoulli", "noise_region": [0.05, 0.4], "signal_region": [0.6, 0.95],
+            },
+            "truth": {"k": 3, "signal_set": [1], "theta1": 0.7, "theta0": 0.3},
+            "run": {
+                "kinds": ["constrained", "unconstrained"],
+                "log_thresholds": [2, 5, 10], "trials": 300, "seed": 5,
+            },
+        }
+        cfg = write_config(tmp_path, cfg_dict)
+        monkeypatch.setattr(oracle, "mean_one_martingale_estimate", lambda *args: (1.0, 0.01))
+        monkeypatch.setattr(
+            oracle, "lln_rate_estimate",
+            lambda model, theta, n, trials, kinds, rng: first_order_rates(model, theta, kinds),
+        )
+        assert main(["validate", "--config", cfg, "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS engine-grid" in out
         assert "FAIL" not in out
 
     def test_engine_grid_checks_the_kernel(self, monkeypatch, capsys):

@@ -253,6 +253,31 @@ def test_coupled_suprema_score_one_table(monkeypatch, k):
     assert all(args[1].shape == args[2].shape == (2 * k, 3) for args in calls)
 
 
+def test_bernoulli_tables_score_few_candidates_through_libm(monkeypatch):
+    # The wide Bernoulli benchmark config: ten streams, log 5, both kinds.
+    # Of the 2K candidates a trial-step, only those whose numpy-log value
+    # comes close to a family's maximum go through libm (about 2 in 20).
+    entries = {"table": 0, "libm": 0}
+    coupled_sups, region_sup = engine._coupled_sups, engine._region_sup
+
+    def counted_table(model, n, s, member):
+        entries["table"] += 2 * s.shape[-1] * s[..., 0].size
+        return coupled_sups(model, n, s, member)
+
+    def counted_libm(model, n, s, region):
+        if region is Region.SIGNAL:  # each entry's noise group follows
+            entries["libm"] += s.size
+        return region_sup(model, n, s, region)
+
+    monkeypatch.setattr(engine, "_coupled_sups", counted_table)
+    monkeypatch.setattr(engine, "_region_sup", counted_libm)
+    theta = _truth(BERN, 10, range(1, 6))
+    cells = [(Thresholds(5.0, 5.0), kind) for kind in TestKind]
+    rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(20))
+    run_trials(BERN, theta, cells, rngs, 2_000)  # longest stop: 455 steps
+    assert 0 < entries["libm"] <= 0.2 * entries["table"], entries
+
+
 class TestKernelMatchesScalar:
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ Gaussian pooled sums are added in a different order (sorted by sum instead
 of by stream), so agreement is to 1e-12 * (1 + |value|).
 """
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from seqdetect.models import (
     Region,
     StreamModel,
     SufficientStat,
+    sup_stat_loglik,
 )
 from seqdetect.oracle import subset_info_constants, subset_sup_loglik_error_sets
 
@@ -104,16 +106,112 @@ def test_constrained_suprema_match_subset_enumeration(case):
     ref = subset_sup_loglik_error_sets(model, stats, estimate)
     exact = model.family is Family.BERNOULLI
     assert all(close(g, r, exact) for g, r in zip(got, ref)), (got, ref)
-    # The kernel on the same state as a 1 x K row.
-    count = np.array([[float(state.n)]])
-    sums = np.array([[s.s for s in stats]])
+    # The kernel on the same state.
+    member, kernel = kernel_sups(model, state.n, [s.s for s in stats])
+    assert member == estimate
+    assert all(close(g, r, exact) for g, r in zip(kernel, ref)), (kernel, ref)
+
+
+def kernel_sups(model, n, sums):
+    """The kernel's estimate and constrained (logL0, logL1) at the shared
+    count ``n`` and stream sums ``sums``, as a 1 x K row."""
+    count = np.array([[float(n)]])
+    sums = np.array([sums], dtype=float)
     q0 = engine._region_sup(model, count, sums, Region.NOISE)
     q1 = engine._region_sup(model, count, sums, Region.SIGNAL)
     member = q1 >= q0
-    assert set(np.flatnonzero(member[0]).tolist()) == estimate
-    kernel = engine._error_sups(model, TestKind.CONSTRAINED, count, sums, q0, q1, member)
-    kernel = [float(v[0]) for v in kernel]
-    assert all(close(g, r, exact) for g, r in zip(kernel, ref)), (kernel, ref)
+    sups = engine._error_sups(model, TestKind.CONSTRAINED, count, sums, q0, q1, member)
+    return frozenset(np.flatnonzero(member[0]).tolist()), [float(v[0]) for v in sups]
+
+
+# The Bernoulli kernel scores a candidate through libm only when its value
+# with numpy's logs lies within engine._FAST_SLACK of its family's maximum
+# taken the same way.  These states put that selection where it is
+# tightest; each must give the enumeration's suprema bit for bit.
+WIDE = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
+EDGE = StreamModel(Family.BERNOULLI, ParameterSpace(1e-12, 0.4, 0.6, 1.0 - 1e-12))
+
+
+def tied(k):
+    # Streams at mean 1/2 join the estimate (ties go to the signal side),
+    # and the false-alarm family's maximum is reached by several
+    # candidates with equal values, from K = 2 on (10 of them at K = 10).
+    return WIDE, 2, [1.0] * (k - 1) + [0.0]
+
+
+def empty_estimate(k):
+    return WIDE, 20, [float(i % 3) for i in range(k)]
+
+
+def full_estimate(k):
+    return WIDE, 20, [20.0 - i % 3 for i in range(k)]
+
+
+def empty_noise_group(k):
+    # A = all but the last stream, which sits just below the gap: the
+    # false-alarm supremum is every stream in the signal group.
+    return WIDE, 20, [18.0] * (k - 1) + [9.0]
+
+
+def empty_signal_group(k):
+    # A = the first stream, just above the gap: the miss supremum is every
+    # stream in the noise group.
+    return WIDE, 20, [11.0] + [2.0] * (k - 1)
+
+
+def near_edges(k):
+    # Fits on region bounds 1e-12 from 0 and from 1, where each fit's two
+    # log terms lie some 13 orders of magnitude apart.
+    return EDGE, 30, [(0.0, 30.0, 1.0, 29.0)[i % 4] for i in range(k)]
+
+
+SELECTION_CASES = [
+    tied, empty_estimate, full_estimate, empty_noise_group, empty_signal_group, near_edges
+]
+SELECTION_STREAMS = [1, 2, 3, 10]
+
+
+def reference_sups(model, n, sums, estimate):
+    return list(subset_sup_loglik_error_sets(model, [SufficientStat(n, s) for s in sums], estimate))
+
+
+@pytest.mark.parametrize("k", SELECTION_STREAMS)
+@pytest.mark.parametrize("case", SELECTION_CASES)
+def test_bernoulli_selection_matches_subset_enumeration(case, k):
+    model, n, sums = case(k)
+    estimate, got = kernel_sups(model, n, sums)
+    assert got == reference_sups(model, n, sums, estimate)
+    size = {empty_estimate: 0, full_estimate: k, empty_noise_group: k - 1, empty_signal_group: 1}
+    assert len(estimate) == size.get(case, len(estimate))
+    total = math.fsum(sums)
+    if case is empty_noise_group:
+        assert got[0] == sup_stat_loglik(model, n * k, total, Region.SIGNAL)
+    if case is empty_signal_group:
+        assert got[1] == sup_stat_loglik(model, n * k, total, Region.NOISE)
+
+
+@pytest.mark.parametrize("k", SELECTION_STREAMS)
+def test_bernoulli_selection_survives_fast_value_errors(monkeypatch, k):
+    # Every fast value moved by up to a quarter of the slack, relative to
+    # its size, selects candidates that give the same bits: the selection
+    # does not rest on how numpy's logs round.
+    rng = random.Random(k)
+    states = [case(k) for case in SELECTION_CASES]
+    for _ in range(20):
+        n = rng.randint(1, 60)
+        states.append((WIDE, n, [float(rng.randint(0, n)) for _ in range(k)]))
+    want = [kernel_sups(*state) for state in states]
+    fast_sup = engine._fast_sup
+    jitter = np.random.default_rng(k)
+
+    def perturbed(*args):
+        value = fast_sup(*args)
+        return value * (1.0 + jitter.uniform(-0.25, 0.25, value.shape) * engine._FAST_SLACK)
+
+    monkeypatch.setattr(engine, "_fast_sup", perturbed)
+    for state, (estimate, sups) in zip(states, want):
+        assert kernel_sups(*state) == (estimate, sups)
+        assert sups == reference_sups(*state, estimate)
 
 
 @settings(max_examples=100, **FIXED)
