@@ -655,31 +655,30 @@ def _advance(
     :func:`_absorb` (which updates ``sums``, ``mle`` and ``adaptive`` in
     place) and applies each cell's :func:`check_stop` rule after every step.
     The suprema do not depend on the thresholds, so each distinct kind's
-    margins are taken once for every cell of that kind, and only on the
+    suprema are taken once for every cell of that kind, and only on the
     trials that have a cell of that kind open in ``opened`` (trials x
-    cells); the other trials get -inf, which stops no cell (the caller reads
-    no closed cell).  Returns the index in the block of the first step at
-    which both of a cell's margins clear (``steps`` if none), as floats
-    (trials x cells), and the signal-set estimate after every step (trials
-    x steps x K).
+    cells); a kind's cells read ``steps`` on the trials that no longer need
+    that kind.
+    Returns the index in the block of the first step at which both of a
+    cell's margins clear (``steps`` if none), as floats (trials x cells),
+    and the signal-set estimate after every step (trials x steps x K).
     """
     x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
     count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
     kinds = [kind for _, kind in cells]
-    margins = {}
+    bounds = np.array([(th.log_a, th.log_b) for th, _ in cells]).T[..., None, None]
+    first = np.full((len(cells), len(rngs)), float(steps))  # cells x trials
     for kind in dict.fromkeys(kinds):
-        need = opened[:, [c is kind for c in kinds]].any(1)
-        sups = np.full((2, *run.shape), np.inf)
+        mine = np.array([c is kind for c in kinds])
+        need = opened[:, mine].any(1)
         if need.any():
-            sups[:, need] = _error_sups(model, kind, count, s[need], q0[need], q1[need], member[need])
-        margins[kind] = run - sups
-    # Each cell's margins, cells x trials x steps: steps first is faster on
-    # blocks of many trials, slower on long ones.
-    m0, m1 = np.array([margins[kind] for kind in kinds]).swapaxes(0, 1)
-    log_a, log_b = np.array([(th.log_a, th.log_b) for th, _ in cells]).T[..., None, None]
-    stop = (m0 >= log_b) & (m1 >= log_a)
-    # A float minimum rather than argmax (see above); `steps` means no stop.
-    first = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(-1)
+            l0, l1 = _error_sups(model, kind, count, s[need], q0[need], q1[need], member[need])
+            adapt, (log_a, log_b) = run[need], bounds[:, mine]
+            stop = (adapt - l0 >= log_b) & (adapt - l1 >= log_a)
+            # A float minimum rather than argmax (see above), cells-major as
+            # the mask takes its entries; `steps` means no stop.
+            at = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(-1)
+            first[mine[:, None] & need] = at.ravel()
     return first.T, member
 
 

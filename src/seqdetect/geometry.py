@@ -76,9 +76,7 @@ def kl_to_region(model: StreamModel, theta: float, region: Region) -> float:
     """
     if not model.space.contains(theta):
         raise DomainError(f"theta={theta!r} outside the parameter set")
-    lo, hi = model.space.region_bounds(region)
-    t = min(max(theta, lo), hi)
-    return kl(model, theta, t)
+    return _group_inf(model, ((theta, 1),), region)
 
 
 def _group_inf(model: StreamModel, groups, region: Region) -> float:

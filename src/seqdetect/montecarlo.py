@@ -196,19 +196,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     """
     workers = _resolve_workers(workers)
     rates = first_order_rates(config.model, config.theta, config.kinds)
+    # Each job runs every cell on an equal range of trials, so jobs carry
+    # equal work and one job per worker balances the pool; one worker runs
+    # one job of all trials, whose blocks hold the most live trials.
+    starts = range(0, config.trials, -(-config.trials // workers))
+    jobs = repeat(config), starts, [*starts[1:], config.trials]
     # _run_batch is looked up at call time so that a wrapper bound to the
     # module attribute (the benchmark's span tracer) runs in the workers.
     if workers == 1:
-        # One job of all trials: one batch, whose blocks hold the most live
-        # trials.
-        batches = [_run_batch(config, 0, config.trials)]
+        batches = list(map(_run_batch, *jobs))
     else:
-        # Each job runs every cell on an equal range of trials, so jobs carry
-        # equal work and one job per worker balances the pool.
-        starts = range(0, config.trials, -(-config.trials // workers))
-        stops = [*starts[1:], config.trials]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_batch, repeat(config), starts, stops))
+            batches = list(pool.map(_run_batch, *jobs))
 
     stopped, truncated, type1, type2 = np.concatenate(batches, axis=-1)
     summaries = []

@@ -10,6 +10,7 @@ on the coupled truth at the indifference boundary, where both keep it.
 """
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -376,7 +377,8 @@ DESK_CELLS = list(product([Thresholds(c, c) for c in (2.0, 5.0, 10.0, 20.0)], Te
 def test_blocks_run_few_steps_past_the_stops(monkeypatch):
     # The desk_fig1 truth and cells, 100 trials as one batch: blocks sized
     # to the live count keep the steps drawn and scored within 1.25x the
-    # steps up to each trial's latest stop among the cells.
+    # steps up to each trial's latest stop among the cells.  Longest stop:
+    # 253 steps.
     theta = _truth(GAUSS, 2, {0})
     drawn = 0
     advance = engine._advance
@@ -388,9 +390,32 @@ def test_blocks_run_few_steps_past_the_stops(monkeypatch):
 
     monkeypatch.setattr(engine, "_advance", counting)
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
-    stopped_at, _, _ = run_trials(GAUSS, theta, DESK_CELLS, rngs)
+    stopped_at, truncated, _ = run_trials(GAUSS, theta, DESK_CELLS, rngs, n_max=1_000)
+    assert not truncated.any()
     stops = stopped_at.max(0).sum()
     assert drawn <= 1.25 * stops, (drawn, stops)
+
+
+def test_stop_test_peak_grows_little_with_the_cells():
+    # The desk_fig1 truth, 100 trials as one batch, both kinds at equal
+    # thresholds spread over [2, 20].  Each kind's stop test runs on its own
+    # cells, with no stack of every cell's margins, so four times the cells
+    # keep the traced peak within 1.5x (2.4x with such a stack).
+    theta = _truth(GAUSS, 2, {0})
+
+    def peak(pairs):
+        cells = list(product([Thresholds(c, c) for c in np.linspace(2.0, 20.0, pairs)], TestKind))
+        rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
+        tracemalloc.start()
+        try:
+            run_trials(GAUSS, theta, cells, rngs, n_max=2_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(5)  # numpy's one-time allocations, outside the measured calls
+    few, many = peak(5), peak(20)
+    assert many <= 1.5 * few, (few, many)
 
 
 def _record_blocks(monkeypatch):
@@ -428,13 +453,15 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
     # in which its last cell of that kind stops, and in no later block.  The
     # unconstrained cell stops last in each trial here, so its suprema are
     # taken on every trial-step drawn, as before the constrained ones were
-    # skipped; those are taken on little more than half of them.
+    # skipped; those are taken on little more than half of them.  Longest
+    # stop: 455 steps.
     theta = _truth(BERN, 10, range(1, 6))
     cells = [(Thresholds(5.0, 5.0), kind) for kind in TestKind]
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(20))
     trial_of = {id(rng): i for i, rng in enumerate(rngs)}
     blocks = _record_blocks(monkeypatch)
-    stopped_at, _, _ = run_trials(BERN, theta, cells, rngs)
+    stopped_at, truncated, _ = run_trials(BERN, theta, cells, rngs, n_max=1_800)
+    assert not truncated.any()
     scored = {
         kind: sum(steps * rows.get(kind, 0) for *_, steps, rows in blocks) for kind in TestKind
     }
@@ -496,6 +523,19 @@ class TestCellsShareOneTrajectory:
         paths = _scoring_paths(blocks, TestKind.UNCONSTRAINED)
         assert paths["some"] and paths["none"], paths
 
+    def test_many_cells_of_both_kinds(self, monkeypatch):
+        # Twelve threshold pairs, seven equal and five unequal, in both
+        # kinds: 24 cells, whose first stops each kind writes only on the
+        # trials that still have one of its cells open.
+        blocks = _record_blocks(monkeypatch)
+        pairs = [(c, c) for c in (1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 14.0)]
+        pairs += [(2.0, 6.0), (6.0, 2.0), (4.0, 11.0), (11.0, 4.0), (0.5, 16.0)]
+        cells = list(product([Thresholds(a, b) for a, b in pairs], TestKind))
+        # Longest stop: 229 steps.
+        self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 2, {1}), cells, range(30), 900)
+        paths = _scoring_paths(blocks, TestKind.CONSTRAINED)
+        assert paths["some"] and paths["none"], paths
+
     def test_cells_stop_and_truncate_in_one_trial(self):
         # At n_max = 40 the low-threshold cells stop while the high-threshold
         # ones are truncated, within the same trials.
@@ -525,6 +565,7 @@ def test_stream_totals_add_left_to_right(row, total):
 @pytest.mark.parametrize("kind", list(TestKind))
 def test_records_do_not_depend_on_batch_composition(kind):
     trials = 30
+    # Longest stop: 157 steps.
     config = montecarlo.ExperimentConfig(
         model=GAUSS,
         theta=_truth(GAUSS, 2, {1}),
@@ -532,6 +573,7 @@ def test_records_do_not_depend_on_batch_composition(kind):
         thresholds=(Thresholds(log_a=5.0, log_b=5.0), Thresholds(log_a=2.0, log_b=3.0)),
         trials=trials,
         base_seed=11,
+        n_max=600,
     )
 
     def records(size):
@@ -543,6 +585,7 @@ def test_records_do_not_depend_on_batch_composition(kind):
 
     whole = records(trials)
     assert whole.shape == (4, 2, trials)
+    assert not whole[1].any()  # no trial truncated
     np.testing.assert_array_equal(records(1), whole, strict=True)
     np.testing.assert_array_equal(records(7), whole, strict=True)
 
@@ -553,12 +596,14 @@ def test_records_do_not_depend_on_batch_composition(kind):
 DECOUPLED = JointParameter((0.9, 0.11, -0.9, -0.11))
 
 
-def _error_events(kind, theta, log_t, seed, trials):
+def _error_events(kind, theta, log_t, seed, trials, n_max):
     """Type I and type II error events at log_a = log_b = log_t, on generators
     seeded from ``seed`` (a base seed and a cell index), and the cap on their
-    rates, exp(-log_t) + 3 SE."""
+    rates, exp(-log_t) + 3 SE.  Each caller's ``n_max`` is about four times
+    its longest stop, and no trial may be truncated."""
     rngs = _rngs(montecarlo.derive_trial_seed(*seed, i) for i in range(trials))
-    _, truncated, selected = run_trials(GAUSS, theta, [(Thresholds(log_t, log_t), kind)], rngs)
+    cells = [(Thresholds(log_t, log_t), kind)]
+    _, truncated, selected = run_trials(GAUSS, theta, cells, rngs, n_max=n_max)
     assert not truncated.any()
     signals = theta.signal_set(GAUSS.space)
     truth = np.array([i in signals for i in range(theta.k)])
@@ -575,23 +620,27 @@ def test_constrained_test_loses_its_guarantee_off_the_coupled_space():
         montecarlo.ExperimentConfig(
             GAUSS, DECOUPLED, (TestKind.CONSTRAINED,), (Thresholds(4.0, 4.0),), 300, 77
         )
-    events, cap = _error_events(TestKind.CONSTRAINED, DECOUPLED, 4.0, (77, 0), 300)
+    # Longest stop: 131 steps.
+    events, cap = _error_events(TestKind.CONSTRAINED, DECOUPLED, 4.0, (77, 0), 300, 500)
     assert all(e / 300 > cap for e in events), (events, cap)
 
 
 def test_unconstrained_test_keeps_its_guarantee_off_the_coupled_space():
-    events, cap = _error_events(TestKind.UNCONSTRAINED, DECOUPLED, 4.0, (77, 0), 100)
+    # Longest stop: 2,487 steps.
+    events, cap = _error_events(TestKind.UNCONSTRAINED, DECOUPLED, 4.0, (77, 0), 100, 10_000)
     assert all(e / 100 <= cap for e in events), (events, cap)
 
 
 # The least-favourable coupled truth: both values on the indifference
 # boundary, where each error rate comes closest to exp(-t).  Each cell is
 # sized to see at least 10 events of each type at t = 1, so that it tests the
-# guarantee rather than reading 0.
+# guarantee rather than reading 0.  Each n_max is about four times the
+# cell's longest stop: 2,044 steps (constrained) and 2,750 (unconstrained).
 @pytest.mark.parametrize(
     "kind, cell, trials", [(TestKind.CONSTRAINED, 0, 1_000), (TestKind.UNCONSTRAINED, 1, 7_000)]
 )
 def test_familywise_guarantee_at_the_indifference_boundary(kind, cell, trials):
-    events, cap = _error_events(kind, JointParameter((0.1, -0.1)), 1.0, (7, cell), trials)
+    n_max = {TestKind.CONSTRAINED: 8_000, TestKind.UNCONSTRAINED: 11_000}[kind]
+    events, cap = _error_events(kind, JointParameter((0.1, -0.1)), 1.0, (7, cell), trials, n_max)
     assert min(events) >= 10, events
     assert all(e / trials <= cap for e in events), (events, cap)
