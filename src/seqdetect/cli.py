@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, geometry, montecarlo, oracle
-from .errors import ConfigError, DomainError, SeqDetectError
+from .errors import CapacityError, ConfigError, DomainError, SeqDetectError
 from .models import (
     Family,
     JointParameter,
@@ -431,11 +431,16 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
     grid = _info_grid(model)
     tol = 1e-4
 
-    # 1. information constants, config truth
+    # 1. information constants, config truth; the grid reference enumerates
+    # assignments, so past its stream cap the check is skipped, not failed
     got = geometry.info_constants(model, spec.theta)
-    ref = oracle.grid_info_constants(model, spec.theta, grid)
-    dev = _deviation(astuple(got), astuple(ref))
-    _check("constants-config", dev <= tol, f"max deviation {dev:.3g} (tol {tol:g})", failures)
+    try:
+        ref = oracle.grid_info_constants(model, spec.theta, grid)
+    except CapacityError as exc:
+        print(f"SKIP constants-config: {exc}")
+    else:
+        dev = _deviation(astuple(got), astuple(ref))
+        _check("constants-config", dev <= tol, f"max deviation {dev:.3g} (tol {tol:g})", failures)
 
     # 2. information constants, random coupled truths
     n_random = 20 if quick else 100

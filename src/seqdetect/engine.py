@@ -639,35 +639,33 @@ def _absorb(
 
 def _advance(
     model: StreamModel,
-    thetas: np.ndarray,
+    x: np.ndarray,
     cells: Sequence[tuple[Thresholds, TestKind]],
-    rngs,
     opened: np.ndarray,
     sums: np.ndarray,
     mle: np.ndarray,
     adaptive: np.ndarray,
     n: int,
-    steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance trials that share the count ``n`` by ``steps`` steps.
+    """Score observations ``x`` (trials x steps x K) of trials that share the count ``n``.
 
-    Draws each trial's observations from its generator once, feeds them to
-    :func:`_absorb` (which updates ``sums``, ``mle`` and ``adaptive`` in
-    place) and applies each cell's :func:`check_stop` rule after every step.
+    The draw-free decision step: feeds ``x`` to :func:`_absorb` (which
+    updates ``sums``, ``mle`` and ``adaptive`` in place) and applies each
+    cell's :func:`check_stop` rule after every step.
     The suprema do not depend on the thresholds, so each distinct kind's
     suprema are taken once for every cell of that kind, and only on the
     trials that have a cell of that kind open in ``opened`` (trials x
     cells); a kind's cells read ``steps`` on the trials that no longer need
     that kind.
     Returns the index in the block of the first step at which both of a
-    cell's margins clear (``steps`` if none), as floats (trials x cells),
-    and the signal-set estimate after every step (trials x steps x K).
+    cell's margins clear (``steps``, x.shape[1], if none), as floats (trials x
+    cells), and the signal-set estimate after every step (trials x steps x K).
     """
-    x = _observations(model, thetas, rngs, (len(rngs), steps, sums.shape[1]))
     count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
+    steps = x.shape[1]
     kinds = [kind for _, kind in cells]
     bounds = np.array([(th.log_a, th.log_b) for th, _ in cells]).T[..., None, None]
-    first = np.full((len(cells), len(rngs)), float(steps))  # cells x trials
+    first = np.full((len(cells), len(x)), float(steps))  # cells x trials
     for kind in dict.fromkeys(kinds):
         mine = np.array([c is kind for c in kinds])
         need = opened[:, mine].any(1)
@@ -701,16 +699,17 @@ def run_trials(
     generator draws, the draws of ``rng.gauss``/``rng.random`` are
     reproduced in bulk, bit for bit, and every statistic is computed with
     the scalar path's operations in its order.  Live trials advance together
-    in blocks of steps, as numpy arrays; a trial leaves once every one of
-    its cells has stopped.  A block spans at most :func:`_block_rows`
-    trial-steps, and its length fills that budget with the trials still
-    live: at least _FIRST_BLOCK steps, at most twice the previous block, and
-    never past ``n_max``.  Blocks thus stay short while many trials are
-    live, so a trial's last stopping block runs few steps past its last
-    stop, and lengthen as trials leave.  Draws run to the end of the block
-    in which a trial's last cell stops, so the generators end past where
-    run_to_decision would leave them; a kind's suprema are taken only up to
-    the block in which the trial's last cell of that kind stops.
+    in blocks of steps, as numpy arrays, each drawn here and scored by
+    :func:`_advance`; a trial leaves once every one of its cells has
+    stopped.  A block spans at most :func:`_block_rows` trial-steps, and its
+    length fills that budget with the trials still live: at least
+    _FIRST_BLOCK steps, at most twice the previous block, and never past
+    ``n_max``.  Blocks thus stay short while many trials are live, so a
+    trial's last stopping block runs few steps past its last stop, and
+    lengthen as trials leave.  Draws run to the end of the block in which a
+    trial's last cell stops, so the generators end past where run_to_decision
+    would leave them; a kind's suprema are taken only up to the block in
+    which the trial's last cell of that kind stops.
     """
     _require_run(model, theta_true, n_max)
     k = theta_true.k
@@ -730,9 +729,10 @@ def run_trials(
         width = max(1, rows // steps)
         for lo in range(0, live.size, width):
             hi = lo + width
+            chunk = [rngs[i] for i in live[lo:hi]]
+            x = _observations(model, thetas, chunk, (len(chunk), steps, k))
             first, member = _advance(
-                model, thetas, cells, [rngs[i] for i in live[lo:hi]], open_cells[lo:hi],
-                sums[lo:hi], mle[lo:hi], adaptive[lo:hi], n, steps,
+                model, x, cells, open_cells[lo:hi], sums[lo:hi], mle[lo:hi], adaptive[lo:hi], n
             )
             ends = open_cells[lo:hi] & ((first < steps) | (n + steps >= n_max))
             open_cells[lo:hi] &= ~ends

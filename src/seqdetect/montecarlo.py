@@ -197,16 +197,17 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     workers = _resolve_workers(workers)
     rates = first_order_rates(config.model, config.theta, config.kinds)
     # Each job runs every cell on an equal range of trials, so jobs carry
-    # equal work and one job per worker balances the pool; one worker runs
-    # one job of all trials, whose blocks hold the most live trials.
+    # equal work and one job per worker balances the pool; a lone job runs
+    # here.  A forking pool starts all its processes at the first submit, so
+    # it holds one per job.
     starts = range(0, config.trials, -(-config.trials // workers))
     jobs = repeat(config), starts, [*starts[1:], config.trials]
     # _run_batch is looked up at call time so that a wrapper bound to the
     # module attribute (the benchmark's span tracer) runs in the workers.
-    if workers == 1:
+    if len(starts) == 1:
         batches = list(map(_run_batch, *jobs))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(starts)) as pool:
             batches = list(pool.map(_run_batch, *jobs))
 
     stopped, truncated, type1, type2 = np.concatenate(batches, axis=-1)

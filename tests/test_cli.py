@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,22 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# The configs that CI simulates at 1 and 2 workers.
+CONFIGS = Path(__file__).parent / "configs"
+# validate's line for the config-truth constants past the grid's stream cap.
+SKIP_PAST_THE_CAP = "SKIP constants-config: subset enumeration supports at most 16 streams"
+
+
+def stub_monte_carlo(monkeypatch):
+    """Stub validate's two Monte Carlo estimates to their targets, so that a
+    test runs only its closed-form and grid checks."""
+    monkeypatch.setattr(oracle, "mean_one_martingale_estimate", lambda *args: (1.0, 0.01))
+    monkeypatch.setattr(
+        oracle, "lln_rate_estimate",
+        lambda model, theta, n, trials, kinds, rng: first_order_rates(model, theta, kinds),
+    )
 
 
 class TestLoadConfig:
@@ -200,6 +217,13 @@ class TestLoadConfig:
             load_config("no_such_config_anywhere")
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_ci_configs_load(path):
+    # Each file is one that CI simulates; its experiment name names its CSV.
+    spec = load_config(str(path))
+    assert spec.experiment == path.stem
+
+
 class TestPresets:
     def test_desk_preset(self):
         spec = load_config("desk_fig1")
@@ -317,14 +341,18 @@ class TestMainExitCodes:
         assert main(["validate", "--config", cfg, "--quick"]) == 2
         assert "must be" in capsys.readouterr().err
 
-    def test_validate_beyond_enumeration_cap(self, tmp_path, capsys):
-        # The grid references enumerate 2^K assignments; validate must stop
-        # with the capacity message instead of scanning 2^17 of them.
+    def test_validate_beyond_enumeration_cap(self, tmp_path, monkeypatch, capsys):
+        # The grid references enumerate 2^K assignments; validate must skip
+        # the config-truth check with the capacity message instead of
+        # scanning 2^17 of them, and take its exit code from the other checks.
         cfg_dict = base_config()
         cfg_dict["truth"]["k"] = 17
         cfg = write_config(tmp_path, cfg_dict)
-        assert main(["validate", "--config", cfg, "--quick"]) == 2
-        assert "at most 16 streams" in capsys.readouterr().err
+        stub_monte_carlo(monkeypatch)
+        assert main(["validate", "--config", cfg, "--quick"]) == 0
+        captured = capsys.readouterr()
+        assert SKIP_PAST_THE_CAP in captured.out
+        assert captured.err == ""
 
 
 class TestInfoCommand:
@@ -489,31 +517,27 @@ class TestValidateCommand:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
-    def test_bernoulli_engine_grid(self, tmp_path, monkeypatch, capsys):
+    def test_bernoulli_engine_grid(self, monkeypatch, capsys):
         # CI's three-stream Bernoulli config, whose engine-grid check runs the
         # kernel's Bernoulli suprema (numpy logs choose, libm scores).  Both
         # Monte Carlo estimates are stubbed to their targets to keep it fast.
-        cfg_dict = {
-            "experiment": "bern3",
-            "model": {
-                "family": "bernoulli", "noise_region": [0.05, 0.4], "signal_region": [0.6, 0.95],
-            },
-            "truth": {"k": 3, "signal_set": [1], "theta1": 0.7, "theta0": 0.3},
-            "run": {
-                "kinds": ["constrained", "unconstrained"],
-                "log_thresholds": [2, 5, 10], "trials": 300, "seed": 5,
-            },
-        }
-        cfg = write_config(tmp_path, cfg_dict)
-        monkeypatch.setattr(oracle, "mean_one_martingale_estimate", lambda *args: (1.0, 0.01))
-        monkeypatch.setattr(
-            oracle, "lln_rate_estimate",
-            lambda model, theta, n, trials, kinds, rng: first_order_rates(model, theta, kinds),
-        )
-        assert main(["validate", "--config", cfg, "--quick"]) == 0
+        stub_monte_carlo(monkeypatch)
+        assert main(["validate", "--config", str(CONFIGS / "bern3.json"), "--quick"]) == 0
         out = capsys.readouterr().out
         assert "PASS engine-grid" in out
         assert "FAIL" not in out
+
+    def test_thirty_two_streams_skip_the_grid_constants(self, monkeypatch, capsys):
+        # CI's K = 32 Gaussian config, which simulate runs: the config-truth
+        # constants check is past the grid reference's cap, so it is skipped
+        # with the reason and every other check runs.  Both Monte Carlo
+        # estimates are stubbed to their targets, as above.
+        stub_monte_carlo(monkeypatch)
+        assert main(["validate", "--config", str(CONFIGS / "gauss32.json"), "--quick"]) == 0
+        captured = capsys.readouterr()
+        assert SKIP_PAST_THE_CAP in captured.out
+        assert "error:" not in captured.out + captured.err
+        assert "PASS engine-grid" in captured.out and "all checks passed" in captured.out
 
     def test_engine_grid_checks_the_kernel(self, monkeypatch, capsys):
         coupled = engine._coupled_sups

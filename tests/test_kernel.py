@@ -383,10 +383,10 @@ def test_blocks_run_few_steps_past_the_stops(monkeypatch):
     drawn = 0
     advance = engine._advance
 
-    def counting(*args):
+    def counting(model, x, *args):
         nonlocal drawn
-        drawn += len(args[3]) * args[-1]  # trials x steps
-        return advance(*args)
+        drawn += x.shape[0] * x.shape[1]  # trials x steps
+        return advance(model, x, *args)
 
     monkeypatch.setattr(engine, "_advance", counting)
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
@@ -420,18 +420,24 @@ def test_stop_test_peak_grows_little_with_the_cells():
 
 def _record_blocks(monkeypatch):
     """Record each block: its cells, generators, start count n and steps,
-    and per kind the number of trials whose suprema it took."""
-    blocks = []
-    advance, error_sups = engine._advance, engine._error_sups
+    and per kind the number of trials whose suprema it took.  The block's
+    generators are those its observations were drawn from."""
+    blocks, drawn_from = [], []
+    observations, advance, error_sups = engine._observations, engine._advance, engine._error_sups
 
-    def advancing(*args):
-        blocks.append((args[2], args[3], args[-2], args[-1], {}))
-        return advance(*args)
+    def drawing(model, thetas, rngs, shape):
+        drawn_from.append(rngs)
+        return observations(model, thetas, rngs, shape)
+
+    def advancing(model, x, cells, *args):
+        blocks.append((cells, drawn_from[-1], args[-1], x.shape[1], {}))
+        return advance(model, x, cells, *args)
 
     def scoring(model, kind, count, s, *args):
         blocks[-1][-1][kind] = len(s)
         return error_sups(model, kind, count, s, *args)
 
+    monkeypatch.setattr(engine, "_observations", drawing)
     monkeypatch.setattr(engine, "_advance", advancing)
     monkeypatch.setattr(engine, "_error_sups", scoring)
     return blocks
@@ -478,6 +484,76 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
     drawn = sum(len(block_rngs) * steps for _, block_rngs, _, steps, _ in blocks)
     assert scored[TestKind.UNCONSTRAINED] == drawn
     assert scored[TestKind.CONSTRAINED] < 0.6 * drawn, (scored, drawn)
+
+
+def _replay(model, x, cells):
+    """The scalar engine on the rows of ``x`` (trials x steps x K): per
+    trial, init, then update and check_stop for every cell after each step.
+    Returns the stop flags (trials x cells x steps) and the signal-set
+    estimates (trials x steps x K)."""
+    trials, steps, k = x.shape
+    stop = np.zeros((trials, len(cells), steps), dtype=bool)
+    member = np.zeros(x.shape, dtype=bool)
+    for i, rows in enumerate(x.tolist()):
+        state = engine.init(model, k)
+        for j, obs in enumerate(rows):
+            engine.update(state, obs)
+            member[i, j, sorted(engine.estimate_signal_set(state))] = True
+            for c, (th, kind) in enumerate(cells):
+                stop[i, c, j] = engine.check_stop(state, th, kind) is not None
+    return stop, member
+
+
+@pytest.mark.parametrize(
+    "model, theta, cells, trials, steps",
+    [
+        (GAUSS, _truth(GAUSS, 2, {0}), DESK_CELLS, 8, 120),
+        (
+            BERN,
+            _truth(BERN, 10, range(5)),
+            list(product([Thresholds(2.0, 2.0), Thresholds(5.0, 3.0)], TestKind)),
+            3,
+            270,
+        ),
+    ],
+    ids=["gaussian-desk", "bernoulli-ten-streams"],
+)
+def test_block_step_scores_given_observations(monkeypatch, model, theta, cells, trials, steps):
+    # The block step takes observations, not generators: every draw helper
+    # fails here, and the rows are hand-built from the Weyl fractions
+    # frac(i * sqrt 2), as uniform noise about the truth (Gaussian) or as
+    # u < theta (Bernoulli).  The first block ends at the step where trial
+    # 0's first cell first stops; the second carries its state on.  Each
+    # cell's first stop in a block and every estimate equal the scalar
+    # replay of the same rows, exactly.  Stops at 1 to 105 steps (Gaussian)
+    # and 141 to 261 (Bernoulli); the unconstrained log-20 desk cell never stops.
+    def no_draws(*args):
+        raise AssertionError("the block step drew observations")
+
+    for name in ("_observations", "_draw_normals", "_draw_uniforms"):
+        monkeypatch.setattr(engine, name, no_draws)
+    k, thetas = theta.k, np.array(theta.thetas)
+    u = np.arange(1.0, trials * steps * k + 1).reshape(trials, steps, k) * math.sqrt(2.0) % 1.0
+    if model.family is Family.GAUSSIAN:
+        x = thetas + (u - 0.5) * math.sqrt(12.0)
+    else:
+        x = np.where(u < thetas, 1.0, 0.0)
+    stop, member = _replay(model, x, cells)
+    cut = int(stop[0, 0].argmax()) + 1
+    assert stop[0, 0].any() and cut > 1
+    sums, mle, adaptive = engine._fresh(model, trials, k)
+    opened = np.ones((trials, len(cells)), dtype=bool)
+    firsts = []
+    for lo, hi in ((0, cut), (cut, steps)):
+        first, got = engine._advance(model, x[:, lo:hi], cells, opened, sums, mle, adaptive, lo)
+        block = stop[..., lo:hi]
+        want = np.where(block.any(-1), block.argmax(-1), hi - lo).astype(float)
+        np.testing.assert_array_equal(first, want, strict=True)
+        np.testing.assert_array_equal(got, member[:, lo:hi], strict=True)
+        firsts.append(first)
+    assert firsts[0][0, 0] == cut - 1  # a stop at the block's last step
+    assert (firsts[0] == cut).any()  # cells that do not stop in the block
+    assert (firsts[1] < steps - cut).any()
 
 
 class TestCellsShareOneTrajectory:

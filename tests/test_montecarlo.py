@@ -221,6 +221,32 @@ class TestRunExperiment:
         assert run_experiment(cfg, workers=2) == serial
         assert run_experiment(cfg, workers=3) == serial
 
+    @pytest.mark.parametrize("trials, workers, pools", [(10, 6, [5]), (1, 4, []), (19, 2, [2])])
+    def test_pool_holds_one_process_per_job(self, monkeypatch, trials, workers, pools):
+        # A forking pool starts all of its processes at the first submit, so
+        # it is sized to the jobs: 10 trials at 6 workers make 5 jobs of 2,
+        # and one job runs in this process.  A stand-in pool records its size
+        # and maps in this process, so no process starts.
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        cfg = small_config(trials=trials)
+        assert run_experiment(cfg, workers=workers) == run_experiment(cfg, workers=1)
+        assert opened == pools
+
     def test_ess_grows_with_threshold(self):
         cfg = small_config(
             kinds=(TestKind.CONSTRAINED,),
