@@ -1,19 +1,19 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, each taking ``--config`` and the flags in brackets:
 
-* ``info``      print information constants, sample-size lower bounds, and
-                first-order approximations for the configured cells
-* ``simulate``  run the Monte Carlo experiment and write one CSV row per
-                (kind, log_a, log_b) cell
-* ``figure``    run an equal-threshold sweep and write the long-format CSV
-                used for expected-sample-size plots
-* ``validate``  cross-check the closed-form implementations against the
-                grid and Monte Carlo references; non-zero exit on failure
+* ``info [--out]``  print information constants, sample-size lower bounds,
+  and first-order approximations for the configured cells
+* ``simulate [--out --trials --seed]``  run the Monte Carlo experiment and
+  write one CSV row per (kind, log_a, log_b) cell
+* ``figure [--out --trials --seed]``  run an equal-threshold sweep and write
+  the long-format CSV used for expected-sample-size plots
+* ``validate [--seed --quick]``  cross-check the closed-form implementations
+  against the grid and Monte Carlo references; non-zero exit on failure
 
 Configs are JSON files (see the bundled presets); streams are numbered from
 1 in config files and reports.  Exit codes: 0 success, 1 check failure,
-2 configuration or I/O error.
+2 configuration or I/O error, or a flag that the subcommand does not take.
 """
 from __future__ import annotations
 
@@ -360,8 +360,9 @@ def cmd_simulate(spec: RunSpec, out_dir: Path) -> int:
     low = sum((not s.fwer1_certifiable) + (not s.fwer2_certifiable) for s in summaries)
     if low:
         print(
-            f"note: {low} of {2 * len(summaries)} error-rate estimates saw fewer "
-            "than 10 error events; those rates are resolution-limited, not zero"
+            f"note: {low} of {2 * len(summaries)} error-rate estimates saw fewer than "
+            f"{montecarlo._CERTIFY_FLOOR} error events; those rates are "
+            "resolution-limited, not zero"
         )
     print(f"wrote {path}")
     return 0
@@ -429,7 +430,7 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
     rng = random.Random(spec.base_seed)
     model = spec.model
     grid = _info_grid(model)
-    tol = 1e-4
+    tol, drift_tol = 1e-4, 0.05
 
     # 1. information constants, config truth; the grid reference enumerates
     # assignments, so past its stream cap the check is skipped, not failed
@@ -507,9 +508,9 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
         (m0, m1), targets = means[kind], rates[kind]
         dev = max(abs(m0 - targets[0]) / targets[0], abs(m1 - targets[1]) / targets[1])
         _check(
-            f"lln-{kind.value}", dev <= 0.05,
+            f"lln-{kind.value}", dev <= drift_tol,
             f"means ({m0:.4f}, {m1:.4f}) vs targets ({targets[0]:.4f}, {targets[1]:.4f}), "
-            f"max rel dev {dev:.3%} (tol 5%)", failures,
+            f"max rel dev {dev:.3%} (tol {drift_tol:.0%})", failures,
         )
 
     if failures:
@@ -533,29 +534,32 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config file path or bundled preset name")
-        p.add_argument("--out", help="output directory (default: config output.directory)")
-        p.add_argument("--trials", type=int, help="override run.trials")
-        p.add_argument("--seed", type=int, help="override run.seed")
+        if name != "validate":
+            p.add_argument("--out", help="output directory (default: config output.directory)")
+        if name in ("simulate", "figure"):
+            p.add_argument("--trials", type=int, help="override run.trials")
+        if name != "info":
+            p.add_argument("--seed", type=int, help="override run.seed")
         if name == "validate":
             p.add_argument("--quick", action="store_true", help="reduced-scale checks")
 
     args = parser.parse_args(argv)
     try:
         spec = load_config(args.config)
-        if args.trials is not None:
+        if getattr(args, "trials", None) is not None:
             with _given_as(trials="--trials"):
                 spec = replace(spec, trials=args.trials)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             spec = replace(spec, base_seed=args.seed)
-        out_dir = Path(args.out) if args.out is not None else Path(spec.out_dir)
+        if args.command == "validate":
+            return cmd_validate(spec, quick=args.quick)
 
+        out_dir = Path(args.out) if args.out is not None else Path(spec.out_dir)
         if args.command == "info":
             return cmd_info(spec, out_dir)
         if args.command == "simulate":
             return cmd_simulate(spec, out_dir)
-        if args.command == "figure":
-            return cmd_figure(spec, out_dir)
-        return cmd_validate(spec, quick=args.quick)
+        return cmd_figure(spec, out_dir)
     except (SeqDetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -341,6 +341,31 @@ class TestMainExitCodes:
         assert main(["validate", "--config", cfg, "--quick"]) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("info", ["--trials", "5"]),
+            ("info", ["--seed", "3"]),
+            ("info", ["--trials", "0"]),
+            ("validate", ["--quick", "--trials", "5"]),
+            ("validate", ["--quick", "--out", "DIR"]),
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_refused(
+        self, tmp_path, monkeypatch, capsys, command, flags
+    ):
+        # info reads no trial count or seed, and validate no trial count or
+        # output directory: argparse refuses them, before anything is written.
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.chdir(out)  # the config's output directory is "."
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[-2]}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_validate_beyond_enumeration_cap(self, tmp_path, monkeypatch, capsys):
         # The grid references enumerate 2^K assignments; validate must skip
         # the config-truth check with the capacity message instead of
@@ -538,6 +563,20 @@ class TestValidateCommand:
         assert SKIP_PAST_THE_CAP in captured.out
         assert "error:" not in captured.out + captured.err
         assert "PASS engine-grid" in captured.out and "all checks passed" in captured.out
+
+    def test_seed_flag_overrides_run_seed(self, tmp_path, monkeypatch, capsys):
+        # Checks 2 and 3 draw their truths and states from the seed.
+        stub_monte_carlo(monkeypatch)
+        cfg_dict = base_config()
+        cfg = write_config(tmp_path, cfg_dict)
+        cfg_dict["run"]["seed"] = 7
+        seeded = write_config(tmp_path, cfg_dict, "seeded.json")
+        assert main(["validate", "--config", seeded, "--quick"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["validate", "--config", cfg, "--quick"]) == 0
+        assert capsys.readouterr().out != expected
+        assert main(["validate", "--config", cfg, "--quick", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_engine_grid_checks_the_kernel(self, monkeypatch, capsys):
         coupled = engine._coupled_sups
