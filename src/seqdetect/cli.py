@@ -543,7 +543,9 @@ def main(argv=None) -> int:
         if name == "validate":
             p.add_argument("--quick", action="store_true", help="reduced-scale checks")
 
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         spec = load_config(args.config)
         if getattr(args, "trials", None) is not None:

@@ -749,3 +749,30 @@ def run_trials(
         live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]
         open_cells = open_cells[keep]
     return stopped_at, truncated, selected
+
+
+def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng):
+    """Run ``trials`` trials of the engine under ``theta`` to time ``n``.
+
+    Trials run in chunks on the block step, drawing from ``rng`` in the
+    order of a loop over trials that calls :func:`update` once per step, so
+    the generator ends where that loop leaves it.  Each block's widest
+    temporary keeps within :func:`_block_rows`' element budget.  Yields per
+    chunk the slice of its trials and their final stream sums and adaptive
+    log-likelihoods: the chunk's state arrays, not views into its step
+    arrays, so keeping them keeps no step array alive.
+    """
+    k = theta.k
+    thetas = np.array(theta.thetas)
+    rows = _block_rows(k)
+    # A chunk of several trials takes all n steps in one block, so one draw
+    # per block keeps the trial-major order.
+    width = max(1, rows // n)
+    steps = min(n, rows)
+    for lo in range(0, trials, width):
+        c = min(width, trials - lo)
+        sums, mle, adaptive = _fresh(model, c, k)
+        for t in range(0, n, steps):
+            x = _observations(model, thetas, [rng], (c, min(steps, n - t), k))
+            _absorb(model, x, sums, mle, adaptive, t)
+        yield slice(lo, lo + c), sums, adaptive

@@ -6,8 +6,8 @@ signal-set assignments, :func:`_family_extremes`, capped at MAX_STREAMS
 streams; an assignment costs its closed-form projections (the
 ``subset_*`` references, exact) or its scans of dense parameter grids (the
 ``grid_*`` references).  The martingale and law-of-large-numbers
-properties of the adaptive likelihood are estimated by Monte Carlo on the
-kernel that simulations run: its block step and its error-set suprema.
+properties of the adaptive likelihood are estimated by Monte Carlo: the
+kernel simulates (:func:`~seqdetect.engine._horizon`), the oracle scores.
 The private ``_stepwise_martingale_ratios`` and ``_stepwise_lln_margins``
 repeat each trial one observation at a time through the engine's
 step-at-a-time reference (:func:`~seqdetect.engine.update` and
@@ -261,40 +261,11 @@ def grid_info_constants(model: StreamModel, theta: JointParameter, grid: Grid) -
     return InfoConstants(i0=i0, i1=i1, i0_tilde=i0_tilde, i1_tilde=i1_tilde)
 
 
-def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng):
-    """Run ``trials`` trials of the engine under ``theta`` to time ``n``.
-
-    Trials run in chunks on the engine's block step, drawing from ``rng`` in
-    the order of a loop over trials that calls
-    :func:`~seqdetect.engine.update` once per step, so the generator ends
-    where that loop leaves it.  Each block's widest temporary keeps within
-    the kernel's element budget.  Yields per chunk the slice of its trials
-    and their final stream sums and adaptive log-likelihoods: the chunk's
-    state arrays, not views into its step arrays, so keeping them keeps no
-    step array alive.  The martingale ratios are scored chunk by chunk, the
-    drift margins once per kind over all trials (:func:`_lln_margins`).
-    """
-    k = theta.k
-    thetas = np.array(theta.thetas)
-    rows = _engine._block_rows(k)
-    # A chunk of several trials takes all n steps in one block, so one draw
-    # per block keeps the trial-major order.
-    width = max(1, rows // n)
-    steps = min(n, rows)
-    for lo in range(0, trials, width):
-        c = min(width, trials - lo)
-        sums, mle, adaptive = _engine._fresh(model, c, k)
-        for t in range(0, n, steps):
-            x = _engine._observations(model, thetas, [rng], (c, min(steps, n - t), k))
-            _engine._absorb(model, x, sums, mle, adaptive, t)
-        yield slice(lo, lo + c), sums, adaptive
-
-
 def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     thetas = np.array(theta.thetas)
     logs = _engine._logs_at(model, thetas)
     ratios = np.empty(trials)
-    for rows, sums, adaptive in _horizon(model, theta, n, trials, rng):
+    for rows, sums, adaptive in _engine._horizon(model, theta, n, trials, rng):
         true_ll = _engine._row_sums(_loglik(model, n, sums, thetas, logs))
         ratios[rows] = _engine._libm(math.exp, (adaptive - true_ll).tolist())
     return ratios
@@ -349,8 +320,8 @@ def mean_one_martingale_estimate(
 
 
 def _lln_margins(model, theta, n, trials, kinds, rng):
-    """Each trial's adaptive log-likelihood and (logL0, logL1) per kind at
-    time n, in trial order.
+    """Each trial's adaptive log-likelihood at time n (trials) and each
+    kind's (logL0, logL1) there (kinds x 2 x trials).
 
     The chunks' final sums and adaptive log-likelihoods are gathered over all
     trials, and every kind is scored on them in one
@@ -358,10 +329,10 @@ def _lln_margins(model, theta, n, trials, kinds, rng):
     """
     sums = np.empty((trials, theta.k))
     adaptive = np.empty(trials)
-    for rows, *chunk in _horizon(model, theta, n, trials, rng):
+    for rows, *chunk in _engine._horizon(model, theta, n, trials, rng):
         sums[rows], adaptive[rows] = chunk
     _, sups = _engine._scores(model, float(n), sums, kinds)
-    return zip(adaptive.tolist(), *(zip(l0.tolist(), l1.tolist()) for l0, l1 in sups))
+    return adaptive, np.array(sups)
 
 
 def _stepwise_lln_margins(model, theta, n, trials, kinds, rng):
@@ -385,7 +356,8 @@ def lln_rate_estimate(
     over all trials.  Requires a coupled truth and n >= 500 so the normalized
     statistics are near their limits.  Runs on the engine's block step; each
     trial's margins and the generator's final state equal those of
-    :func:`_stepwise_lln_margins`, and the means add them trial by trial.
+    :func:`_stepwise_lln_margins`, and the means are their averages over
+    the trial axis.
     """
     theta.require_constrained(model.space)
     if n < 500:
@@ -394,7 +366,5 @@ def lln_rate_estimate(
         raise DomainError("at least one trial required")
     if not kinds:
         raise DomainError("at least one test kind required")
-    acc = np.zeros((len(kinds), 2))
-    for adaptive, *sups in _lln_margins(model, theta, n, trials, kinds, rng):
-        acc += (adaptive - np.array(sups)) / n
-    return dict(zip(kinds, map(tuple, (acc / trials).tolist())))
+    adaptive, sups = _lln_margins(model, theta, n, trials, kinds, rng)
+    return dict(zip(kinds, map(tuple, ((adaptive - sups) / n).mean(-1).tolist())))

@@ -363,7 +363,10 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, *flags])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flags[-2]}" in capsys.readouterr().err
+        # The subcommand that received the flag reports it, with its own usage.
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: seqdetect {command} ")
+        assert f"seqdetect {command}: error: unrecognized arguments: {flags[-2]}" in err
         assert list(out.iterdir()) == []
 
     def test_validate_beyond_enumeration_cap(self, tmp_path, monkeypatch, capsys):

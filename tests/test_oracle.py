@@ -354,11 +354,20 @@ def _first(kind):
     return (kind, *(other for other in TestKind if other is not kind))
 
 
+def _per_trial(got):
+    """Each trial's values: its ratio, or its adaptive log-likelihood and
+    each kind's (logL0, logL1) from the drift margins' arrays."""
+    if isinstance(got, tuple):
+        adaptive, sups = got
+        return list(zip(adaptive.tolist(), *(zip(*kind.tolist()) for kind in sups)))
+    return list(got)
+
+
 def _assert_matches_stepwise(batched, stepwise, args, rng=lambda: random.Random(5)):
     """Bit-identical values trial by trial, and the generators end in the
     same state."""
     ours, ref = rng(), rng()
-    got = list(batched(*args, ours))
+    got = _per_trial(batched(*args, ours))
     assert len(got) == args[3]
     assert got == list(stepwise(*args, ref))
     assert ours.getstate() == ref.getstate()
@@ -444,6 +453,22 @@ class TestBatchedMatchesStepwise:
             oracle._stepwise_lln_margins,
             (GAUSS, theta, 500, 2, _first(kind)),
         )
+
+    @pytest.mark.parametrize(
+        "model, theta",
+        [(GAUSS, TRUTH), (REF_MODEL, REF_THETA)],
+        ids=["gaussian", "bernoulli"],
+    )
+    def test_lln_means_average_each_trials_margins(self, model, theta):
+        # Each kind's means are the trial-axis means of every trial's
+        # normalized margins (adaptive - logL)/n, bit for bit.
+        n, kinds = 500, tuple(TestKind)
+        means = lln_rate_estimate(model, theta, n, 5, kinds, random.Random(5))
+        margins = list(oracle._stepwise_lln_margins(model, theta, n, 5, kinds, random.Random(5)))
+        for i, kind in enumerate(kinds):
+            assert means[kind] == tuple(
+                float(np.mean([(m[0] - m[1 + i][side]) / n for m in margins])) for side in (0, 1)
+            )
 
     @pytest.mark.parametrize(
         "model, theta",
