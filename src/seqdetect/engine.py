@@ -67,7 +67,8 @@ DEFAULT_N_MAX = 10**6
 # from it.
 _BLOCK_ELEMENTS = 1 << 12
 # Steps in a trial's first block, and the fewest any block takes short of
-# n_max: more live trials than such a block holds advance in chunks.
+# n_max (or of a smaller budget): more live trials than such a block holds
+# advance in equal chunks.
 _FIRST_BLOCK = 16
 # A Bernoulli candidate is scored through libm when its fast value (numpy's
 # logs) lies within this fraction of its family's fast maximum.  Each pooled
@@ -419,6 +420,9 @@ def _draw_normals(rngs, count: int) -> np.ndarray:
     z[:, 0] = _libm(math.cos, x2pi) * g2rad
     z[:, 1] = _libm(math.sin, x2pi) * g2rad
     z = z.ravel()
+    if count % 2 == 0 and pending.count(None) == len(rngs):
+        # No pair is split, so generator i's values are the i-th run of count.
+        return z.reshape(len(rngs), count)
     out = np.empty((len(rngs), count))
     pos = 0
     for row, rng, g, m, p in zip(out, rngs, pending, fresh, pairs):
@@ -701,9 +705,11 @@ def run_trials(
     the scalar path's operations in its order.  Live trials advance together
     in blocks of steps, as numpy arrays, each drawn here and scored by
     :func:`_advance`; a trial leaves once every one of its cells has
-    stopped.  A block spans at most :func:`_block_rows` trial-steps, and its
-    length fills that budget with the trials still live: at least
-    _FIRST_BLOCK steps, at most twice the previous block, and never past
+    stopped.  Each round splits the live trials into as few chunks as blocks
+    of _FIRST_BLOCK steps need, equal in width to within one trial, and each
+    chunk's block spans at most :func:`_block_rows` trial-steps: its length
+    fills that budget for the widest chunk, at least _FIRST_BLOCK steps (short
+    of a budget of fewer), at most twice the previous block, and never past
     ``n_max``.  Blocks thus stay short while many trials are live, so a
     trial's last stopping block runs few steps past its last stop, and
     lengthen as trials leave.  Draws run to the end of the block in which a
@@ -725,10 +731,13 @@ def run_trials(
     n = 0
     steps = _FIRST_BLOCK // 2  # so that the first block is _FIRST_BLOCK steps at most
     while live.size:
-        steps = min(max(_FIRST_BLOCK, rows // live.size), 2 * steps, n_max - n, rows)
-        width = max(1, rows // steps)
-        for lo in range(0, live.size, width):
-            hi = lo + width
+        # Chunks of at most rows // _FIRST_BLOCK trials (at least one) fill
+        # the budget in _FIRST_BLOCK steps or more, unless it holds fewer.
+        chunks = -(-live.size // max(1, rows // _FIRST_BLOCK))
+        width = -(-live.size // chunks)
+        steps = min(rows // width, 2 * steps, n_max - n)
+        edges = [i * live.size // chunks for i in range(chunks + 1)]
+        for lo, hi in zip(edges, edges[1:]):
             chunk = [rngs[i] for i in live[lo:hi]]
             x = _observations(model, thetas, chunk, (len(chunk), steps, k))
             first, member = _advance(

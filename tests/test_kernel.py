@@ -298,8 +298,8 @@ class TestKernelMatchesScalar:
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_gaussian_thirty_two_streams(self, kind):
-        # 33-wide tables: a block holds few trials, so a round runs in chunks.
-        # Longest stop: 1,159 steps.
+        # 33-wide tables: a 16-step block holds 7 trials, so these 4 run as
+        # one chunk, in blocks of up to 31 steps.  Longest stop: 1,159 steps.
         theta = _truth(GAUSS, 32, range(0, 32, 3))
         _assert_same(GAUSS, theta, Thresholds(log_a=2.0, log_b=1.0), kind, range(4), 4_000)
 
@@ -327,12 +327,33 @@ class TestKernelMatchesScalar:
         assert stopped_at.min() <= 2
 
     @pytest.mark.parametrize("kind", list(TestKind))
-    def test_negative_thresholds_stop_at_the_first_step(self, kind):
-        theta = _truth(GAUSS, 3, {1})
+    @pytest.mark.parametrize(
+        "model, k, signal_set, seeds, n_max",
+        [(GAUSS, 8, {0, 3, 5}, 40, 1_600), (BERN, 10, range(5), 30, 1_600)],
+        ids=["gaussian", "bernoulli"],
+    )
+    def test_rounds_in_several_chunks(self, monkeypatch, kind, model, k, signal_set, seeds, n_max):
+        # More live trials than a 16-step block holds (28 at K = 8, 23 at
+        # K = 10), so rounds run in two equal chunks until trials leave.
+        # Longest stops: 369 and 404 steps.
+        blocks = _record_blocks(monkeypatch)
+        thresholds = Thresholds(log_a=3.0, log_b=2.0)
+        _assert_same(model, _truth(model, k, signal_set), thresholds, kind, range(seeds), n_max)
+        chunks = Counter(n for _, _, n, _, _ in blocks)
+        assert max(chunks.values()) >= 2, chunks
+
+    @pytest.mark.parametrize("kind", list(TestKind))
+    # At K = 256 a block holds 15 trial-steps, fewer than a 16-step block of
+    # one trial, so every chunk is one trial.
+    @pytest.mark.parametrize("k", [3, 256])
+    def test_negative_thresholds_stop_at_the_first_step(self, monkeypatch, kind, k):
+        blocks = _record_blocks(monkeypatch)
+        theta = _truth(GAUSS, k, {1})
         stopped_at, _, _ = _assert_same(
             GAUSS, theta, Thresholds(log_a=-1e9, log_b=-1e9), kind, range(10), 10
         )
         assert (stopped_at == 1).all()
+        assert all(len(rngs) * steps <= engine._block_rows(k) for _, rngs, _, steps, _ in blocks)
 
     @pytest.mark.parametrize("kind", list(TestKind))
     @pytest.mark.parametrize("n_max", [1, 37])
@@ -375,23 +396,27 @@ DESK_CELLS = list(product([Thresholds(c, c) for c in (2.0, 5.0, 10.0, 20.0)], Te
 
 
 def test_blocks_run_few_steps_past_the_stops(monkeypatch):
-    # The desk_fig1 truth and cells, 100 trials as one batch: blocks sized
-    # to the live count keep the steps drawn and scored within 1.25x the
-    # steps up to each trial's latest stop among the cells.  Longest stop:
-    # 253 steps.
+    # The desk_fig1 truth and cells, 100 trials as one batch.  A 16-step
+    # block holds 85 trials at K = 2, so each round splits the live trials
+    # into as few chunks as such blocks hold, equal to within one trial,
+    # and every chunk's block fills the element budget: 15 blocks, where
+    # chunks of 85 and 15 trials over 16 steps took 22.  Blocks sized to
+    # the live count keep the steps drawn and scored within 1.25x the steps
+    # up to each trial's latest stop among the cells.  Longest stop: 253
+    # steps.
     theta = _truth(GAUSS, 2, {0})
-    drawn = 0
-    advance = engine._advance
-
-    def counting(model, x, *args):
-        nonlocal drawn
-        drawn += x.shape[0] * x.shape[1]  # trials x steps
-        return advance(model, x, *args)
-
-    monkeypatch.setattr(engine, "_advance", counting)
+    blocks = _record_blocks(monkeypatch)
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
     stopped_at, truncated, _ = run_trials(GAUSS, theta, DESK_CELLS, rngs, n_max=1_000)
     assert not truncated.any()
+    widths = {}
+    for _, block_rngs, n, steps, _ in blocks:
+        widths.setdefault(n, []).append(len(block_rngs))
+        assert len(block_rngs) * steps <= engine._block_rows(2)
+    assert max(map(len, widths.values())) >= 2
+    assert all(max(w) - min(w) <= 1 for w in widths.values()), widths
+    assert len(blocks) <= 16
+    drawn = sum(len(block_rngs) * steps for _, block_rngs, _, steps, _ in blocks)
     stops = stopped_at.max(0).sum()
     assert drawn <= 1.25 * stops, (drawn, stops)
 
