@@ -448,7 +448,7 @@ def _fit(
     model: StreamModel, n, s: np.ndarray, mean: np.ndarray, region: Region
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The mean s / n clipped into ``region``, the log-likelihood there and
-    the :func:`_logs_at` it took, elementwise over counts n > 0 and sums.
+    the :func:`_logs_at` it took, elementwise over counts and sums.
     The caller divides, so that one mean serves both regions."""
     lo, hi = model.space.region_bounds(region)
     fit = np.clip(mean, lo, hi)
@@ -590,55 +590,43 @@ def _observations(model: StreamModel, thetas: np.ndarray, rngs, shape) -> np.nda
     return np.where(_draw_uniforms(rngs, [count] * len(rngs)).reshape(shape) < thetas, 1.0, 0.0)
 
 
-def _fresh(model: StreamModel, trials: int, k: int) -> tuple[np.ndarray, ...]:
-    """:func:`init`'s state for ``trials`` trials of ``k`` streams, as :func:`_absorb`
-    takes it: stream sums, lagged estimates (trials x K) and adaptive log-likelihoods."""
-    return np.zeros((trials, k)), np.full((trials, k), model.space.theta1_lo), np.zeros(trials)
-
-
 def _absorb(
-    model: StreamModel,
-    x: np.ndarray,
-    sums: np.ndarray,
-    mle: np.ndarray,
-    adaptive: np.ndarray,
-    n: int,
+    model: StreamModel, x: np.ndarray, sums: np.ndarray, adaptive: np.ndarray, n: int
 ) -> tuple[np.ndarray, ...]:
     """Feed observations ``x`` (trials x steps x K) to trials that share the count ``n``.
 
-    The draw-free block step.  ``sums`` and ``mle`` (trials x K) and
-    ``adaptive`` (trials) are each trial's state; they are updated in place
-    to count n + steps.  Returns, after every step, the count (steps x 1),
-    the stream sums, both restricted maxima q0 and q1, the signal-set
-    estimate q1 >= q0 and the adaptive log-likelihood (trials x steps).
-    Every floating-point operation is the one :func:`update` performs, in
-    the same order.  The lagged estimates' logs are the fits' logs shifted
-    by a step, after the carried estimates' own, so the Bernoulli takes
-    libm logs of the (trials x K) carried estimates only, not of every
-    lagged one again.
+    The draw-free block step.  A trial's state is its stream sums ``sums``
+    (trials x K) and its adaptive log-likelihood ``adaptive`` (trials),
+    zeros at n = 0; both are updated in place to count n + steps.  Returns,
+    after every step, the count (steps x 1), the stream sums, both
+    restricted maxima q0 and q1, the signal-set estimate q1 >= q0 and the
+    adaptive log-likelihood (trials x steps).  Every floating-point
+    operation is the one :func:`update` performs, in the same order.  The
+    fits start at count n, from the carried sums, so each lagged estimate
+    (and, for the Bernoulli, its logs) is the fit one row up.  At n = 0 the
+    mean is set to the lower signal endpoint: both restricted maxima are
+    then +-0 and ties go to the signal side, so the fit is that endpoint,
+    :func:`init`'s lagged estimate.
     """
     b, steps, k = x.shape
-    s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)[:, 1:]
-    count = np.arange(n + 1, n + steps + 1, dtype=float)[:, None]
+    s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)
+    count = np.arange(n, n + steps + 1, dtype=float)[:, None]
     # Each stream's two restricted maxima, computed once, give both the
     # refreshed MLE and the signal-set estimate.
-    mean = s / count
+    mean = s / np.maximum(count, 1.0)
+    if n == 0:
+        mean[:, 0] = model.space.theta1_lo
     fit0, q0, logs0 = _fit(model, count, s, mean, Region.NOISE)
     fit1, q1, logs1 = _fit(model, count, s, mean, Region.SIGNAL)
     member = q1 >= q0
-    fit = np.where(member, fit1, fit0)
-    lagged = np.concatenate((mle[:, None], fit[:, :-1]), 1)
-    logs = tuple(
-        np.concatenate((carried[:, None], np.where(member, at1, at0)[:, :-1]), 1)
-        for carried, at0, at1 in zip(_logs_at(model, mle), logs0, logs1)
-    )
+    lagged = np.where(member, fit1, fit0)[:, :-1]
+    logs = tuple(np.where(member, at1, at0)[:, :-1] for at0, at1 in zip(logs0, logs1))
     scores = _loglik(model, 1, x, lagged, logs)
     # Step-major, stream-minor: the order update() adds in.
     run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
     sums[:] = s[:, -1]
-    mle[:] = fit[:, -1]
     adaptive[:] = run[:, -1]
-    return count, s, q0, q1, member, run
+    return count[1:], s[:, 1:], q0[:, 1:], q1[:, 1:], member[:, 1:], run
 
 
 def _advance(
@@ -647,15 +635,14 @@ def _advance(
     cells: Sequence[tuple[Thresholds, TestKind]],
     opened: np.ndarray,
     sums: np.ndarray,
-    mle: np.ndarray,
     adaptive: np.ndarray,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score observations ``x`` (trials x steps x K) of trials that share the count ``n``.
 
     The draw-free decision step: feeds ``x`` to :func:`_absorb` (which
-    updates ``sums``, ``mle`` and ``adaptive`` in place) and applies each
-    cell's :func:`check_stop` rule after every step.
+    updates the trials' state, ``sums`` and ``adaptive``, in place) and
+    applies each cell's :func:`check_stop` rule after every step.
     The suprema do not depend on the thresholds, so each distinct kind's
     suprema are taken once for every cell of that kind, and only on the
     trials that have a cell of that kind open in ``opened`` (trials x
@@ -665,7 +652,7 @@ def _advance(
     cell's margins clear (``steps``, x.shape[1], if none), as floats (trials x
     cells), and the signal-set estimate after every step (trials x steps x K).
     """
-    count, s, q0, q1, member, run = _absorb(model, x, sums, mle, adaptive, n)
+    count, s, q0, q1, member, run = _absorb(model, x, sums, adaptive, n)
     steps = x.shape[1]
     kinds = [kind for _, kind in cells]
     bounds = np.array([(th.log_a, th.log_b) for th, _ in cells]).T[..., None, None]
@@ -721,7 +708,7 @@ def run_trials(
     k = theta_true.k
     thetas = np.array(theta_true.thetas)
     live = np.arange(len(rngs))
-    sums, mle, adaptive = _fresh(model, live.size, k)
+    sums, adaptive = np.zeros((live.size, k)), np.zeros(live.size)
     stopped_at = np.zeros((len(cells), live.size))
     truncated = np.zeros((len(cells), live.size), dtype=bool)
     selected = np.zeros((len(cells), live.size, k), dtype=bool)
@@ -741,7 +728,7 @@ def run_trials(
             chunk = [rngs[i] for i in live[lo:hi]]
             x = _observations(model, thetas, chunk, (len(chunk), steps, k))
             first, member = _advance(
-                model, x, cells, open_cells[lo:hi], sums[lo:hi], mle[lo:hi], adaptive[lo:hi], n
+                model, x, cells, open_cells[lo:hi], sums[lo:hi], adaptive[lo:hi], n
             )
             ends = open_cells[lo:hi] & ((first < steps) | (n + steps >= n_max))
             open_cells[lo:hi] &= ~ends
@@ -755,7 +742,7 @@ def run_trials(
             selected[cell, done] = member[trial, last.astype(int)]
         n += steps
         keep = open_cells.any(1)
-        live, sums, mle, adaptive = live[keep], sums[keep], mle[keep], adaptive[keep]
+        live, sums, adaptive = live[keep], sums[keep], adaptive[keep]
         open_cells = open_cells[keep]
     return stopped_at, truncated, selected
 
@@ -763,10 +750,12 @@ def run_trials(
 def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng):
     """Run ``trials`` trials of the engine under ``theta`` to time ``n``.
 
-    Trials run in chunks on the block step, drawing from ``rng`` in the
-    order of a loop over trials that calls :func:`update` once per step, so
-    the generator ends where that loop leaves it.  Each block's widest
-    temporary keeps within :func:`_block_rows`' element budget.  Yields per
+    Trials run in chunks on the block step, each from zero sums and adaptive
+    log-likelihoods, drawing from ``rng`` in the order of a loop over trials
+    that calls :func:`update` once per step, so the generator ends where that
+    loop leaves it.  A block holds a row per step and the carried row, so a
+    chunk of several trials, n + 1 rows each, keeps within
+    :func:`_block_rows`' element budget.  Yields per
     chunk the slice of its trials and their final stream sums and adaptive
     log-likelihoods: the chunk's state arrays, not views into its step
     arrays, so keeping them keeps no step array alive.
@@ -776,12 +765,12 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
     rows = _block_rows(k)
     # A chunk of several trials takes all n steps in one block, so one draw
     # per block keeps the trial-major order.
-    width = max(1, rows // n)
+    width = max(1, rows // (n + 1))
     steps = min(n, rows)
     for lo in range(0, trials, width):
         c = min(width, trials - lo)
-        sums, mle, adaptive = _fresh(model, c, k)
+        sums, adaptive = np.zeros((c, k)), np.zeros(c)
         for t in range(0, n, steps):
             x = _observations(model, thetas, [rng], (c, min(steps, n - t), k))
-            _absorb(model, x, sums, mle, adaptive, t)
+            _absorb(model, x, sums, adaptive, t)
         yield slice(lo, lo + c), sums, adaptive

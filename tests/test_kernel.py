@@ -34,6 +34,9 @@ BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
 # validate's tight reference model: nearly every fit sits on a region bound,
 # so most Bernoulli fits repeat one of four values.
 TIGHT = StreamModel(Family.BERNOULLI, ParameterSpace(0.40, 0.45, 0.55, 0.60))
+# A signal region that starts below zero, where the fit of a zero mean is not
+# the lower signal endpoint at which init starts every lagged estimate.
+BELOW_ZERO = StreamModel(Family.GAUSSIAN, ParameterSpace(-2.0, -0.8, -0.3, 2.0))
 
 
 def _rngs(seeds):
@@ -382,6 +385,16 @@ class TestKernelMatchesScalar:
         theta = JointParameter.coupled(2, frozenset({0}), 0.55, 0.45)
         _assert_same(TIGHT, theta, Thresholds(log_a=3.0, log_b=2.0), kind, range(30), 3_000)
 
+    @pytest.mark.parametrize("kind", list(TestKind))
+    @pytest.mark.parametrize("k, signal_set", [(2, {0}), (3, {0, 2})])
+    def test_signal_region_below_zero(self, kind, k, signal_set):
+        # A zero mean clips to 0 in the signal region [-0.3, 2], not to its
+        # lower end, so the first step scores at init's estimate only by the
+        # kernel's n = 0 rule.  Longest stops: 27 to 64 steps.
+        theta = JointParameter.coupled(k, frozenset(signal_set), 0.4, -1.2)
+        thresholds = Thresholds(log_a=3.0, log_b=2.0)
+        _assert_same(BELOW_ZERO, theta, thresholds, kind, range(30), 300)
+
     def test_rejects_bad_arguments(self):
         theta = _truth(GAUSS, 2, {1})
         with pytest.raises(ConfigError):
@@ -566,11 +579,11 @@ def test_block_step_scores_given_observations(monkeypatch, model, theta, cells, 
     stop, member = _replay(model, x, cells)
     cut = int(stop[0, 0].argmax()) + 1
     assert stop[0, 0].any() and cut > 1
-    sums, mle, adaptive = engine._fresh(model, trials, k)
+    sums, adaptive = np.zeros((trials, k)), np.zeros(trials)
     opened = np.ones((trials, len(cells)), dtype=bool)
     firsts = []
     for lo, hi in ((0, cut), (cut, steps)):
-        first, got = engine._advance(model, x[:, lo:hi], cells, opened, sums, mle, adaptive, lo)
+        first, got = engine._advance(model, x[:, lo:hi], cells, opened, sums, adaptive, lo)
         block = stop[..., lo:hi]
         want = np.where(block.any(-1), block.argmax(-1), hi - lo).astype(float)
         np.testing.assert_array_equal(first, want, strict=True)

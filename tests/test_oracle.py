@@ -385,8 +385,8 @@ class TestBatchedMatchesStepwise:
             (GAUSS, TRUTH, 1, 10_000),
             # 30,003 draws in all leave a Box-Muller sine pending at the end.
             (GAUSS, TRUTH3, 1, 10_001),
-            # 341 trials per chunk take 3,069 draws each, so every other
-            # chunk starts on a pending sine.
+            # 256 trials per chunk take 2,304 draws each, so no chunk starts
+            # on a pending sine (the next test covers one that does).
             (GAUSS, TRUTH3, 3, 10_000),
             (REF_MODEL, REF_THETA, 1, 10_000),
             (REF_MODEL, REF_THETA, 5, 10_000),
@@ -401,6 +401,25 @@ class TestBatchedMatchesStepwise:
         )
         if model is GAUSS:
             assert (rng.gauss_next is not None) == (n * trials * theta.k % 2 == 1)
+
+    def test_martingale_chunks_start_on_a_pending_sine(self, monkeypatch):
+        # gauss-k5-n1: 341 trials per chunk take 1,705 draws each, so every
+        # other chunk starts on a pending sine.
+        starts = []
+        draw_normals = engine._draw_normals
+
+        def recorded(rngs, count):
+            starts.extend(rng.gauss_next is not None for rng in rngs)
+            return draw_normals(rngs, count)
+
+        monkeypatch.setattr(engine, "_draw_normals", recorded)
+        theta = JointParameter.coupled(5, frozenset({0, 2, 4}), 0.5, -0.5)
+        _assert_matches_stepwise(
+            oracle._martingale_ratios,
+            oracle._stepwise_martingale_ratios,
+            (GAUSS, theta, 1, 10_000),
+        )
+        assert set(starts) == {False, True}
 
     def test_martingale_on_a_generator_with_a_pending_sine(self):
         def rng():
