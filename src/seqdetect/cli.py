@@ -6,8 +6,6 @@ Subcommands, each taking ``--config`` and the flags in brackets:
   and first-order approximations for the configured cells
 * ``simulate [--out --trials --seed]``  run the Monte Carlo experiment and
   write one CSV row per (kind, log_a, log_b) cell
-* ``figure [--out --trials --seed]``  run an equal-threshold sweep and write
-  the long-format CSV used for expected-sample-size plots
 * ``validate [--seed --quick]``  cross-check the closed-form implementations
   against the grid and Monte Carlo references; non-zero exit on failure
 
@@ -45,8 +43,6 @@ SIMULATE_HEADER = [
     "kind", "log_a", "log_b", "trials", "ess", "ess_se",
     "fwer1", "fwer1_ci", "fwer2", "fwer2_ci", "truncated", "approx_ess",
 ]
-
-FIGURE_HEADER = ["series", "log_threshold", "value", "se"]
 
 _TOP_KEYS = {"experiment", "model", "truth", "run", "output"}
 _MODEL_KEYS = {"family", "delta", "noise_region", "signal_region"}
@@ -368,25 +364,6 @@ def cmd_simulate(spec: RunSpec, out_dir: Path) -> int:
     return 0
 
 
-def cmd_figure(spec: RunSpec, out_dir: Path) -> int:
-    if any(th.log_a != th.log_b for th in spec.thresholds):
-        raise ConfigError("figure requires an equal-threshold sweep (log_a == log_b)")
-    summaries = montecarlo.run_experiment(spec)
-    by_cell = {(s.kind, s.log_a): s for s in summaries}
-    kinds = [kind for kind in engine.TestKind if kind in spec.kinds]
-    rows = []
-    for th in spec.thresholds:
-        for kind in kinds:
-            s = by_cell[(kind, th.log_a)]
-            rows.append([f"{kind.value}_ess", th.log_a, s.ess, s.ess_se])
-            rows.append([f"{kind.value}_approx", th.log_a, s.approx_ess, 0.0])
-    path = out_dir / f"{spec.experiment}_figure.csv"
-    _write_csv(path, FIGURE_HEADER, rows)
-    _print_table(FIGURE_HEADER, rows)
-    print(f"wrote {path}")
-    return 0
-
-
 def _check(name: str, ok: bool, detail: str, failures: list) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if not ok:
@@ -529,14 +506,13 @@ def main(argv=None) -> int:
     for name, help_text in (
         ("info", "print information constants and sample-size bounds"),
         ("simulate", "run the Monte Carlo experiment and write summary CSV"),
-        ("figure", "run an equal-threshold sweep and write the long-format CSV"),
         ("validate", "cross-check closed forms against the grid and MC references"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="config file path or bundled preset name")
         if name != "validate":
             p.add_argument("--out", help="output directory (default: config output.directory)")
-        if name in ("simulate", "figure"):
+        if name == "simulate":
             p.add_argument("--trials", type=int, help="override run.trials")
         if name != "info":
             p.add_argument("--seed", type=int, help="override run.seed")
@@ -559,9 +535,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out is not None else Path(spec.out_dir)
         if args.command == "info":
             return cmd_info(spec, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(spec, out_dir)
-        return cmd_figure(spec, out_dir)
+        return cmd_simulate(spec, out_dir)
     except (SeqDetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

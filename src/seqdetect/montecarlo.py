@@ -42,18 +42,17 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
-    """Mix (base_seed, cell_index, trial_index) into one 64-bit trial seed.
+def derive_trial_seed(base_seed: int, trial_index: int) -> int:
+    """Mix (base_seed, trial_index) into one 64-bit trial seed.
 
-    Chained splitmix64 finalizers; distinct triples collide only with
+    Chained splitmix64 finalizers; distinct pairs collide only with
     birthday probability, so derived streams are effectively independent.
     """
-    if cell_index < 0 or trial_index < 0:
-        raise ConfigError("cell and trial indices must be non-negative")
-    x = _splitmix64(base_seed & _MASK64)
-    x = _splitmix64(x ^ (cell_index & _MASK64))
-    x = _splitmix64(x ^ (trial_index & _MASK64))
-    return x
+    if trial_index < 0:
+        raise ConfigError("trial index must be non-negative")
+    # The inner round once mixed in a cell index; it stays so that no seed changes.
+    x = _splitmix64(_splitmix64(base_seed & _MASK64))
+    return _splitmix64(x ^ (trial_index & _MASK64))
 
 
 def thresholds_from_levels(alpha: float, beta: float) -> engine.Thresholds:
@@ -120,7 +119,7 @@ def _run_batch(config: ExperimentConfig, start: int, stop: int) -> np.ndarray:
     of stop times, truncation flags and type I and type II error flags."""
     signals = config.theta.signal_set(config.model.space)
     truth = np.array([i in signals for i in range(config.theta.k)])
-    rngs = [random.Random(derive_trial_seed(config.base_seed, 0, i)) for i in range(start, stop)]
+    rngs = [random.Random(derive_trial_seed(config.base_seed, i)) for i in range(start, stop)]
     cells = list(product(config.thresholds, config.kinds))
     stopped_at, truncated, selected = engine.run_trials(
         config.model, config.theta, cells, rngs, config.n_max
@@ -187,12 +186,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     """Run every cell of the experiment and summarize.
 
     Cells are enumerated thresholds-major, kinds-minor.  Each trial draws its
-    own seed from (base_seed, trial) (``derive_trial_seed`` at cell index 0)
-    and every cell scores that one trajectory, so results do not depend on
-    how trials are cut into jobs or scheduled, and each cell's decisions are
-    those of the cell run alone on the same seeds.  Truncated trials are
-    excluded from the expected sample size (with a warning) but still count
-    toward the error rates.
+    own seed, ``derive_trial_seed(base_seed, trial)``, and every cell scores
+    that one trajectory, so results do not depend on how trials are cut into
+    jobs or scheduled, and each cell's decisions are those of the cell run
+    alone on the same seeds.  Truncated trials are excluded from the expected
+    sample size (with a warning) but still count toward the error rates.
     """
     workers = _resolve_workers(workers)
     rates = first_order_rates(config.model, config.theta, config.kinds)

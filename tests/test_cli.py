@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from seqdetect import engine, oracle
-from seqdetect.cli import FIGURE_HEADER, SIMULATE_HEADER, load_config, main
+from seqdetect.cli import SIMULATE_HEADER, load_config, main
 from seqdetect.errors import ConfigError
 from seqdetect.montecarlo import ExperimentConfig, first_order_rates, run_experiment
 
@@ -189,8 +189,8 @@ class TestLoadConfig:
         assert (spec.thresholds[0].log_a, spec.thresholds[0].log_b) == (1.5, 4.0)
 
     def test_output_validation(self, tmp_path):
-        # simulate and figure always print their table and write their CSV,
-        # so a config that still names output formats is rejected.
+        # simulate always prints its table and writes its CSV, so a config
+        # that still names output formats is rejected.
         cfg = base_config()
         cfg["output"]["formats"] = ["csv", "table"]
         with pytest.raises(ConfigError, match="unknown key.*formats"):
@@ -369,6 +369,13 @@ class TestMainExitCodes:
         assert f"seqdetect {command}: error: unrecognized arguments: {flags[-2]}" in err
         assert list(out.iterdir()) == []
 
+    def test_figure_is_not_a_subcommand(self, capsys):
+        # simulate's ess, ess_se and approx_ess columns carry the figure.
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--config", "desk_fig1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'figure'" in capsys.readouterr().err
+
     def test_validate_beyond_enumeration_cap(self, tmp_path, monkeypatch, capsys):
         # The grid references enumerate 2^K assignments; validate must skip
         # the config-truth check with the capacity message instead of
@@ -466,9 +473,6 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert "kind" in out and "ess" in out
         assert "constrained" in out
-        assert main(["figure", "--config", cfg, "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "series" in out and "constrained_ess" in out
 
     def test_default_out_dir_from_config(self, tmp_path, capsys):
         cfg_dict = base_config()
@@ -477,36 +481,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 0
         capsys.readouterr()
         assert (tmp_path / "nested" / "dir" / "unit_results.csv").exists()
-
-
-class TestFigureCommand:
-    # The series follow the test kinds' order, not the order the config lists.
-    @pytest.mark.parametrize(
-        "kinds", [["constrained", "unconstrained"], ["unconstrained", "constrained"]]
-    )
-    def test_series_layout(self, tmp_path, capsys, kinds):
-        cfg_dict = base_config()
-        cfg_dict["run"]["kinds"] = kinds
-        cfg_dict["run"]["log_thresholds"] = [2.0, 3.0]
-        cfg = write_config(tmp_path, cfg_dict)
-        assert main(["figure", "--config", cfg, "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        rows = read_csv(tmp_path / "unit_figure.csv")
-        assert rows[0] == FIGURE_HEADER
-        series = [r[0] for r in rows[1:]]
-        assert series == [
-            "constrained_ess", "constrained_approx",
-            "unconstrained_ess", "unconstrained_approx",
-        ] * 2
-        assert [float(r[1]) for r in rows[1:5]] == [2.0] * 4
-
-    def test_requires_equal_thresholds(self, tmp_path, capsys):
-        cfg_dict = base_config()
-        del cfg_dict["run"]["log_thresholds"]
-        cfg_dict["run"]["thresholds"] = [[2.0, 3.0]]
-        cfg = write_config(tmp_path, cfg_dict)
-        assert main(["figure", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "equal-threshold" in capsys.readouterr().err
 
 
 class TestValidateCommand:

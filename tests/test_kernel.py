@@ -277,7 +277,7 @@ def test_bernoulli_tables_score_few_candidates_through_libm(monkeypatch):
     monkeypatch.setattr(engine, "_region_sup", counted_libm)
     theta = _truth(BERN, 10, range(1, 6))
     cells = [(Thresholds(5.0, 5.0), kind) for kind in TestKind]
-    rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(20))
+    rngs = _rngs(montecarlo.derive_trial_seed(20260819, t) for t in range(20))
     run_trials(BERN, theta, cells, rngs, 2_000)  # longest stop: 455 steps
     assert 0 < entries["libm"] <= 0.2 * entries["table"], entries
 
@@ -419,7 +419,7 @@ def test_blocks_run_few_steps_past_the_stops(monkeypatch):
     # steps.
     theta = _truth(GAUSS, 2, {0})
     blocks = _record_blocks(monkeypatch)
-    rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
+    rngs = _rngs(montecarlo.derive_trial_seed(20260819, t) for t in range(100))
     stopped_at, truncated, _ = run_trials(GAUSS, theta, DESK_CELLS, rngs, n_max=1_000)
     assert not truncated.any()
     widths = {}
@@ -443,7 +443,7 @@ def test_stop_test_peak_grows_little_with_the_cells():
 
     def peak(pairs):
         cells = list(product([Thresholds(c, c) for c in np.linspace(2.0, 20.0, pairs)], TestKind))
-        rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(100))
+        rngs = _rngs(montecarlo.derive_trial_seed(20260819, t) for t in range(100))
         tracemalloc.start()
         try:
             run_trials(GAUSS, theta, cells, rngs, n_max=2_000)
@@ -501,7 +501,7 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
     # stop: 455 steps.
     theta = _truth(BERN, 10, range(1, 6))
     cells = [(Thresholds(5.0, 5.0), kind) for kind in TestKind]
-    rngs = _rngs(montecarlo.derive_trial_seed(20260819, 0, t) for t in range(20))
+    rngs = _rngs(montecarlo.derive_trial_seed(20260819, t) for t in range(20))
     trial_of = {id(rng): i for i, rng in enumerate(rngs)}
     blocks = _record_blocks(monkeypatch)
     stopped_at, truncated, _ = run_trials(BERN, theta, cells, rngs, n_max=1_800)
@@ -609,7 +609,7 @@ class TestCellsShareOneTrajectory:
 
     def test_gaussian_desk_cells(self, monkeypatch):
         blocks = _record_blocks(monkeypatch)
-        seeds = [montecarlo.derive_trial_seed(20260819, 0, t) for t in range(60)]
+        seeds = [montecarlo.derive_trial_seed(20260819, t) for t in range(60)]
         # Longest stop: 309 steps.
         self._assert_each_cell_as_alone(GAUSS, _truth(GAUSS, 2, {1}), DESK_CELLS, seeds, 1_200)
         paths = _scoring_paths(blocks, TestKind.CONSTRAINED)
@@ -710,12 +710,12 @@ def test_records_do_not_depend_on_batch_composition(kind):
 DECOUPLED = JointParameter((0.9, 0.11, -0.9, -0.11))
 
 
-def _error_events(kind, theta, log_t, seed, trials, n_max):
+def _error_events(kind, theta, log_t, base_seed, trials, n_max):
     """Type I and type II error events at log_a = log_b = log_t, on generators
-    seeded from ``seed`` (a base seed and a cell index), and the cap on their
-    rates, exp(-log_t) + 3 SE.  Each caller's ``n_max`` is about four times
-    its longest stop, and no trial may be truncated."""
-    rngs = _rngs(montecarlo.derive_trial_seed(*seed, i) for i in range(trials))
+    seeded from ``base_seed``, and the cap on their rates, exp(-log_t) + 3 SE.
+    Each caller's ``n_max`` is about four times its longest stop, and no trial
+    may be truncated."""
+    rngs = _rngs(montecarlo.derive_trial_seed(base_seed, i) for i in range(trials))
     cells = [(Thresholds(log_t, log_t), kind)]
     _, truncated, selected = run_trials(GAUSS, theta, cells, rngs, n_max=n_max)
     assert not truncated.any()
@@ -735,13 +735,13 @@ def test_constrained_test_loses_its_guarantee_off_the_coupled_space():
             GAUSS, DECOUPLED, (TestKind.CONSTRAINED,), (Thresholds(4.0, 4.0),), 300, 77
         )
     # Longest stop: 131 steps.
-    events, cap = _error_events(TestKind.CONSTRAINED, DECOUPLED, 4.0, (77, 0), 300, 500)
+    events, cap = _error_events(TestKind.CONSTRAINED, DECOUPLED, 4.0, 77, 300, 500)
     assert all(e / 300 > cap for e in events), (events, cap)
 
 
 def test_unconstrained_test_keeps_its_guarantee_off_the_coupled_space():
     # Longest stop: 2,487 steps.
-    events, cap = _error_events(TestKind.UNCONSTRAINED, DECOUPLED, 4.0, (77, 0), 100, 10_000)
+    events, cap = _error_events(TestKind.UNCONSTRAINED, DECOUPLED, 4.0, 77, 100, 10_000)
     assert all(e / 100 <= cap for e in events), (events, cap)
 
 
@@ -750,11 +750,19 @@ def test_unconstrained_test_keeps_its_guarantee_off_the_coupled_space():
 # sized to see at least 10 events of each type at t = 1, so that it tests the
 # guarantee rather than reading 0.  Each n_max is about four times the
 # cell's longest stop: 2,044 steps (constrained) and 2,750 (unconstrained).
+# Each cell draws its own trials.  Trial seeds once mixed in a cell index too,
+# and cell 1's base seed is the one whose splitmix64 is splitmix64(7) ^ 1, so
+# it draws the trials that index gave it.
+BOUNDARY_SEEDS = (7, 354357900789335187)
+
+
 @pytest.mark.parametrize(
     "kind, cell, trials", [(TestKind.CONSTRAINED, 0, 1_000), (TestKind.UNCONSTRAINED, 1, 7_000)]
 )
 def test_familywise_guarantee_at_the_indifference_boundary(kind, cell, trials):
+    assert montecarlo._splitmix64(BOUNDARY_SEEDS[1]) == montecarlo._splitmix64(7) ^ 1
     n_max = {TestKind.CONSTRAINED: 8_000, TestKind.UNCONSTRAINED: 11_000}[kind]
-    events, cap = _error_events(kind, JointParameter((0.1, -0.1)), 1.0, (7, cell), trials, n_max)
+    theta = JointParameter((0.1, -0.1))
+    events, cap = _error_events(kind, theta, 1.0, BOUNDARY_SEEDS[cell], trials, n_max)
     assert min(events) >= 10, events
     assert all(e / trials <= cap for e in events), (events, cap)

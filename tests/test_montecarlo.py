@@ -56,28 +56,30 @@ class TestThresholdsFromLevels:
 
 class TestDeriveTrialSeed:
     def test_deterministic(self):
-        assert derive_trial_seed(7, 3, 11) == derive_trial_seed(7, 3, 11)
+        assert derive_trial_seed(7, 11) == derive_trial_seed(7, 11)
 
     def test_range_and_spread(self):
         seeds = set()
-        for cell in range(10):
-            for trial in range(10_000):
-                s = derive_trial_seed(42, cell, trial)
-                assert 0 <= s < (1 << 64)
-                seeds.add(s)
-        assert len(seeds) == 100_000
+        for trial in range(10_000):
+            s = derive_trial_seed(42, trial)
+            assert 0 <= s < (1 << 64)
+            seeds.add(s)
+        assert len(seeds) == 10_000
 
     def test_sensitive_to_every_index(self):
-        a = derive_trial_seed(1, 2, 3)
-        assert a != derive_trial_seed(2, 2, 3)
-        assert a != derive_trial_seed(1, 3, 3)
-        assert a != derive_trial_seed(1, 2, 4)
+        a = derive_trial_seed(1, 3)
+        assert a != derive_trial_seed(2, 3)
+        assert a != derive_trial_seed(1, 4)
+
+    def test_pinned_values(self):
+        # Every seeded result in the project rests on these values.
+        assert [derive_trial_seed(20260819, t) for t in (0, 1, 999)] == [
+            6897687693330465308, 10301940027309992171, 15444398632087770345,
+        ]
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
-            derive_trial_seed(1, -1, 0)
-        with pytest.raises(ConfigError):
-            derive_trial_seed(1, 0, -1)
+            derive_trial_seed(1, -1)
 
 
 class TestExperimentConfig:
@@ -199,7 +201,7 @@ class TestRunExperiment:
         truth = cfg.theta.signal_set(cfg.model.space)
         want = []
         for th, kind in product(cfg.thresholds, cfg.kinds):
-            rngs = [random.Random(derive_trial_seed(123, 0, i)) for i in range(20)]
+            rngs = [random.Random(derive_trial_seed(123, i)) for i in range(20)]
             decisions = [run_to_decision(cfg.model, cfg.theta, th, kind, rng) for rng in rngs]
             want.append([
                 (d.stopped_at, d.truncated, bool(d.selected - truth), bool(truth - d.selected))

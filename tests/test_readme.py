@@ -1,8 +1,11 @@
-"""The README's Python quick start and config schema match the current API."""
+"""The README's Python quick start, config schema and CLI section match the
+current API."""
 import re
 from pathlib import Path
 
-from seqdetect.cli import load_config
+import pytest
+
+from seqdetect.cli import load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +28,29 @@ def test_config_schema_loads(tmp_path):
     spec = load_config(str(path))
     assert spec.experiment == "desk_fig1"
     assert spec == load_config("desk_fig1")
+
+
+def _usage(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out.split("\n\n", 1)[0]
+
+
+def test_cli_section_matches_the_parser(capsys):
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = {line.split()[1] for line in block.splitlines() if line.startswith("seqdetect ")}
+    table = re.search(r"\| subcommand \| flags \|\n\| --- \| --- \|\n((?:\|.*\n)+)", section)
+    flags = {}
+    for row in table.group(1).splitlines():
+        names, listed = row.strip("|").split("|")
+        for name in re.findall(r"`([a-z]+)`", names):
+            flags[name] = set(re.findall(r"`(--[a-z-]+)`", listed))
+
+    subcommands = re.search(r"\{([a-z,]+)\}", _usage(capsys, [])).group(1).split(",")
+    assert commands == set(flags) == set(subcommands)
+    for name in subcommands:
+        # Every flag beside --config, as the table says.
+        usage = set(re.findall(r"--[a-z-]+", _usage(capsys, [name])))
+        assert flags[name] == usage - {"--config"}, name
