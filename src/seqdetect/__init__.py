@@ -16,7 +16,6 @@ from .models import (
     ParameterSpace,
     Region,
     StreamModel,
-    SufficientStat,
 )
 from .montecarlo import (
     ExperimentConfig,

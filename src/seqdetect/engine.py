@@ -1,9 +1,9 @@
 """Adaptive sequential test over K parallel streams.
 
-The procedure tracks, per stream, the sufficient statistic and the lagged
-maximum-likelihood estimate, and accumulates an adaptive log-likelihood in
-which observation n is scored against the estimate formed from the first
-n - 1 observations.  That one-step lag makes the likelihood ratio of the
+The procedure tracks the shared observation count and each stream's running
+sum, and accumulates an adaptive log-likelihood in which observation n is
+scored against the maximum-likelihood estimate formed from the first n - 1
+observations.  That one-step lag makes the likelihood ratio of the
 adaptive process to the truth a mean-one martingale, which is what gives
 the stopping rule its familywise error guarantees.
 
@@ -39,7 +39,6 @@ from .models import (
     JointParameter,
     Region,
     StreamModel,
-    SufficientStat,
     _loglik,
     mle_unrestricted,
     sample,
@@ -127,68 +126,59 @@ def _total(values) -> float:
 
 @dataclass
 class EngineState:
+    """A trial's stream sums and adaptive log-likelihood at the shared count n."""
+
     model: StreamModel
-    stats: list[SufficientStat]
-    lagged_mle: list[float]
+    sums: list[float]
     adaptive_loglik: float
     n: int
 
     @property
     def k(self) -> int:
-        return len(self.stats)
+        return len(self.sums)
 
 
 def init(model: StreamModel, k: int) -> EngineState:
-    """Fresh state at n = 0 for ``k`` streams following ``model``.
-
-    Before any data arrive every lagged estimate sits at the lower signal
-    endpoint.
-    """
+    """Fresh state at n = 0 for ``k`` streams following ``model``."""
     if k < 1:
         raise ConfigError("at least one stream required")
-    return EngineState(
-        model=model,
-        stats=[SufficientStat() for _ in range(k)],
-        lagged_mle=[model.space.theta1_lo] * k,
-        adaptive_loglik=0.0,
-        n=0,
-    )
+    return EngineState(model, [0.0] * k, 0.0, 0)
 
 
 def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     """Absorb one observation per stream (in place).
 
-    The adaptive log-likelihood scores the new observations against the
-    lagged estimates first; only then do the statistics absorb the data and
-    the estimates refresh.  Ordering is what keeps the adaptive likelihood
-    ratio a martingale.
+    The adaptive log-likelihood scores each new observation against its
+    stream's lagged estimate, the MLE of the sums carried so far (the lower
+    signal endpoint before any data arrive); only then do the sums absorb
+    the data.  Ordering is what keeps the adaptive likelihood ratio a
+    martingale.
     """
     k = state.k
     model = state.model
     if len(obs) != k:
         raise DomainError(f"expected {k} observations, got {len(obs)}")
+    if not all(map(math.isfinite, obs)):
+        raise DomainError(f"observations must be finite, got {list(obs)!r}")
     if model.family is Family.BERNOULLI and not _BERNOULLI_VALUES.issuperset(obs):
         raise DomainError(f"Bernoulli observations must be 0 or 1, got {list(obs)!r}")
+    n = state.n
     adaptive = state.adaptive_loglik
-    for i in range(k):
+    for i, s in enumerate(state.sums):
         x = float(obs[i])
-        adaptive += _loglik(model, 1, x, state.lagged_mle[i])
-        st = state.stats[i]
-        st.add(x)
-        state.lagged_mle[i] = mle_unrestricted(model, st)
+        lagged = mle_unrestricted(model, n, s) if n else model.space.theta1_lo
+        adaptive += _loglik(model, 1, x, lagged)
+        state.sums[i] = s + x
     state.adaptive_loglik = adaptive
-    state.n += 1
+    state.n = n + 1
     return state
 
 
 def _region_sups(state: EngineState) -> tuple[list[float], list[float]]:
     """Each stream's log-likelihood supremum over the signal and the noise region."""
-    model = state.model
-    sig_q = []
-    noise_q = []
-    for st in state.stats:
-        sig_q.append(sup_stat_loglik(model, st.n, st.s, Region.SIGNAL))
-        noise_q.append(sup_stat_loglik(model, st.n, st.s, Region.NOISE))
+    model, n = state.model, state.n
+    sig_q = [sup_stat_loglik(model, n, s, Region.SIGNAL) for s in state.sums]
+    noise_q = [sup_stat_loglik(model, n, s, Region.NOISE) for s in state.sums]
     return sig_q, noise_q
 
 
@@ -250,7 +240,7 @@ def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, fl
     model = state.model
     a_hat = estimate_signal_set(state)
     a = len(a_hat)
-    ss = [st.s for st in state.stats]
+    ss = state.sums
     s_total = _total(ss)
     # Membership first, so the estimate is exactly the top-a block even when
     # sums tie: order[a - 1] is the weakest stream in it, order[a] the
@@ -606,7 +596,7 @@ def _absorb(
     (and, for the Bernoulli, its logs) is the fit one row up.  At n = 0 the
     mean is set to the lower signal endpoint: both restricted maxima are
     then +-0 and ties go to the signal side, so the fit is that endpoint,
-    :func:`init`'s lagged estimate.
+    the lagged estimate that :func:`update` takes at n = 0.
     """
     b, steps, k = x.shape
     s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)

@@ -33,7 +33,6 @@ __all__ = [
     "Region",
     "ParameterSpace",
     "StreamModel",
-    "SufficientStat",
     "JointParameter",
     "kl",
     "stat_loglik",
@@ -117,30 +116,6 @@ class StreamModel:
                 )
 
 
-@dataclass(slots=True)
-class SufficientStat:
-    """Observation count and running sum for one stream."""
-
-    n: int = 0
-    s: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("observation count must be non-negative")
-        if self.n == 0 and self.s != 0.0:
-            raise DomainError("empty statistic must have zero sum")
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        self.s += x
-
-    @property
-    def mean(self) -> float:
-        if self.n == 0:
-            raise DomainError("sample mean undefined for an empty statistic")
-        return self.s / self.n
-
-
 @dataclass(frozen=True)
 class JointParameter:
     """Parameter vector across the K streams."""
@@ -208,6 +183,14 @@ def _require_in_space(model: StreamModel, theta: float, what: str = "theta") -> 
         raise DomainError(f"{what}={theta!r} outside the parameter set")
 
 
+def _require_stat(n: int, *sums: float) -> None:
+    """Rejects a negative count n, and a zero one with a nonzero sum."""
+    if n < 0:
+        raise DomainError("observation count must be non-negative")
+    if n == 0 and any(sums):
+        raise DomainError("empty statistic must have zero sum")
+
+
 def kl(model: StreamModel, theta: float, theta_p: float) -> float:
     """Kullback-Leibler divergence between f_theta and f_theta_p.
 
@@ -241,19 +224,20 @@ def _loglik(model: StreamModel, n, s, theta, logs=()):
     return s * log_theta + (n - s) * log1m_theta
 
 
-def stat_loglik(model: StreamModel, stat: SufficientStat, theta: float) -> float:
-    """Statistic-level log-likelihood of a sufficient statistic at theta
+def stat_loglik(model: StreamModel, n: int, s: float, theta: float) -> float:
+    """Statistic-level log-likelihood of count n and sum s at theta
     (see the module docstring); theta must lie in the parameter set."""
+    _require_stat(n, s)
     _require_in_space(model, theta)
-    return _loglik(model, stat.n, stat.s, theta)
+    return _loglik(model, n, s, theta)
 
 
 def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> float:
     """Supremum of :func:`stat_loglik` over a region, in closed form.
 
-    Takes raw pooled counts so callers can combine several streams without
-    building intermediate objects.  The maximizer is the sample mean s/n
-    projected onto the region; an empty statistic contributes 0.
+    Takes pooled counts and sums unchecked, as the hot paths pass them.  The
+    maximizer is the sample mean s/n projected onto the region; an empty
+    statistic contributes 0.
     """
     if n == 0:
         return 0.0
@@ -261,16 +245,16 @@ def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> flo
     return _loglik(model, n, s, min(max(s / n, lo), hi))
 
 
-def mle_unrestricted(model: StreamModel, stat: SufficientStat) -> float:
-    """Maximum-likelihood parameter over the whole parameter set.
+def mle_unrestricted(model: StreamModel, n: int, s: float) -> float:
+    """Maximum-likelihood parameter over the whole parameter set, from count
+    n and sum s.
 
     The sample mean clipped into each region gives the two restricted
     maximizers; the better one is returned, exact ties going to the signal
     side.
     """
-    n, s = stat.n, stat.s
-    if n == 0:
-        raise DomainError("MLE undefined for an empty statistic")
+    if n < 1:
+        raise DomainError("MLE needs a positive observation count")
     sp = model.space
     mean = s / n
     cand0 = min(max(mean, sp.theta0_lo), sp.theta0_hi)

@@ -8,9 +8,11 @@ streams; an assignment costs its closed-form projections (the
 ``grid_*`` references).  The martingale and law-of-large-numbers
 properties of the adaptive likelihood are estimated by Monte Carlo: the
 kernel simulates (:func:`~seqdetect.engine._horizon`), the oracle scores.
-The private ``_stepwise_martingale_ratios`` and ``_stepwise_lln_margins``
-repeat each trial one observation at a time through the engine's
-step-at-a-time reference (:func:`~seqdetect.engine.update` and
+The suprema references take their data in the kernel's state format: the
+count n that all streams share and each stream's sum.  The private
+``_stepwise_martingale_ratios`` and ``_stepwise_lln_margins`` repeat each
+trial one observation at a time through the engine's step-at-a-time
+reference (:func:`~seqdetect.engine.update` and
 :func:`~seqdetect.engine.sup_loglik_error_sets`) and are the tests'
 trial-by-trial, bit-for-bit reference for the batched ones.  The test
 suite and the ``validate`` command compare the fast implementations
@@ -38,8 +40,8 @@ from .models import (
     JointParameter,
     Region,
     StreamModel,
-    SufficientStat,
     _loglik,
+    _require_stat,
     sample,
     stat_loglik,
     sup_stat_loglik,
@@ -88,25 +90,26 @@ def _per_stream(sig: list[float], noise: list[float]):
 
 def subset_sup_loglik_error_sets(
     model: StreamModel,
-    stats: Sequence[SufficientStat],
+    n: int,
+    sums: Sequence[float],
     signal_estimate: frozenset,
 ) -> tuple[float, float]:
-    """Constrained error-set suprema by enumerating all 2^K assignments.
+    """Constrained error-set suprema by enumerating all 2^K assignments,
+    for stream sums ``sums`` at the shared count ``n``.
 
     Each assignment pools the counts and sums of its signal group and of its
     noise group and takes the closed-form restricted suprema, so the values
     are exact; the reference for the engine's sorted-candidate search.
     """
-    k = len(stats)
+    k = len(sums)
     _require_enumerable(k)
-    n_total = sum(st.n for st in stats)
-    s_total = sum(st.s for st in stats)
+    _require_stat(n, *sums)
+    s_total = _engine._total(sums)
 
     def pooled(members, rest):
-        nb = sum(stats[i].n for i in members)
-        sb = _engine._total(stats[i].s for i in members)
-        return sup_stat_loglik(model, nb, sb, Region.SIGNAL) + sup_stat_loglik(
-            model, n_total - nb, s_total - sb, Region.NOISE
+        sb = _engine._total(sums[i] for i in members)
+        return sup_stat_loglik(model, n * len(members), sb, Region.SIGNAL) + sup_stat_loglik(
+            model, n * len(rest), s_total - sb, Region.NOISE
         )
 
     return _family_extremes(max, _NEG_INF, k, signal_estimate, pooled)
@@ -196,29 +199,30 @@ def _group_extreme(reduce, empty: float, curves: list[np.ndarray], members: list
 
 def grid_sup_loglik(
     model: StreamModel,
-    stats: Sequence[SufficientStat],
+    n: int,
+    sums: Sequence[float],
     signal_estimate: frozenset,
     kind: "_engine.TestKind",
     grid: Grid,
 ) -> tuple[float, float]:
-    """Grid version of the engine's error-set suprema.
+    """Grid version of the engine's error-set suprema, for stream sums
+    ``sums`` at the shared count ``n``.
 
     Scans every signal-set assignment and every grid value of the shared
     parameters (the two shared values enter separate sums, so the 2-D scan
     reduces to two 1-D scans per assignment).  Values are statistic-level,
     as in the engine.
     """
-    k = len(stats)
+    k = len(sums)
     _require_enumerable(k)
-    for i, st in enumerate(stats):
-        if st.n > 0 and not (grid.lo <= st.s / st.n <= grid.hi):
-            raise DomainError(
-                f"stream {i} sample mean {st.s / st.n!r} outside the grid box"
-            )
+    _require_stat(n, *sums)
+    for i, s in enumerate(sums):
+        if n > 0 and not (grid.lo <= s / n <= grid.hi):
+            raise DomainError(f"stream {i} sample mean {s / n!r} outside the grid box")
     sig_pts = grid.region_points(model, Region.SIGNAL)
     noise_pts = grid.region_points(model, Region.NOISE)
-    sig_curves = [_stat_loglik_curve(model, st.n, st.s, sig_pts) for st in stats]
-    noise_curves = [_stat_loglik_curve(model, st.n, st.s, noise_pts) for st in stats]
+    sig_curves = [_stat_loglik_curve(model, n, s, sig_pts) for s in sums]
+    noise_curves = [_stat_loglik_curve(model, n, s, noise_pts) for s in sums]
 
     if kind is _engine.TestKind.UNCONSTRAINED:
         # Each stream takes its own best grid value on its side.
@@ -284,7 +288,7 @@ def _stepwise_martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     ratios = np.empty(trials)
     for i, state in enumerate(_stepwise_horizon(model, theta, n, trials, rng)):
         true_ll = _engine._total(
-            stat_loglik(model, st, t) for st, t in zip(state.stats, theta.thetas)
+            stat_loglik(model, state.n, s, t) for s, t in zip(state.sums, theta.thetas)
         )
         ratios[i] = math.exp(state.adaptive_loglik - true_ll)
     return ratios

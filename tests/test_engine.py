@@ -22,8 +22,8 @@ from seqdetect.models import (
     ParameterSpace,
     Region,
     StreamModel,
-    SufficientStat,
     sample,
+    stat_loglik,
     sup_stat_loglik,
 )
 from seqdetect.oracle import _family_extremes
@@ -34,14 +34,21 @@ TRUTH = JointParameter((0.5, -0.5))
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def state_from_stats(model, stats):
-    return EngineState(
-        model=model,
-        stats=[SufficientStat(st.n, st.s) for st in stats],
-        lagged_mle=[model.space.theta1_lo] * len(stats),
-        adaptive_loglik=0.0,
-        n=stats[0].n,
-    )
+def next_scores(state, x):
+    """Each stream's term of the next step's adaptive log-likelihood for the
+    observation x, which scores x at that stream's lagged estimate; taken on
+    a one-stream copy, so ``state`` is left as it is."""
+    terms = []
+    for s in state.sums:
+        one = EngineState(state.model, [s], 0.0, state.n)
+        update(one, [x])
+        terms.append(one.adaptive_loglik)
+    return terms
+
+
+def gauss_scores(x, estimates):
+    """x scored at each lagged estimate: the terms ``next_scores`` gives."""
+    return [stat_loglik(GAUSS, 1, x, t) for t in estimates]
 
 
 def log_density(model, theta, x):
@@ -163,10 +170,10 @@ def independent_constrained_run(rng, log_a, log_b, n_max=5000):
 class TestInit:
     def test_signal_boundary_default(self):
         st = init(GAUSS, 2)
-        assert st.lagged_mle == [0.1, 0.1]
+        assert next_scores(st, 1.0) == gauss_scores(1.0, [0.1, 0.1])
         assert st.adaptive_loglik == 0.0
         assert st.n == 0
-        assert all(s.n == 0 for s in st.stats)
+        assert st.sums == [0.0, 0.0]
         assert st.k == 2
 
     def test_errors(self):
@@ -182,9 +189,9 @@ class TestUpdate:
         expect = sum(score(GAUSS, 0.1, x) for x in obs)
         assert st.adaptive_loglik == pytest.approx(expect, abs=1e-12)
         assert st.n == 1
-        assert st.stats[0].s == 0.7 and st.stats[1].s == -1.2
+        assert st.sums == [0.7, -1.2]
         # Lagged estimates now reflect the first observation.
-        assert st.lagged_mle == [0.7, -1.2]
+        assert next_scores(st, 1.0) == gauss_scores(1.0, [0.7, -1.2])
 
     def test_second_step_uses_lagged_estimate(self):
         st = init(GAUSS, 2)
@@ -195,12 +202,12 @@ class TestUpdate:
         expect = score(GAUSS, 0.7, 0.2) + score(GAUSS, -1.2, 0.4)
         assert gained == pytest.approx(expect, abs=1e-12)
         # Gap rule: stream means 0.45 and -0.4 stay outside the gap here.
-        assert st.lagged_mle == [pytest.approx(0.45), pytest.approx(-0.4)]
+        assert next_scores(st, 1.0) == [pytest.approx(v) for v in gauss_scores(1.0, [0.45, -0.4])]
 
     def test_gap_projection_in_lagged_estimate(self):
         st = init(GAUSS, 2)
         update(st, [0.05, -0.03])
-        assert st.lagged_mle == [0.1, -0.1]
+        assert next_scores(st, 1.0) == gauss_scores(1.0, [0.1, -0.1])
 
     def test_replay_determinism(self):
         rng = random.Random(2)
@@ -211,8 +218,8 @@ class TestUpdate:
         for row in obs:
             update(b, row)
         assert a.adaptive_loglik == b.adaptive_loglik
-        assert [s.s for s in a.stats] == [s.s for s in b.stats]
-        assert a.lagged_mle == b.lagged_mle
+        assert a.sums == b.sums
+        assert next_scores(a, 1.0) == next_scores(b, 1.0)
 
     def test_errors(self):
         st = init(GAUSS, 2)
@@ -221,6 +228,19 @@ class TestUpdate:
         bst = init(BERN, 2)
         with pytest.raises(DomainError):
             update(bst, [1.0, 0.5])
+
+    @pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_rejected(self, model, bad):
+        # A NaN sum never lets the trial stop and an infinite one decides
+        # on a wrong estimate, so each is refused before the state changes.
+        st = init(model, 2)
+        update(st, [1.0, 0.0])
+        before = (st.n, list(st.sums), st.adaptive_loglik)
+        for obs in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(DomainError):
+                update(st, obs)
+            assert (st.n, st.sums, st.adaptive_loglik) == before
 
     def test_adaptive_score_is_consistent(self):
         # (1/n)(adaptive - true loglik) should be near zero by n = 2000;
@@ -265,21 +285,19 @@ class TestUpdate:
 
 class TestEstimateSignalSet:
     def test_sign_rule(self):
-        st = state_from_stats(GAUSS, [SufficientStat(4, 2.0), SufficientStat(4, -0.8)])
+        st = EngineState(GAUSS, [2.0, -0.8], 0.0, 4)
         assert estimate_signal_set(st) == frozenset({0})
 
     def test_tie_counts_as_signal(self):
-        st = state_from_stats(GAUSS, [SufficientStat(2, 0.0), SufficientStat(2, -1.0)])
+        st = EngineState(GAUSS, [0.0, -1.0], 0.0, 2)
         assert estimate_signal_set(st) == frozenset({0})
 
     def test_matches_mean_sign_on_random_states(self):
         rng = random.Random(6)
         for _ in range(100):
-            stats = [
-                SufficientStat(5, 5 * rng.uniform(-1.0, 1.0)) for _ in range(3)
-            ]
-            st = state_from_stats(GAUSS, stats)
-            expect = frozenset(i for i in range(3) if stats[i].mean >= 0.0)
+            sums = [5 * rng.uniform(-1.0, 1.0) for _ in range(3)]
+            st = EngineState(GAUSS, sums, 0.0, 5)
+            expect = frozenset(i for i in range(3) if sums[i] / 5 >= 0.0)
             assert estimate_signal_set(st) == expect
 
     def test_empty_state_rejected(self):
@@ -294,9 +312,7 @@ class TestEstimateSignalSet:
         for _ in range(1000):
             s0 = sum(rng.gauss(0.5, 1.0) for _ in range(200))
             s1 = sum(rng.gauss(-0.5, 1.0) for _ in range(200))
-            st = state_from_stats(
-                GAUSS, [SufficientStat(200, s0), SufficientStat(200, s1)]
-            )
+            st = EngineState(GAUSS, [s0, s1], 0.0, 200)
             if estimate_signal_set(st) != frozenset({0}):
                 bad += 1
         assert bad / 1000 < 0.01
@@ -304,27 +320,27 @@ class TestEstimateSignalSet:
 
 class TestErrorSetSuprema:
     def test_full_estimate_gives_vacuous_l0(self):
-        st = state_from_stats(GAUSS, [SufficientStat(3, 2.0), SufficientStat(3, 1.0)])
+        st = EngineState(GAUSS, [2.0, 1.0], 0.0, 3)
         l0, l1 = sup_loglik_error_sets(st, TestKind.CONSTRAINED)
         assert l0 == -math.inf
         assert math.isfinite(l1)
 
     def test_empty_estimate_gives_vacuous_l1(self):
-        st = state_from_stats(GAUSS, [SufficientStat(3, -2.0), SufficientStat(3, -1.0)])
+        st = EngineState(GAUSS, [-2.0, -1.0], 0.0, 3)
         for kind in TestKind:
             l0, l1 = sup_loglik_error_sets(st, kind)
             assert math.isfinite(l0)
             assert l1 == -math.inf
 
     def test_constrained_candidates_by_hand(self):
-        stats = [SufficientStat(5, 3.0), SufficientStat(5, -1.5)]
-        st = state_from_stats(GAUSS, stats)
+        sums = [3.0, -1.5]
+        st = EngineState(GAUSS, sums, 0.0, 5)
         assert estimate_signal_set(st) == frozenset({0})
 
         def pooled(b):
-            sb = sum(stats[i].s for i in b)
+            sb = sum(sums[i] for i in b)
             nb = 5 * len(b)
-            sc = sum(s.s for s in stats) - sb
+            sc = sum(sums) - sb
             nc = 10 - nb
             return sup_stat_loglik(GAUSS, nb, sb, Region.SIGNAL) + sup_stat_loglik(
                 GAUSS, nc, sc, Region.NOISE
@@ -335,14 +351,14 @@ class TestErrorSetSuprema:
         assert l1 == pytest.approx(max(pooled(set()), pooled({1})), abs=1e-12)
 
     def test_unconstrained_candidates_by_hand(self):
-        stats = [SufficientStat(5, 3.0), SufficientStat(5, -1.5)]
-        st = state_from_stats(GAUSS, stats)
+        sums = [3.0, -1.5]
+        st = EngineState(GAUSS, sums, 0.0, 5)
 
         def free(b):
             total = 0.0
-            for i, s in enumerate(stats):
+            for i, s in enumerate(sums):
                 region = Region.SIGNAL if i in b else Region.NOISE
-                total += sup_stat_loglik(GAUSS, s.n, s.s, region)
+                total += sup_stat_loglik(GAUSS, 5, s, region)
             return total
 
         l0, l1 = sup_loglik_error_sets(st, TestKind.UNCONSTRAINED)
@@ -353,17 +369,15 @@ class TestErrorSetSuprema:
         rng = random.Random(33)
         for _ in range(30):
             k = rng.randint(1, 4)
-            stats = [
-                SufficientStat(6, 6 * rng.uniform(-1.5, 1.5)) for _ in range(k)
-            ]
-            st = state_from_stats(GAUSS, stats)
+            sums = [6 * rng.uniform(-1.5, 1.5) for _ in range(k)]
+            st = EngineState(GAUSS, sums, 0.0, 6)
             ahat = estimate_signal_set(st)
 
             def free(b):
                 total = 0.0
-                for i, s in enumerate(stats):
+                for i, s in enumerate(sums):
                     region = Region.SIGNAL if i in b else Region.NOISE
-                    total += sup_stat_loglik(GAUSS, s.n, s.s, region)
+                    total += sup_stat_loglik(GAUSS, 6, s, region)
                 return total
 
             ref0, ref1 = _family_extremes(
@@ -377,10 +391,7 @@ class TestErrorSetSuprema:
         rng = random.Random(44)
         for _ in range(60):
             k = rng.randint(1, 4)
-            stats = [
-                SufficientStat(8, 8 * rng.uniform(-1.0, 1.0)) for _ in range(k)
-            ]
-            st = state_from_stats(GAUSS, stats)
+            st = EngineState(GAUSS, [8 * rng.uniform(-1.0, 1.0) for _ in range(k)], 0.0, 8)
             cl0, cl1 = sup_loglik_error_sets(st, TestKind.CONSTRAINED)
             ul0, ul1 = sup_loglik_error_sets(st, TestKind.UNCONSTRAINED)
             assert cl0 <= ul0 + 1e-12
@@ -395,8 +406,7 @@ class TestCheckStop:
     def test_vacuous_side_single_stream(self):
         # With one stream estimated as signal only the l1 condition binds,
         # so an enormous log_b cannot block the stop.
-        st = state_from_stats(GAUSS, [SufficientStat(30, 45.0)])
-        st.adaptive_loglik = 100.0
+        st = EngineState(GAUSS, [45.0], 100.0, 30)
         decision = check_stop(st, Thresholds(log_a=0.5, log_b=1e9), TestKind.CONSTRAINED)
         assert decision is not None
         assert decision.selected == frozenset({0})
@@ -404,7 +414,7 @@ class TestCheckStop:
         assert not decision.truncated
 
     def test_no_stop_below_threshold(self):
-        st = state_from_stats(GAUSS, [SufficientStat(1, 0.6), SufficientStat(1, -0.4)])
+        st = EngineState(GAUSS, [0.6, -0.4], 0.0, 1)
         assert check_stop(st, Thresholds(1e6, 1e6), TestKind.CONSTRAINED) is None
 
     def test_threshold_validation(self):

@@ -202,10 +202,7 @@ def _assert_suprema_equal_the_scalar_ones(kind, model, k):
     estimates, want = [], []
     for row in sums:
         for n, s in zip(counts, row):
-            state = engine.init(model, k)
-            state.n = n
-            for st, value in zip(state.stats, s):
-                st.n, st.s = n, value
+            state = engine.EngineState(model, s, 0.0, n)
             estimates.append(engine.estimate_signal_set(state))
             want.append(engine.sup_loglik_error_sets(state, kind))
     count = np.array(counts, dtype=float)[:, None]

@@ -4,14 +4,13 @@ import random
 import pytest
 
 from seqdetect.errors import ConfigError, DomainError
-from seqdetect.engine import init, update
+from seqdetect.engine import EngineState, init, update
 from seqdetect.models import (
     Family,
     JointParameter,
     ParameterSpace,
     Region,
     StreamModel,
-    SufficientStat,
     kl,
     mle_unrestricted,
     sample,
@@ -25,23 +24,25 @@ BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
 BERN_HALF = StreamModel(Family.BERNOULLI, ParameterSpace(0.3, 0.5, 0.6, 0.8))
 
 
-def reconstructed_loglik(model, stat, theta):
-    """Statistic-level log-likelihood at theta, written out independently.
+def reconstructed_loglik(model, n, s, theta):
+    """Statistic-level log-likelihood of count n and sum s at theta, written
+    out independently.
 
     The Gaussian value is the log density of the sample mean's sufficient
     part, -(n/2)(m - theta)^2, shifted by the theta-free n*m^2/2 to match
     the package's convention; Bernoulli values are exact.
     """
     if model.family is Family.GAUSSIAN:
-        m = stat.s / stat.n
-        return -0.5 * stat.n * (m - theta) ** 2 + 0.5 * stat.n * m * m
-    return stat.s * math.log(theta) + (stat.n - stat.s) * math.log(1.0 - theta)
+        m = s / n
+        return -0.5 * n * (m - theta) ** 2 + 0.5 * n * m * m
+    return s * math.log(theta) + (n - s) * math.log(1.0 - theta)
 
 
 def single_score(model, theta, x):
-    """The adaptive log-likelihood's term for one observation x at theta."""
-    st = init(model, 1)
-    st.lagged_mle[0] = theta
+    """The adaptive log-likelihood's term for one observation x at theta:
+    the engine's next step after one observation equal to theta, whose
+    fit is theta itself."""
+    st = EngineState(model, [theta], 0.0, 1)
     update(st, [x])
     return st.adaptive_loglik
 
@@ -100,25 +101,13 @@ class TestStreamModel:
         StreamModel(Family.GAUSSIAN, ParameterSpace(-3.0, -1.0, 2.0, 4.0))
 
 
-class TestSufficientStat:
-    def test_accumulation(self):
-        st = SufficientStat()
-        assert st.n == 0 and st.s == 0.0
-        st.add(0.5)
-        st.add(-1.5)
-        assert st.n == 2
-        assert st.s == -1.0
-        assert st.mean == -0.5
-
-    def test_empty_mean_rejected(self):
+def test_invalid_statistic_rejected():
+    # A negative count, and a zero count with a nonzero sum.
+    for n, s in ((-1, 0.0), (0, 0.5)):
         with pytest.raises(DomainError):
-            SufficientStat().mean
-
-    def test_invalid_construction(self):
+            stat_loglik(GAUSS, n, s, 0.5)
         with pytest.raises(DomainError):
-            SufficientStat(-1, 0.0)
-        with pytest.raises(DomainError):
-            SufficientStat(0, 0.5)
+            mle_unrestricted(GAUSS, n, s)
 
 
 class TestJointParameter:
@@ -157,29 +146,29 @@ class TestLogDensity:
 
     def test_gaussian_at_mean(self):
         # log f_theta(theta) - log h(theta) = theta^2 / 2.
-        assert stat_loglik(GAUSS, SufficientStat(1, 0.5), 0.5) == 0.125
+        assert stat_loglik(GAUSS, 1, 0.5, 0.5) == 0.125
         assert single_score(GAUSS, 0.5, 0.5) == 0.125
 
     def test_gaussian_offset(self):
         # theta*x - theta^2/2 at theta = 0.5, x = -0.5.
-        assert stat_loglik(GAUSS, SufficientStat(1, -0.5), 0.5) == -0.375
+        assert stat_loglik(GAUSS, 1, -0.5, 0.5) == -0.375
         assert single_score(GAUSS, 0.5, -0.5) == -0.375
 
     def test_bernoulli_values(self):
         # Bernoulli has no base measure: the values are exact log densities.
-        assert stat_loglik(BERN_HALF, SufficientStat(1, 1.0), 0.5) == math.log(0.5)
-        assert stat_loglik(BERN, SufficientStat(1, 0.0), 0.6) == math.log1p(-0.6)
+        assert stat_loglik(BERN_HALF, 1, 1.0, 0.5) == math.log(0.5)
+        assert stat_loglik(BERN, 1, 0.0, 0.6) == math.log1p(-0.6)
         assert single_score(BERN, 0.6, 1.0) == math.log(0.6)
         assert single_score(BERN, 0.6, 0.0) == math.log1p(-0.6)
         assert single_score(BERN, 0.6, 0.0) == pytest.approx(math.log(0.4), abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            stat_loglik(GAUSS, SufficientStat(1, 1.0), 0.05)
+            stat_loglik(GAUSS, 1, 1.0, 0.05)
         bern = init(BERN, 1)
         with pytest.raises(DomainError):
             update(bern, [0.5])
-        assert bern.n == 0 and bern.stats[0].n == 0
+        assert bern.n == 0 and bern.sums == [0.0]
 
     def test_gaussian_density_splits_into_stat_and_base(self):
         # log f_theta(x) = theta*x - theta^2/2 + log h(x), the exponential
@@ -192,9 +181,8 @@ class TestLogDensity:
             x = rng.gauss(0.0, 2.0)
             log_density = -0.5 * (x - theta) ** 2 - log_sqrt_2pi
             log_h = -0.5 * x * x - log_sqrt_2pi
-            st = SufficientStat(1, x)
-            assert stat_loglik(GAUSS, st, theta) == pytest.approx(log_density - log_h, abs=1e-12)
-            assert single_score(GAUSS, theta, x) == stat_loglik(GAUSS, st, theta)
+            assert stat_loglik(GAUSS, 1, x, theta) == pytest.approx(log_density - log_h, abs=1e-12)
+            assert single_score(GAUSS, theta, x) == stat_loglik(GAUSS, 1, x, theta)
 
 
 class TestKL:
@@ -236,31 +224,31 @@ class TestKL:
 
 class TestMLE:
     def test_gaussian_examples(self):
-        assert mle_unrestricted(GAUSS, SufficientStat(4, 2.0)) == pytest.approx(0.5, abs=1e-15)
-        assert mle_unrestricted(GAUSS, SufficientStat(4, 0.2)) == pytest.approx(0.1, abs=1e-15)
-        assert mle_unrestricted(GAUSS, SufficientStat(2, -0.1)) == pytest.approx(-0.1, abs=1e-15)
+        assert mle_unrestricted(GAUSS, 4, 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert mle_unrestricted(GAUSS, 4, 0.2) == pytest.approx(0.1, abs=1e-15)
+        assert mle_unrestricted(GAUSS, 2, -0.1) == pytest.approx(-0.1, abs=1e-15)
 
     def test_gap_tie_goes_to_signal(self):
-        assert mle_unrestricted(GAUSS, SufficientStat(2, 0.0)) == 0.1
+        assert mle_unrestricted(GAUSS, 2, 0.0) == 0.1
 
     def test_bernoulli_projection(self):
-        assert mle_unrestricted(BERN, SufficientStat(10, 3.0)) == pytest.approx(0.3, abs=1e-15)
-        assert mle_unrestricted(BERN, SufficientStat(10, 9.0)) == 0.8
+        assert mle_unrestricted(BERN, 10, 3.0) == pytest.approx(0.3, abs=1e-15)
+        assert mle_unrestricted(BERN, 10, 9.0) == 0.8
         # Mean 0.5 sits exactly between symmetric regions; tie rule picks signal.
-        assert mle_unrestricted(BERN, SufficientStat(10, 5.0)) == 0.6
+        assert mle_unrestricted(BERN, 10, 5.0) == 0.6
 
     def test_empty_stat_rejected(self):
         with pytest.raises(DomainError):
-            mle_unrestricted(GAUSS, SufficientStat())
+            mle_unrestricted(GAUSS, 0, 0.0)
 
     def test_region_mle_is_clipped_mean(self):
         # The restricted supremum is attained at the mean clipped into the region.
-        for model, st, region, t in (
-            (GAUSS, SufficientStat(2, 1.0), Region.NOISE, -0.1),
-            (GAUSS, SufficientStat(2, -4.0), Region.NOISE, -2.0),
-            (BERN, SufficientStat(4, 1.0), Region.SIGNAL, 0.6),
+        for model, n, s, region, t in (
+            (GAUSS, 2, 1.0, Region.NOISE, -0.1),
+            (GAUSS, 2, -4.0, Region.NOISE, -2.0),
+            (BERN, 4, 1.0, Region.SIGNAL, 0.6),
         ):
-            assert sup_stat_loglik(model, st.n, st.s, region) == stat_loglik(model, st, t)
+            assert sup_stat_loglik(model, n, s, region) == stat_loglik(model, n, s, t)
 
     def test_mle_achieves_full_supremum(self):
         rng = random.Random(23)
@@ -268,13 +256,13 @@ class TestMLE:
             for _ in range(200):
                 n = rng.randint(1, 50)
                 if model.family is Family.GAUSSIAN:
-                    st = SufficientStat(n, n * rng.uniform(-2.0, 2.0))
+                    s = n * rng.uniform(-2.0, 2.0)
                 else:
-                    st = SufficientStat(n, float(rng.randint(0, n)))
-                best = mle_unrestricted(model, st)
+                    s = float(rng.randint(0, n))
+                best = mle_unrestricted(model, n, s)
                 assert model.space.contains(best)
-                got = reconstructed_loglik(model, st, best)
-                best_region = max(sup_stat_loglik(model, st.n, st.s, r) for r in Region)
+                got = reconstructed_loglik(model, n, s, best)
+                best_region = max(sup_stat_loglik(model, n, s, r) for r in Region)
                 assert got == pytest.approx(best_region, abs=1e-12)
 
 
@@ -300,17 +288,17 @@ class TestSupLoglik:
             for _ in range(25):
                 n = rng.randint(1, 30)
                 if model.family is Family.GAUSSIAN:
-                    st = SufficientStat(n, n * rng.uniform(-2.0, 2.0))
+                    s = n * rng.uniform(-2.0, 2.0)
                 else:
-                    st = SufficientStat(n, float(rng.randint(0, n)))
+                    s = float(rng.randint(0, n))
                 for region in (Region.NOISE, Region.SIGNAL):
                     lo, hi = model.space.region_bounds(region)
                     lo = max(lo, -6.0)
                     hi = min(hi, 6.0)
-                    bound = sup_stat_loglik(model, st.n, st.s, region)
+                    bound = sup_stat_loglik(model, n, s, region)
                     for i in range(1000):
                         t = lo + (hi - lo) * i / 999
-                        assert reconstructed_loglik(model, st, t) <= bound + 1e-9
+                        assert reconstructed_loglik(model, n, s, t) <= bound + 1e-9
 
     def test_incremental_matches_batch(self):
         rng = random.Random(31)
@@ -319,15 +307,15 @@ class TestSupLoglik:
                 sample(model, 0.6 if model.family is Family.BERNOULLI else 0.5, rng)
                 for _ in range(37)
             ]
-            inc = SufficientStat()
+            inc_n, inc_s = 0, 0.0
             for x in obs:
-                inc.add(x)
-            batch = SufficientStat(len(obs), sum(obs))
-            assert inc.n == batch.n
-            assert inc.s == pytest.approx(batch.s, abs=1e-12)
+                inc_n, inc_s = inc_n + 1, inc_s + x
+            batch_n, batch_s = len(obs), sum(obs)
+            assert inc_n == batch_n
+            assert inc_s == pytest.approx(batch_s, abs=1e-12)
             for region in Region:
-                assert sup_stat_loglik(model, inc.n, inc.s, region) == pytest.approx(
-                    sup_stat_loglik(model, batch.n, batch.s, region), abs=1e-12
+                assert sup_stat_loglik(model, inc_n, inc_s, region) == pytest.approx(
+                    sup_stat_loglik(model, batch_n, batch_s, region), abs=1e-12
                 )
 
 

@@ -17,7 +17,6 @@ from seqdetect.models import (
     ParameterSpace,
     Region,
     StreamModel,
-    SufficientStat,
 )
 from seqdetect.oracle import (
     Grid,
@@ -32,21 +31,6 @@ from seqdetect.oracle import (
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
 TRUTH = JointParameter((0.5, -0.5))
-
-
-def make_state(model, stats):
-    return EngineState(
-        model=model,
-        stats=[SufficientStat(st.n, st.s) for st in stats],
-        lagged_mle=[model.space.theta1_lo] * len(stats),
-        adaptive_loglik=0.0,
-        n=stats[0].n,
-    )
-
-
-def random_gauss_stats(rng, k, n_hi=40):
-    n = rng.randint(1, n_hi)
-    return [SufficientStat(n, n * rng.uniform(-2.0, 2.0)) for _ in range(k)]
 
 
 class TestGrid:
@@ -148,11 +132,12 @@ class TestGridSupLoglik:
         g = Grid(-5.0, 5.0, 10_000)
         for _ in range(20):
             k = rng.randint(1, 3)
-            stats = random_gauss_stats(rng, k)
-            st = make_state(GAUSS, stats)
-            est = frozenset(i for i in range(k) if stats[i].mean >= 0.0)
+            n = rng.randint(1, 40)
+            sums = [n * rng.uniform(-2.0, 2.0) for _ in range(k)]
+            st = EngineState(GAUSS, sums, 0.0, n)
+            est = frozenset(i for i in range(k) if sums[i] / n >= 0.0)
             for kind in TestKind:
-                gl0, gl1 = grid_sup_loglik(GAUSS, stats, est, kind, g)
+                gl0, gl1 = grid_sup_loglik(GAUSS, n, sums, est, kind, g)
                 el0, el1 = sup_loglik_error_sets(st, kind)
                 for gv, ev in ((gl0, el0), (gl1, el1)):
                     if math.isinf(ev):
@@ -165,29 +150,29 @@ class TestGridSupLoglik:
         g = Grid(0.0, 1.0, 20_001)
         for _ in range(10):
             n = rng.randint(1, 30)
-            stats = [SufficientStat(n, float(rng.randint(0, n))) for _ in range(2)]
-            st = make_state(BERN, stats)
+            sums = [float(rng.randint(0, n)) for _ in range(2)]
+            st = EngineState(BERN, sums, 0.0, n)
             sup_sig = [
                 float(
                     np.max(
-                        s.s * np.log(g.region_points(BERN, Region.SIGNAL))
-                        + (s.n - s.s) * np.log1p(-g.region_points(BERN, Region.SIGNAL))
+                        s * np.log(g.region_points(BERN, Region.SIGNAL))
+                        + (n - s) * np.log1p(-g.region_points(BERN, Region.SIGNAL))
                     )
                 )
-                for s in stats
+                for s in sums
             ]
             sup_noi = [
                 float(
                     np.max(
-                        s.s * np.log(g.region_points(BERN, Region.NOISE))
-                        + (s.n - s.s) * np.log1p(-g.region_points(BERN, Region.NOISE))
+                        s * np.log(g.region_points(BERN, Region.NOISE))
+                        + (n - s) * np.log1p(-g.region_points(BERN, Region.NOISE))
                     )
                 )
-                for s in stats
+                for s in sums
             ]
             est = frozenset(i for i in range(2) if sup_sig[i] >= sup_noi[i])
             for kind in TestKind:
-                gl0, gl1 = grid_sup_loglik(BERN, stats, est, kind, g)
+                gl0, gl1 = grid_sup_loglik(BERN, n, sums, est, kind, g)
                 el0, el1 = sup_loglik_error_sets(st, kind)
                 for gv, ev in ((gl0, el0), (gl1, el1)):
                     if math.isinf(ev):
@@ -198,37 +183,47 @@ class TestGridSupLoglik:
     def test_refinement_is_monotone(self):
         # Doubling a linspace keeps every old point, so the scanned maximum
         # can only improve toward the closed form.
-        stats = [SufficientStat(7, 4.9), SufficientStat(7, -2.1)]
-        st = make_state(GAUSS, stats)
+        sums = [4.9, -2.1]
+        st = EngineState(GAUSS, sums, 0.0, 7)
         est = frozenset({0})
         coarse = Grid(-5.0, 5.0, 501)
         fine = Grid(-5.0, 5.0, 1001)
         exact = sup_loglik_error_sets(st, TestKind.CONSTRAINED)
-        c = grid_sup_loglik(GAUSS, stats, est, TestKind.CONSTRAINED, coarse)
-        f = grid_sup_loglik(GAUSS, stats, est, TestKind.CONSTRAINED, fine)
+        c = grid_sup_loglik(GAUSS, 7, sums, est, TestKind.CONSTRAINED, coarse)
+        f = grid_sup_loglik(GAUSS, 7, sums, est, TestKind.CONSTRAINED, fine)
         for cv, fv, ev in zip(c, f, exact):
             assert cv <= fv + 1e-12
             assert fv <= ev + 1e-12
             assert abs(fv - ev) <= abs(cv - ev) + 1e-12
 
     def test_single_stream_vacuous_side(self):
-        stats = [SufficientStat(5, 3.0)]
         g = Grid(-5.0, 5.0, 1001)
-        l0, l1 = grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.CONSTRAINED, g)
+        l0, l1 = grid_sup_loglik(GAUSS, 5, [3.0], frozenset({0}), TestKind.CONSTRAINED, g)
         assert l0 == -math.inf
         assert math.isfinite(l1)
 
     def test_mean_outside_box_rejected(self):
-        stats = [SufficientStat(2, 14.0)]
         with pytest.raises(DomainError):
-            grid_sup_loglik(GAUSS, stats, frozenset(), TestKind.CONSTRAINED, Grid())
+            grid_sup_loglik(GAUSS, 2, [14.0], frozenset(), TestKind.CONSTRAINED, Grid())
 
     def test_deterministic(self):
-        stats = [SufficientStat(3, 1.0), SufficientStat(3, -1.0)]
+        sums = [1.0, -1.0]
         g = Grid()
-        a = grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.UNCONSTRAINED, g)
-        b = grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.UNCONSTRAINED, g)
+        a = grid_sup_loglik(GAUSS, 3, sums, frozenset({0}), TestKind.UNCONSTRAINED, g)
+        b = grid_sup_loglik(GAUSS, 3, sums, frozenset({0}), TestKind.UNCONSTRAINED, g)
         assert a == b
+
+
+@pytest.mark.parametrize("call", [
+    lambda n, sums: subset_sup_loglik_error_sets(GAUSS, n, sums, frozenset()),
+    lambda n, sums: grid_sup_loglik(GAUSS, n, sums, frozenset(), TestKind.CONSTRAINED, Grid()),
+], ids=["subset", "grid"])
+def test_suprema_references_reject_an_invalid_statistic(call):
+    # A negative count, and a zero count with a nonzero sum.
+    with pytest.raises(DomainError):
+        call(-1, [0.0, 0.0])
+    with pytest.raises(DomainError):
+        call(0, [0.0, 0.5])
 
 
 class TestGridInfoConstants:
@@ -256,12 +251,12 @@ class TestGridInfoConstants:
 
 def test_enumerations_capped_at_sixteen_streams():
     theta = JointParameter.coupled(17, {0}, 0.5, -0.5)
-    stats = [SufficientStat(1, t) for t in theta.thetas]
+    sums = list(theta.thetas)
     calls = (
         lambda: subset_info_constants(GAUSS, theta),
         lambda: grid_info_constants(GAUSS, theta, Grid()),
-        lambda: subset_sup_loglik_error_sets(GAUSS, stats, frozenset({0})),
-        lambda: grid_sup_loglik(GAUSS, stats, frozenset({0}), TestKind.CONSTRAINED, Grid()),
+        lambda: subset_sup_loglik_error_sets(GAUSS, 1, sums, frozenset({0})),
+        lambda: grid_sup_loglik(GAUSS, 1, sums, frozenset({0}), TestKind.CONSTRAINED, Grid()),
     )
     for call in calls:
         with pytest.raises(CapacityError):

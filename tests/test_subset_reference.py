@@ -23,7 +23,6 @@ from seqdetect.models import (
     ParameterSpace,
     Region,
     StreamModel,
-    SufficientStat,
     sup_stat_loglik,
 )
 from seqdetect.oracle import subset_info_constants, subset_sup_loglik_error_sets
@@ -43,8 +42,8 @@ _ambiguous = st.floats(-0.2, 0.2)
 
 @st.composite
 def states(draw):
-    """(model, stats) with up to 10 streams sharing one count.  A small pool
-    of shared means makes tied sums common."""
+    """(model, n, sums): up to 10 stream sums at the shared count n.  A small
+    pool of shared means makes tied sums common."""
     model = draw(st.sampled_from(MODELS))
     k = draw(st.integers(1, 10))
     n = draw(st.integers(1, 50))
@@ -58,7 +57,7 @@ def states(draw):
             )
         )
         sums = [n * m for m in means]
-    return model, [SufficientStat(n, s) for s in sums]
+    return model, n, sums
 
 
 @st.composite
@@ -80,34 +79,27 @@ def close(got, ref, exact):
 
 @settings(max_examples=400, **FIXED)
 @given(states())
-@example((GAUSS, [SufficientStat(4, -3.0), SufficientStat(4, -1.0), SufficientStat(4, -2.0)]))
-@example((BOUNDED, [SufficientStat(3, 2.0), SufficientStat(3, 1.0), SufficientStat(3, 4.0)]))
-@example((BERN, [SufficientStat(7, 5.0)]))
-@example((GAUSS, [SufficientStat(2, -0.5)]))
-@example((BERN, [SufficientStat(5, 3.0)] * 3 + [SufficientStat(5, 1.0)] * 3))
-@example((GAUSS, [SufficientStat(6, 1.5), SufficientStat(6, -1.5)] * 3))
-@example((GAUSS, [SufficientStat(4, 4 * m) for m in (0.06, 0.05, -0.01, -0.02, -2.0, -2.0)]))
+@example((GAUSS, 4, [-3.0, -1.0, -2.0]))
+@example((BOUNDED, 3, [2.0, 1.0, 4.0]))
+@example((BERN, 7, [5.0]))
+@example((GAUSS, 2, [-0.5]))
+@example((BERN, 5, [3.0] * 3 + [1.0] * 3))
+@example((GAUSS, 6, [1.5, -1.5] * 3))
+@example((GAUSS, 4, [4 * m for m in (0.06, 0.05, -0.01, -0.02, -2.0, -2.0)]))
 def test_constrained_suprema_match_subset_enumeration(case):
     # The examples: estimate empty, estimate full (bounded regions), K = 1
     # on each side, tied sums on both sides of the estimate, and a miss
     # family won by dropping the weakest estimated stream while two
     # near-zero outsiders join the signal group (T_4 without stream 2).
-    model, stats = case
-    k = len(stats)
-    state = EngineState(
-        model=model,
-        stats=[SufficientStat(s.n, s.s) for s in stats],
-        lagged_mle=[model.space.theta1_lo] * k,
-        adaptive_loglik=0.0,
-        n=stats[0].n,
-    )
+    model, n, sums = case
+    state = EngineState(model, sums, 0.0, n)
     got = sup_loglik_error_sets(state, TestKind.CONSTRAINED)
     estimate = estimate_signal_set(state)
-    ref = subset_sup_loglik_error_sets(model, stats, estimate)
+    ref = subset_sup_loglik_error_sets(model, n, sums, estimate)
     exact = model.family is Family.BERNOULLI
     assert all(close(g, r, exact) for g, r in zip(got, ref)), (got, ref)
     # The kernel on the same state.
-    member, kernel = kernel_sups(model, state.n, [s.s for s in stats])
+    member, kernel = kernel_sups(model, n, sums)
     assert member == estimate
     assert all(close(g, r, exact) for g, r in zip(kernel, ref)), (kernel, ref)
 
@@ -171,16 +163,12 @@ SELECTION_CASES = [
 SELECTION_STREAMS = [1, 2, 3, 10]
 
 
-def reference_sups(model, n, sums, estimate):
-    return list(subset_sup_loglik_error_sets(model, [SufficientStat(n, s) for s in sums], estimate))
-
-
 @pytest.mark.parametrize("k", SELECTION_STREAMS)
 @pytest.mark.parametrize("case", SELECTION_CASES)
 def test_bernoulli_selection_matches_subset_enumeration(case, k):
     model, n, sums = case(k)
     estimate, got = kernel_sups(model, n, sums)
-    assert got == reference_sups(model, n, sums, estimate)
+    assert got == list(subset_sup_loglik_error_sets(model, n, sums, estimate))
     size = {empty_estimate: 0, full_estimate: k, empty_noise_group: k - 1, empty_signal_group: 1}
     assert len(estimate) == size.get(case, len(estimate))
     total = math.fsum(sums)
@@ -211,7 +199,7 @@ def test_bernoulli_selection_survives_fast_value_errors(monkeypatch, k):
     monkeypatch.setattr(engine, "_fast_sup", perturbed)
     for state, (estimate, sups) in zip(states, want):
         assert kernel_sups(*state) == (estimate, sups)
-        assert sups == reference_sups(*state, estimate)
+        assert sups == list(subset_sup_loglik_error_sets(*state, estimate))
 
 
 @settings(max_examples=100, **FIXED)
