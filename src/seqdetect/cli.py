@@ -390,10 +390,10 @@ def _info_grid(model: StreamModel) -> oracle.Grid:
 
 
 def _deviation(got, ref) -> float:
-    """Largest |g - r| over paired values; inf unless infinities agree exactly."""
+    """Largest |g - r| over paired values; inf unless non-finite values agree exactly."""
     worst = 0.0
     for g, r in zip(got, ref):
-        if math.isinf(g) or math.isinf(r):
+        if not (math.isfinite(g) and math.isfinite(r)):
             if g != r:
                 return math.inf
         else:

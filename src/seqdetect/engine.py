@@ -40,14 +40,13 @@ from .models import (
     Region,
     StreamModel,
     _loglik,
+    _require_stat,
     mle_unrestricted,
     sample,
     sup_stat_loglik,
 )
 
 _NEG_INF = float("-inf")
-
-_BERNOULLI_VALUES = frozenset((0.0, 1.0))
 
 # random.Random internals reproduced by the batched draws below: random()
 # is (a * 2**26 + b) / 2**53 from two 32-bit words a >> 5 and b >> 6, and
@@ -158,17 +157,14 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     model = state.model
     if len(obs) != k:
         raise DomainError(f"expected {k} observations, got {len(obs)}")
-    if not all(map(math.isfinite, obs)):
-        raise DomainError(f"observations must be finite, got {list(obs)!r}")
-    if model.family is Family.BERNOULLI and not _BERNOULLI_VALUES.issuperset(obs):
-        raise DomainError(f"Bernoulli observations must be 0 or 1, got {list(obs)!r}")
+    _require_stat(model, 1, obs)
     n = state.n
+    # Every lagged fit (which checks the carried sums) before any write.
+    lagged = [mle_unrestricted(model, n, s) if n else model.space.theta1_lo for s in state.sums]
     adaptive = state.adaptive_loglik
-    for i, s in enumerate(state.sums):
-        x = float(obs[i])
-        lagged = mle_unrestricted(model, n, s) if n else model.space.theta1_lo
-        adaptive += _loglik(model, 1, x, lagged)
-        state.sums[i] = s + x
+    for i, x in enumerate(map(float, obs)):
+        adaptive += _loglik(model, 1, x, lagged[i])
+        state.sums[i] += x
     state.adaptive_loglik = adaptive
     state.n = n + 1
     return state

@@ -183,12 +183,16 @@ def _require_in_space(model: StreamModel, theta: float, what: str = "theta") -> 
         raise DomainError(f"{what}={theta!r} outside the parameter set")
 
 
-def _require_stat(n: int, *sums: float) -> None:
-    """Rejects a negative count n, and a zero one with a nonzero sum."""
+def _require_stat(model: StreamModel, n: int, sums: Sequence[float]) -> None:
+    """Rejects sums at count n that n observations of ``model`` cannot give:
+    n < 0, a sum not finite, nonzero at n = 0, or (Bernoulli) not whole in [0, n]."""
     if n < 0:
         raise DomainError("observation count must be non-negative")
-    if n == 0 and any(sums):
-        raise DomainError("empty statistic must have zero sum")
+    for s in sums:
+        if not math.isfinite(s) or (n == 0 and s):
+            raise DomainError(f"sum {s!r} at count {n}: a sum must be finite, and 0 at n = 0")
+        if model.family is Family.BERNOULLI and not (0 <= s <= n and s == math.floor(s)):
+            raise DomainError(f"Bernoulli sum {s!r} is not a whole number from 0 to {n}")
 
 
 def kl(model: StreamModel, theta: float, theta_p: float) -> float:
@@ -227,7 +231,7 @@ def _loglik(model: StreamModel, n, s, theta, logs=()):
 def stat_loglik(model: StreamModel, n: int, s: float, theta: float) -> float:
     """Statistic-level log-likelihood of count n and sum s at theta
     (see the module docstring); theta must lie in the parameter set."""
-    _require_stat(n, s)
+    _require_stat(model, n, (s,))
     _require_in_space(model, theta)
     return _loglik(model, n, s, theta)
 
@@ -253,6 +257,7 @@ def mle_unrestricted(model: StreamModel, n: int, s: float) -> float:
     maximizers; the better one is returned, exact ties going to the signal
     side.
     """
+    _require_stat(model, n, (s,))
     if n < 1:
         raise DomainError("MLE needs a positive observation count")
     sp = model.space

@@ -103,7 +103,7 @@ def subset_sup_loglik_error_sets(
     """
     k = len(sums)
     _require_enumerable(k)
-    _require_stat(n, *sums)
+    _require_stat(model, n, sums)
     s_total = _engine._total(sums)
 
     def pooled(members, rest):
@@ -215,7 +215,7 @@ def grid_sup_loglik(
     """
     k = len(sums)
     _require_enumerable(k)
-    _require_stat(n, *sums)
+    _require_stat(model, n, sums)
     for i, s in enumerate(sums):
         if n > 0 and not (grid.lo <= s / n <= grid.hi):
             raise DomainError(f"stream {i} sample mean {s / n!r} outside the grid box")

@@ -17,18 +17,18 @@ slope) are paired.
 """
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from seqdetect.cli import load_config
-from seqdetect.engine import TestKind, Thresholds, _error_sups, _region_sup
+from seqdetect.cli import _deviation, load_config
+from seqdetect.engine import TestKind, Thresholds, _scores
 from seqdetect.geometry import info_constants, lower_bound
 from seqdetect.models import (
     Family,
     JointParameter,
     ParameterSpace,
-    Region,
     StreamModel,
 )
 from seqdetect.montecarlo import ExperimentConfig, run_experiment
@@ -168,21 +168,11 @@ def test_criterion_4_grid_equivalence():
         n = rng.randint(1, 50)
         sums = [n * rng.uniform(-2.0, 2.0) for _ in range(k)]
         # The kernel's suprema on a one-trial row, as validate scores them.
-        count = np.array([[float(n)]])
-        s = np.array([sums])
-        q0 = _region_sup(GAUSS, count, s, Region.NOISE)
-        q1 = _region_sup(GAUSS, count, s, Region.SIGNAL)
-        member = q1 >= q0
+        member, sups = _scores(GAUSS, float(n), np.array([sums]), TestKind)
         a_hat = frozenset(np.flatnonzero(member[0]).tolist())
-        for kind in TestKind:
-            got = np.concatenate(_error_sups(GAUSS, kind, count, s, q0, q1, member)).tolist()
+        for kind, got in zip(TestKind, sups):
             ref = grid_sup_loglik(GAUSS, n, sums, a_hat, kind, grid)
-            for g, r in zip(got, ref):
-                if math.isinf(g) or math.isinf(r):
-                    if g != r:
-                        worst_sup = math.inf
-                else:
-                    worst_sup = max(worst_sup, abs(g - r))
+            worst_sup = max(worst_sup, _deviation(np.concatenate(got).tolist(), ref))
 
     worst_const = 0.0
     for _ in range(100):
@@ -196,13 +186,7 @@ def test_criterion_4_grid_equivalence():
         )
         a = info_constants(GAUSS, theta)
         b = grid_info_constants(GAUSS, theta, grid)
-        for name in ("i0", "i1", "i0_tilde", "i1_tilde"):
-            x, y = getattr(a, name), getattr(b, name)
-            if math.isinf(x) or math.isinf(y):
-                if x != y:
-                    worst_const = math.inf
-            else:
-                worst_const = max(worst_const, abs(x - y))
+        worst_const = max(worst_const, _deviation(astuple(a), astuple(b)))
 
     ok = report(
         "criterion 4 (closed forms match grid scans)",

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from seqdetect import engine, oracle
-from seqdetect.cli import SIMULATE_HEADER, load_config, main
+from seqdetect.cli import SIMULATE_HEADER, _deviation, load_config, main
 from seqdetect.errors import ConfigError
 from seqdetect.montecarlo import ExperimentConfig, first_order_rates, run_experiment
 
@@ -554,6 +554,12 @@ class TestValidateCommand:
         assert capsys.readouterr().out != expected
         assert main(["validate", "--config", cfg, "--quick", "--seed", "7"]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_deviation_is_infinite_on_nan_or_unequal_infinities(self):
+        inf, nan = math.inf, math.nan
+        assert _deviation([1.0, -inf], [1.5, -inf]) == 0.5
+        for g, r in ((nan, 0.0), (0.0, nan), (nan, nan), (inf, -inf)):
+            assert _deviation([0.0, g], [0.0, r]) == inf
 
     def test_engine_grid_checks_the_kernel(self, monkeypatch, capsys):
         coupled = engine._coupled_sups

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from seqdetect.errors import ConfigError, DomainError
-from seqdetect.engine import EngineState, init, update
+from seqdetect.engine import EngineState, TestKind, init, update
 from seqdetect.models import (
     Family,
     JointParameter,
@@ -17,6 +17,7 @@ from seqdetect.models import (
     stat_loglik,
     sup_stat_loglik,
 )
+from seqdetect.oracle import Grid, grid_sup_loglik, subset_sup_loglik_error_sets
 
 GAUSS = StreamModel(Family.GAUSSIAN, ParameterSpace.gaussian_indifference(0.1))
 BERN = StreamModel(Family.BERNOULLI, ParameterSpace(0.2, 0.4, 0.6, 0.8))
@@ -38,11 +39,11 @@ def reconstructed_loglik(model, n, s, theta):
     return s * math.log(theta) + (n - s) * math.log(1.0 - theta)
 
 
-def single_score(model, theta, x):
+def single_score(model, theta, x, n=1):
     """The adaptive log-likelihood's term for one observation x at theta:
-    the engine's next step after one observation equal to theta, whose
-    fit is theta itself."""
-    st = EngineState(model, [theta], 0.0, 1)
+    the engine's next step after n observations that sum to n * theta,
+    whose fit is theta itself (a Bernoulli sum must be whole)."""
+    st = EngineState(model, [n * theta], 0.0, n)
     update(st, [x])
     return st.adaptive_loglik
 
@@ -101,13 +102,51 @@ class TestStreamModel:
         StreamModel(Family.GAUSSIAN, ParameterSpace(-3.0, -1.0, 2.0, 4.0))
 
 
-def test_invalid_statistic_rejected():
-    # A negative count, and a zero count with a nonzero sum.
-    for n, s in ((-1, 0.0), (0, 0.5)):
-        with pytest.raises(DomainError):
-            stat_loglik(GAUSS, n, s, 0.5)
-        with pytest.raises(DomainError):
-            mle_unrestricted(GAUSS, n, s)
+def _update_leaves_state(model, n, sums, row):
+    # A rejected update, for a value of its row or for a carried sum, must
+    # leave the whole state as it was.
+    st = EngineState(model, list(sums), 0.0, n)
+    before = (st.n, list(st.sums), st.adaptive_loglik)
+    try:
+        update(st, row)
+    finally:
+        assert (st.n, st.sums, st.adaptive_loglik) == before
+
+
+# Every entry that takes data, called on one stream's count n and sum s, each
+# after a valid stream.  update takes s as a value of its row, in either
+# stream, or as a sum carried to count n (an infinite one is what finite data
+# leave when a sum overflows); it fits nothing at n = 0 and so reads no sum.
+DATA_ENTRIES = {
+    "update-first": lambda model, n, s: _update_leaves_state(model, 1, [1.0, 0.0], [s, 1.0]),
+    "update-second": lambda model, n, s: _update_leaves_state(model, 1, [1.0, 0.0], [1.0, s]),
+    "update-carried": lambda model, n, s: _update_leaves_state(model, n, [1.0, s], [1.0, 1.0]),
+    "stat_loglik": lambda model, n, s: stat_loglik(model, n, s, model.space.theta1_lo),
+    "mle_unrestricted": mle_unrestricted,
+    "subset": lambda model, n, s: subset_sup_loglik_error_sets(model, n, [0.0, s], frozenset()),
+    "grid": lambda model, n, s: grid_sup_loglik(
+        model, n, [0.0, s], frozenset(), TestKind.CONSTRAINED, Grid()
+    ),
+}
+# (model, n, s) that no n observations can give, for each class of bad data:
+# a negative count, a nonzero sum at n = 0, a non-finite sum, and a
+# Bernoulli sum above n, below 0 or not whole.
+IMPOSSIBLE_STATS = [
+    (GAUSS, -1, 0.0), (BERN, -1, 0.0), (GAUSS, 0, 0.5), (BERN, 0, 1.0),
+    *((model, n, s) for model in (GAUSS, BERN) for n in (1, 3)
+      for s in (math.nan, math.inf, -math.inf)),
+    *((BERN, n, s) for n in (1, 3) for s in (n + 1.0, -1.0, n / 2)),
+]
+
+
+@pytest.mark.parametrize("entry, model, n, s", [
+    pytest.param(entry, model, n, s, id=f"{entry}-{model.family.value}-n{n}-s{s}")
+    for entry in DATA_ENTRIES for model, n, s in IMPOSSIBLE_STATS
+    if not entry.startswith("update") or n >= 1
+])
+def test_impossible_statistic_rejected(entry, model, n, s):
+    with pytest.raises(DomainError):
+        DATA_ENTRIES[entry](model, n, s)
 
 
 class TestJointParameter:
@@ -158,17 +197,13 @@ class TestLogDensity:
         # Bernoulli has no base measure: the values are exact log densities.
         assert stat_loglik(BERN_HALF, 1, 1.0, 0.5) == math.log(0.5)
         assert stat_loglik(BERN, 1, 0.0, 0.6) == math.log1p(-0.6)
-        assert single_score(BERN, 0.6, 1.0) == math.log(0.6)
-        assert single_score(BERN, 0.6, 0.0) == math.log1p(-0.6)
-        assert single_score(BERN, 0.6, 0.0) == pytest.approx(math.log(0.4), abs=1e-15)
+        assert single_score(BERN, 0.6, 1.0, n=5) == math.log(0.6)
+        assert single_score(BERN, 0.6, 0.0, n=5) == math.log1p(-0.6)
+        assert single_score(BERN, 0.6, 0.0, n=5) == pytest.approx(math.log(0.4), abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             stat_loglik(GAUSS, 1, 1.0, 0.05)
-        bern = init(BERN, 1)
-        with pytest.raises(DomainError):
-            update(bern, [0.5])
-        assert bern.n == 0 and bern.sums == [0.0]
 
     def test_gaussian_density_splits_into_stat_and_base(self):
         # log f_theta(x) = theta*x - theta^2/2 + log h(x), the exponential

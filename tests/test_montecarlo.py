@@ -187,8 +187,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "thetas", [(-0.1, -0.1), (0.1, -0.1), (0.1, 0.1)], ids=["empty", "partial", "full"]
     )
-    def test_every_cell_runs_on_the_cell_zero_seeds(self, thetas):
-        # Cells share each trial's generator, seeded from (base_seed, 0, trial):
+    def test_every_cell_runs_on_the_shared_trial_seeds(self, thetas):
+        # Cells share each trial's generator, seeded from (base_seed, trial):
         # each cell's row is run_to_decision's decisions for that cell on it,
         # with the error flags taken as set differences of the selected set
         # and the truth's signal set.  An empty signal set rules out type II
