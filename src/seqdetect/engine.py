@@ -41,7 +41,6 @@ from .models import (
     StreamModel,
     _loglik,
     _require_stat,
-    mle_unrestricted,
     sample,
     sup_stat_loglik,
 )
@@ -148,10 +147,11 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     """Absorb one observation per stream (in place).
 
     The adaptive log-likelihood scores each new observation against its
-    stream's lagged estimate, the MLE of the sums carried so far (the lower
-    signal endpoint before any data arrive); only then do the sums absorb
-    the data.  Ordering is what keeps the adaptive likelihood ratio a
-    martingale.
+    stream's lagged estimate, the MLE of the sums carried so far: the mean
+    clipped into each region, the signal side where its likelihood is at
+    least the noise side's (the lower signal endpoint before any data
+    arrive).  Only then do the sums absorb the data.  Ordering is what keeps
+    the adaptive likelihood ratio a martingale.
     """
     k = state.k
     model = state.model
@@ -159,8 +159,14 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
         raise DomainError(f"expected {k} observations, got {len(obs)}")
     _require_stat(model, 1, obs)
     n = state.n
-    # Every lagged fit (which checks the carried sums) before any write.
-    lagged = [mle_unrestricted(model, n, s) if n else model.space.theta1_lo for s in state.sums]
+    _require_stat(model, n, state.sums)  # the carried state, before any write
+    sp = model.space
+    lagged = [sp.theta1_lo] * k
+    for i, s in enumerate(state.sums if n else ()):
+        mean = s / n
+        fit0 = min(max(mean, sp.theta0_lo), sp.theta0_hi)
+        fit1 = min(max(mean, sp.theta1_lo), sp.theta1_hi)
+        lagged[i] = fit1 if _loglik(model, n, s, fit1) >= _loglik(model, n, s, fit0) else fit0
     adaptive = state.adaptive_loglik
     for i, x in enumerate(map(float, obs)):
         adaptive += _loglik(model, 1, x, lagged[i])

@@ -37,7 +37,6 @@ __all__ = [
     "kl",
     "stat_loglik",
     "sup_stat_loglik",
-    "mle_unrestricted",
     "sample",
 ]
 
@@ -247,26 +246,6 @@ def sup_stat_loglik(model: StreamModel, n: int, s: float, region: Region) -> flo
         return 0.0
     lo, hi = model.space.region_bounds(region)
     return _loglik(model, n, s, min(max(s / n, lo), hi))
-
-
-def mle_unrestricted(model: StreamModel, n: int, s: float) -> float:
-    """Maximum-likelihood parameter over the whole parameter set, from count
-    n and sum s.
-
-    The sample mean clipped into each region gives the two restricted
-    maximizers; the better one is returned, exact ties going to the signal
-    side.
-    """
-    _require_stat(model, n, (s,))
-    if n < 1:
-        raise DomainError("MLE needs a positive observation count")
-    sp = model.space
-    mean = s / n
-    cand0 = min(max(mean, sp.theta0_lo), sp.theta0_hi)
-    cand1 = min(max(mean, sp.theta1_lo), sp.theta1_hi)
-    if _loglik(model, n, s, cand1) >= _loglik(model, n, s, cand0):
-        return cand1
-    return cand0
 
 
 def sample(model: StreamModel, theta: float, rng) -> float:

@@ -207,12 +207,9 @@ def _assert_suprema_equal_the_scalar_ones(kind, model, k):
             want.append(engine.sup_loglik_error_sets(state, kind))
     count = np.array(counts, dtype=float)[:, None]
     sums = np.array(sums)
-    q0 = engine._region_sup(model, count, sums, Region.NOISE)
-    q1 = engine._region_sup(model, count, sums, Region.SIGNAL)
-    member = q1 >= q0
+    member, [(l0, l1)] = engine._scores(model, count, sums, [kind])
     assert [frozenset(np.flatnonzero(m).tolist()) for m in member.reshape(-1, k)] == estimates
     assert not member[0].any() and member[1].all()
-    l0, l1 = engine._error_sups(model, kind, count, sums, q0, q1, member)
     assert l0.shape == l1.shape == sums.shape[:2]
     assert list(zip(l0.ravel().tolist(), l1.ravel().tolist())) == want
 

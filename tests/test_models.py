@@ -12,7 +12,6 @@ from seqdetect.models import (
     Region,
     StreamModel,
     kl,
-    mle_unrestricted,
     sample,
     stat_loglik,
     sup_stat_loglik,
@@ -39,13 +38,18 @@ def reconstructed_loglik(model, n, s, theta):
     return s * math.log(theta) + (n - s) * math.log(1.0 - theta)
 
 
-def single_score(model, theta, x, n=1):
-    """The adaptive log-likelihood's term for one observation x at theta:
-    the engine's next step after n observations that sum to n * theta,
-    whose fit is theta itself (a Bernoulli sum must be whole)."""
-    st = EngineState(model, [n * theta], 0.0, n)
+def next_score(model, n, s, x):
+    """The adaptive log-likelihood's term for one observation x after n
+    observations that sum to s: x scored at the lagged estimate of (n, s)."""
+    st = EngineState(model, [s], 0.0, n)
     update(st, [x])
     return st.adaptive_loglik
+
+
+def single_score(model, theta, x, n=1):
+    """x scored at theta: the next term after n observations that sum to
+    n * theta, whose fit is theta itself (a Bernoulli sum must be whole)."""
+    return next_score(model, n, n * theta, x)
 
 
 def random_theta(model, rng):
@@ -113,16 +117,16 @@ def _update_leaves_state(model, n, sums, row):
         assert (st.n, st.sums, st.adaptive_loglik) == before
 
 
-# Every entry that takes data, called on one stream's count n and sum s, each
-# after a valid stream.  update takes s as a value of its row, in either
-# stream, or as a sum carried to count n (an infinite one is what finite data
-# leave when a sum overflows); it fits nothing at n = 0 and so reads no sum.
+# Every entry that takes data, called on one stream's count n and sum s beside
+# a valid stream.  update takes s in either stream, as a value of its row at
+# n = 1 or as a sum carried to count n, n = 0 included, where the valid sum is
+# 0 (an infinite carried sum is what finite data leave when a sum overflows).
 DATA_ENTRIES = {
     "update-first": lambda model, n, s: _update_leaves_state(model, 1, [1.0, 0.0], [s, 1.0]),
     "update-second": lambda model, n, s: _update_leaves_state(model, 1, [1.0, 0.0], [1.0, s]),
-    "update-carried": lambda model, n, s: _update_leaves_state(model, n, [1.0, s], [1.0, 1.0]),
+    "update-carried-first": lambda model, n, s: _update_leaves_state(model, n, [s, float(n > 0)], [1.0, 1.0]),
+    "update-carried": lambda model, n, s: _update_leaves_state(model, n, [float(n > 0), s], [1.0, 1.0]),
     "stat_loglik": lambda model, n, s: stat_loglik(model, n, s, model.space.theta1_lo),
-    "mle_unrestricted": mle_unrestricted,
     "subset": lambda model, n, s: subset_sup_loglik_error_sets(model, n, [0.0, s], frozenset()),
     "grid": lambda model, n, s: grid_sup_loglik(
         model, n, [0.0, s], frozenset(), TestKind.CONSTRAINED, Grid()
@@ -142,7 +146,7 @@ IMPOSSIBLE_STATS = [
 @pytest.mark.parametrize("entry, model, n, s", [
     pytest.param(entry, model, n, s, id=f"{entry}-{model.family.value}-n{n}-s{s}")
     for entry in DATA_ENTRIES for model, n, s in IMPOSSIBLE_STATS
-    if not entry.startswith("update") or n >= 1
+    if entry not in ("update-first", "update-second") or n >= 1
 ])
 def test_impossible_statistic_rejected(entry, model, n, s):
     with pytest.raises(DomainError):
@@ -257,25 +261,44 @@ class TestKL:
         assert kl(BERN, 0.6, 0.8) != pytest.approx(kl(BERN, 0.8, 0.6), abs=1e-6)
 
 
-class TestMLE:
+class TestLaggedEstimate:
+    """The fit that update scores the next observation against, read off its
+    term for x = 1: t - t^2/2 for the Gaussian, log(t) for the Bernoulli."""
+
     def test_gaussian_examples(self):
-        assert mle_unrestricted(GAUSS, 4, 2.0) == pytest.approx(0.5, abs=1e-15)
-        assert mle_unrestricted(GAUSS, 4, 0.2) == pytest.approx(0.1, abs=1e-15)
-        assert mle_unrestricted(GAUSS, 2, -0.1) == pytest.approx(-0.1, abs=1e-15)
+        for n, s, t in ((4, 2.0, 0.5), (4, 0.2, 0.1), (2, -0.1, -0.1)):
+            assert next_score(GAUSS, n, s, 1.0) == stat_loglik(GAUSS, 1, 1.0, t)
 
     def test_gap_tie_goes_to_signal(self):
-        assert mle_unrestricted(GAUSS, 2, 0.0) == 0.1
+        assert next_score(GAUSS, 2, 0.0, 1.0) == stat_loglik(GAUSS, 1, 1.0, 0.1)
 
     def test_bernoulli_projection(self):
-        assert mle_unrestricted(BERN, 10, 3.0) == pytest.approx(0.3, abs=1e-15)
-        assert mle_unrestricted(BERN, 10, 9.0) == 0.8
         # Mean 0.5 sits exactly between symmetric regions; tie rule picks signal.
-        assert mle_unrestricted(BERN, 10, 5.0) == 0.6
+        for s, t in ((3.0, 0.3), (9.0, 0.8), (5.0, 0.6)):
+            assert next_score(BERN, 10, s, 1.0) == math.log(t)
 
-    def test_empty_stat_rejected(self):
-        with pytest.raises(DomainError):
-            mle_unrestricted(GAUSS, 0, 0.0)
+    def test_fit_achieves_full_supremum(self):
+        # The term is that of a region's clipped mean that attains the full
+        # supremum, and names its fit: log is one-to-one, and t - t^2/2 is
+        # negative at Gaussian noise fits, positive at signal fits up to 2.
+        rng = random.Random(23)
+        for model in (GAUSS, BERN):
+            for _ in range(200):
+                n = rng.randint(1, 50)
+                if model.family is Family.GAUSSIAN:
+                    s = n * rng.uniform(-2.0, 2.0)
+                else:
+                    s = float(rng.randint(0, n))
+                best_region = max(sup_stat_loglik(model, n, s, r) for r in Region)
+                fits = [min(max(s / n, lo), hi) for lo, hi in map(model.space.region_bounds, Region)]
+                best = [
+                    stat_loglik(model, 1, 1.0, t) for t in fits
+                    if reconstructed_loglik(model, n, s, t) == pytest.approx(best_region, abs=1e-12)
+                ]
+                assert next_score(model, n, s, 1.0) in best
 
+
+class TestSupLoglik:
     def test_region_mle_is_clipped_mean(self):
         # The restricted supremum is attained at the mean clipped into the region.
         for model, n, s, region, t in (
@@ -285,23 +308,6 @@ class TestMLE:
         ):
             assert sup_stat_loglik(model, n, s, region) == stat_loglik(model, n, s, t)
 
-    def test_mle_achieves_full_supremum(self):
-        rng = random.Random(23)
-        for model in (GAUSS, BERN):
-            for _ in range(200):
-                n = rng.randint(1, 50)
-                if model.family is Family.GAUSSIAN:
-                    s = n * rng.uniform(-2.0, 2.0)
-                else:
-                    s = float(rng.randint(0, n))
-                best = mle_unrestricted(model, n, s)
-                assert model.space.contains(best)
-                got = reconstructed_loglik(model, n, s, best)
-                best_region = max(sup_stat_loglik(model, n, s, r) for r in Region)
-                assert got == pytest.approx(best_region, abs=1e-12)
-
-
-class TestSupLoglik:
     def test_gaussian_examples(self):
         # x = 0.5: the signal supremum sits at the mean (0.5^2/2); the noise
         # one at -0.1 is lower by the squared distance 0.6^2/2.

@@ -109,10 +109,7 @@ def kernel_sups(model, n, sums):
     count ``n`` and stream sums ``sums``, as a 1 x K row."""
     count = np.array([[float(n)]])
     sums = np.array([sums], dtype=float)
-    q0 = engine._region_sup(model, count, sums, Region.NOISE)
-    q1 = engine._region_sup(model, count, sums, Region.SIGNAL)
-    member = q1 >= q0
-    sups = engine._error_sups(model, TestKind.CONSTRAINED, count, sums, q0, q1, member)
+    member, [sups] = engine._scores(model, count, sums, [TestKind.CONSTRAINED])
     return frozenset(np.flatnonzero(member[0]).tolist()), [float(v[0]) for v in sups]
 
 
