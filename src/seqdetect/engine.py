@@ -117,9 +117,8 @@ def _total(values) -> float:
 
 # Step-at-a-time reference: one trial, one observation per stream per call.
 # Simulations and ``validate`` run the batched kernel further down; these
-# functions are its reference in the tests and the oracle.  They stay in this
-# module because the benchmark's span tracer (perfbench/spans.py) wraps them
-# here by name.
+# functions are its reference in the tests.  They stay in this module because
+# the benchmark's span tracer (perfbench/spans.py) wraps them here by name.
 
 
 @dataclass
@@ -337,23 +336,11 @@ def run_to_decision(
 
 # Batched kernel: many trials, many steps per numpy call, same decisions.
 #
-# It keeps to few distinct numpy operations and dtypes.  Each new one maps
-# more of numpy's library into memory, in 64 KiB steps, and that shows in
-# peak RSS: lexsort, argsort, argmax and integer comparisons each cost 128 to
-# 320 KiB on x86-64 with numpy 2.4, where float comparisons, reductions and
-# a complex sort reuse code already mapped or cost 64 KiB.  The argsort in
-# np.unique (the Bernoulli logs) costs no more than the per-bound masks it
-# replaced: perfbench's peak_rss_mb reads 37.9 MiB on wide_bernoulli with
-# either, and 38.8 against 39.1 MiB on validate_quick.  numpy's log and
-# log1p only choose the Bernoulli candidates that libm scores (_fast_sup) and
-# reach no decision; wide_bernoulli's peak_rss_mb reads 38.20 against 38.13
-# MiB with and without them, 38.19 against 38.18 on seed 4242.
-#
-# Streams, candidates and cells run along a leading axis, since numpy
-# reduces a short trailing one row by row: x.max(-1) takes 48.7 us on a
-# (1,360 x 2) array and 27.4 us on a (372 x 20) one, the same maxima over the
-# leading axis of a contiguous copy 1.7 and 4.5 us (numpy 2.4, x86-64).  Max
-# and min round nothing, so no bit depends on the layout.
+# It keeps to few distinct numpy operations and dtypes, since each new one
+# maps more of numpy's library into memory and so raises peak RSS.  Streams,
+# candidates and cells run along a leading axis, since numpy reduces a short
+# trailing axis row by row, several times slower; max and min round nothing,
+# so no bit depends on the layout.
 
 
 def _libm(fn, values: list) -> np.ndarray:

@@ -72,10 +72,9 @@ def kl_to_region(model: StreamModel, theta: float, region: Region) -> float:
 
     The divergence is decreasing then increasing along the parameter axis,
     so the infimum over a closed interval is attained at the clipped point.
-    Zero when theta already lies in the region.
+    Zero when theta already lies in the region.  theta must lie in the
+    parameter set, which :func:`~seqdetect.models.kl` checks.
     """
-    if not model.space.contains(theta):
-        raise DomainError(f"theta={theta!r} outside the parameter set")
     return _group_inf(model, ((theta, 1),), region)
 
 

@@ -89,11 +89,16 @@ class ParameterSpace:
             return self.theta0_lo, self.theta0_hi
         return self.theta1_lo, self.theta1_hi
 
+    @staticmethod
+    def _holds(theta: float, lo: float, hi: float) -> bool:
+        """lo <= theta <= hi for a finite theta, so +-inf lies in no region."""
+        return lo <= theta <= hi and math.isfinite(theta)
+
     def in_noise(self, theta: float) -> bool:
-        return self.theta0_lo <= theta <= self.theta0_hi
+        return self._holds(theta, self.theta0_lo, self.theta0_hi)
 
     def in_signal(self, theta: float) -> bool:
-        return self.theta1_lo <= theta <= self.theta1_hi
+        return self._holds(theta, self.theta1_lo, self.theta1_hi)
 
     def contains(self, theta: float) -> bool:
         return self.in_noise(theta) or self.in_signal(theta)

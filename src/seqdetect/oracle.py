@@ -9,14 +9,9 @@ streams; an assignment costs its closed-form projections (the
 properties of the adaptive likelihood are estimated by Monte Carlo: the
 kernel simulates (:func:`~seqdetect.engine._horizon`), the oracle scores.
 The suprema references take their data in the kernel's state format: the
-count n that all streams share and each stream's sum.  The private
-``_stepwise_martingale_ratios`` and ``_stepwise_lln_margins`` repeat each
-trial one observation at a time through the engine's step-at-a-time
-reference (:func:`~seqdetect.engine.update` and
-:func:`~seqdetect.engine.sup_loglik_error_sets`) and are the tests'
-trial-by-trial, bit-for-bit reference for the batched ones.  The test
-suite and the ``validate`` command compare the fast implementations
-against these references.
+count n that all streams share and each stream's sum.  The test suite and
+the ``validate`` command compare the fast implementations against these
+references, and ``tests/scalar_reference.py`` holds the estimators' own.
 
 Grid scans are valid only while the relevant sample means stay inside the
 grid box; :func:`grid_sup_loglik` checks that at call time.  Grid maxima of
@@ -42,8 +37,7 @@ from .models import (
     StreamModel,
     _loglik,
     _require_stat,
-    sample,
-    stat_loglik,
+    sample,  # unused here; perfbench/spans.py TARGETS wraps oracle.sample by name
     sup_stat_loglik,
 )
 
@@ -275,25 +269,6 @@ def _martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
     return ratios
 
 
-def _stepwise_horizon(model, theta, n, trials, rng):
-    """Each trial's engine state at time ``n``, one observation at a time."""
-    for _ in range(trials):
-        state = _engine.init(model, theta.k)
-        for _ in range(n):
-            _engine.update(state, [sample(model, t, rng) for t in theta.thetas])
-        yield state
-
-
-def _stepwise_martingale_ratios(model, theta, n, trials, rng) -> np.ndarray:
-    ratios = np.empty(trials)
-    for i, state in enumerate(_stepwise_horizon(model, theta, n, trials, rng)):
-        true_ll = _engine._total(
-            stat_loglik(model, state.n, s, t) for s, t in zip(state.sums, theta.thetas)
-        )
-        ratios[i] = math.exp(state.adaptive_loglik - true_ll)
-    return ratios
-
-
 def mean_one_martingale_estimate(
     model: StreamModel,
     theta: JointParameter,
@@ -310,7 +285,7 @@ def mean_one_martingale_estimate(
     measure cancels.  Requires a coupled truth and at least 10^4 trials;
     n = 0 returns (1.0, 0.0) since both log-likelihoods are empty sums.
     Runs on the engine's block step; each trial's ratio and the generator's
-    final state equal those of :func:`_stepwise_martingale_ratios`.
+    final state equal those of ``tests/scalar_reference.py``'s ``martingale_ratios``.
     """
     theta.require_constrained(model.space)
     if n < 0:
@@ -339,11 +314,6 @@ def _lln_margins(model, theta, n, trials, kinds, rng):
     return adaptive, np.array(sups)
 
 
-def _stepwise_lln_margins(model, theta, n, trials, kinds, rng):
-    for state in _stepwise_horizon(model, theta, n, trials, rng):
-        yield (state.adaptive_loglik, *(_engine.sup_loglik_error_sets(state, k) for k in kinds))
-
-
 def lln_rate_estimate(
     model: StreamModel,
     theta: JointParameter,
@@ -360,8 +330,8 @@ def lln_rate_estimate(
     over all trials.  Requires a coupled truth and n >= 500 so the normalized
     statistics are near their limits.  Runs on the engine's block step; each
     trial's margins and the generator's final state equal those of
-    :func:`_stepwise_lln_margins`, and the means are their averages over
-    the trial axis.
+    ``tests/scalar_reference.py``'s ``lln_margins``, and the means are their
+    averages over the trial axis.
     """
     theta.require_constrained(model.space)
     if n < 500:

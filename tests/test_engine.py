@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from scalar_reference import drawn_rows, next_score, states
 
 from seqdetect.engine import (
     EngineState,
@@ -21,7 +22,6 @@ from seqdetect.models import (
     ParameterSpace,
     Region,
     StreamModel,
-    sample,
     stat_loglik,
     sup_stat_loglik,
 )
@@ -34,15 +34,8 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def next_scores(state, x):
-    """Each stream's term of the next step's adaptive log-likelihood for the
-    observation x, which scores x at that stream's lagged estimate; taken on
-    a one-stream copy, so ``state`` is left as it is."""
-    terms = []
-    for s in state.sums:
-        one = EngineState(state.model, [s], 0.0, state.n)
-        update(one, [x])
-        terms.append(one.adaptive_loglik)
-    return terms
+    """Each stream's :func:`next_score` for x; ``state`` is left as it is."""
+    return [next_score(state.model, state.n, s, x) for s in state.sums]
 
 
 def gauss_scores(x, estimates):
@@ -102,10 +95,7 @@ def reference_adaptive_loglik(model, rows):
 def replay(model, truth, thresholds, kind, seed):
     """run_to_decision driven by hand, with the same sampling order, so the
     state at the stop can be inspected.  Returns (decision, state)."""
-    rng = random.Random(seed)
-    state = init(model, truth.k)
-    while True:
-        update(state, [sample(model, t, rng) for t in truth.thetas])
+    for state in states(model, truth.k, drawn_rows(model, truth, random.Random(seed))):
         decision = check_stop(state, thresholds, kind)
         if decision is not None:
             return decision, state
@@ -211,11 +201,8 @@ class TestUpdate:
     def test_replay_determinism(self):
         rng = random.Random(2)
         obs = [[rng.gauss(0.0, 1.0) for _ in range(2)] for _ in range(40)]
-        a, b = init(GAUSS, 2), init(GAUSS, 2)
-        for row in obs:
-            update(a, row)
-        for row in obs:
-            update(b, row)
+        *_, a = states(GAUSS, 2, obs)
+        *_, b = states(GAUSS, 2, obs)
         assert a.adaptive_loglik == b.adaptive_loglik
         assert a.sums == b.sums
         assert next_scores(a, 1.0) == next_scores(b, 1.0)
@@ -256,9 +243,7 @@ class TestUpdate:
                     rows = [[rng.gauss(m - 0.5, 1.0) for m in means] for _ in range(n)]
                 else:
                     rows = [[float(rng.random() < m) for m in means] for _ in range(n)]
-                st = init(model, k)
-                for row in rows:
-                    update(st, row)
+                *_, st = states(model, k, rows)
                 expect = reference_adaptive_loglik(model, rows)
                 if model.family is Family.GAUSSIAN:
                     assert st.adaptive_loglik == pytest.approx(expect, rel=0.0, abs=1e-9 * n)

@@ -135,8 +135,10 @@ class TestKLToRegion:
                     )
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            kl_to_region(GAUSS, 0.05, Region.SIGNAL)
+        for theta in (0.05, math.inf, -math.inf):
+            for region in Region:
+                with pytest.raises(DomainError, match="outside the parameter set"):
+                    kl_to_region(GAUSS, theta, region)
 
 
 class TestAssignmentKL:

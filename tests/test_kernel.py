@@ -12,10 +12,11 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
+import scalar_reference
 
 from seqdetect import engine, montecarlo
 from seqdetect.engine import TestKind, Thresholds, run_to_decision, run_trials
@@ -519,17 +520,14 @@ def test_each_kind_is_scored_up_to_its_last_stop(monkeypatch):
 
 
 def _replay(model, x, cells):
-    """The scalar engine on the rows of ``x`` (trials x steps x K): per
-    trial, init, then update and check_stop for every cell after each step.
-    Returns the stop flags (trials x cells x steps) and the signal-set
-    estimates (trials x steps x K)."""
+    """check_stop for every cell after each scalar step on the rows of ``x``
+    (trials x steps x K).  Returns the stop flags (trials x cells x steps)
+    and the signal-set estimates (trials x steps x K)."""
     trials, steps, k = x.shape
     stop = np.zeros((trials, len(cells), steps), dtype=bool)
     member = np.zeros(x.shape, dtype=bool)
     for i, rows in enumerate(x.tolist()):
-        state = engine.init(model, k)
-        for j, obs in enumerate(rows):
-            engine.update(state, obs)
+        for j, state in enumerate(scalar_reference.states(model, k, rows)):
             member[i, j, sorted(engine.estimate_signal_set(state))] = True
             for c, (th, kind) in enumerate(cells):
                 stop[i, c, j] = engine.check_stop(state, th, kind) is not None
@@ -586,6 +584,27 @@ def test_block_step_scores_given_observations(monkeypatch, model, theta, cells, 
     assert firsts[0][0, 0] == cut - 1  # a stop at the block's last step
     assert (firsts[0] == cut).any()  # cells that do not stop in the block
     assert (firsts[1] < steps - cut).any()
+
+
+@pytest.mark.parametrize("kind", list(TestKind))
+@pytest.mark.parametrize("model, k", [(GAUSS, 2), (BERN, 3)], ids=["gaussian-k2", "bernoulli-k3"])
+def test_stop_rule_holds_at_its_thresholds(model, k, kind):
+    # A state's margins m0 = adaptive - logL0 and m1 = adaptive - logL1
+    # (m0 != m1) as thresholds: log_a = m1 and log_b = m0 stop, as the rule's
+    # >= says, while log_a one ulp above m1 or the two swapped do not.  The
+    # kernel's block step, fed the last row after the others, agrees.
+    theta = _truth(model, k, {0})
+    rows = list(islice(scalar_reference.drawn_rows(model, theta, random.Random(3)), 6))
+    *_, state = scalar_reference.states(model, k, rows)
+    m0, m1 = (state.adaptive_loglik - l for l in engine.sup_loglik_error_sets(state, kind))
+    assert math.isfinite(m0) and math.isfinite(m1) and m0 != m1
+    ths = [Thresholds(m1, m0), Thresholds(math.nextafter(m1, math.inf), m0), Thresholds(m0, m1)]
+    assert [engine.check_stop(state, th, kind) is not None for th in ths] == [True, False, False]
+    cells = [(th, kind) for th in ths]
+    x, sums, adaptive = np.array([rows]), np.zeros((1, k)), np.zeros(1)
+    engine._absorb(model, x[:, :-1], sums, adaptive, 0)
+    first, _ = engine._advance(model, x[:, -1:], cells, np.ones((1, 3), bool), sums, adaptive, 5)
+    assert first.tolist() == [[0.0, 1.0, 1.0]]
 
 
 class TestCellsShareOneTrajectory:

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from scalar_reference import next_score
 
 from seqdetect.errors import ConfigError, DomainError
-from seqdetect.engine import EngineState, TestKind, init, update
+from seqdetect.engine import EngineState, TestKind, update
 from seqdetect.models import (
     Family,
     JointParameter,
@@ -36,14 +37,6 @@ def reconstructed_loglik(model, n, s, theta):
         m = s / n
         return -0.5 * n * (m - theta) ** 2 + 0.5 * n * m * m
     return s * math.log(theta) + (n - s) * math.log(1.0 - theta)
-
-
-def next_score(model, n, s, x):
-    """The adaptive log-likelihood's term for one observation x after n
-    observations that sum to s: x scored at the lagged estimate of (n, s)."""
-    st = EngineState(model, [s], 0.0, n)
-    update(st, [x])
-    return st.adaptive_loglik
 
 
 def single_score(model, theta, x, n=1):
@@ -93,6 +86,8 @@ class TestParameterSpace:
         assert sp.in_signal(0.1) and sp.in_signal(7.0)
         assert not sp.contains(0.0)
         assert sp.contains(0.1) and sp.contains(-0.1)
+        for t in (math.inf, -math.inf):  # beyond every finite theta, yet in no region
+            assert not (sp.in_noise(t) or sp.in_signal(t) or sp.contains(t))
 
 
 class TestStreamModel:
@@ -206,8 +201,9 @@ class TestLogDensity:
         assert single_score(BERN, 0.6, 0.0, n=5) == pytest.approx(math.log(0.4), abs=1e-15)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            stat_loglik(GAUSS, 1, 1.0, 0.05)
+        for n, s, theta in ((1, 1.0, 0.05), (0, 0.0, math.inf), (1, 1.0, -math.inf)):
+            with pytest.raises(DomainError):
+                stat_loglik(GAUSS, n, s, theta)
 
     def test_gaussian_density_splits_into_stat_and_base(self):
         # log f_theta(x) = theta*x - theta^2/2 + log h(x), the exponential
@@ -239,6 +235,9 @@ class TestKL:
             kl(GAUSS, 0.0, 0.5)
         with pytest.raises(DomainError):
             kl(BERN, 0.6, 0.5)
+        for theta, theta_p in ((math.inf, math.inf), (-math.inf, -0.5), (0.5, math.inf)):
+            with pytest.raises(DomainError):
+                kl(GAUSS, theta, theta_p)
 
     def test_nonnegative_zero_iff_equal(self):
         rng = random.Random(11)
@@ -386,5 +385,6 @@ class TestSample:
         assert set(sample(model, 0.6, rng) for _ in range(50)) <= {0.0, 1.0}
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            sample(GAUSS, 0.0, random.Random(1))
+        for theta in (0.0, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                sample(GAUSS, theta, random.Random(1))

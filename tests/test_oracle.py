@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scalar_reference
 
 from seqdetect import engine, oracle
 from seqdetect.cli import _deviation
@@ -323,9 +324,15 @@ def _per_trial(got):
     return list(got)
 
 
-def _assert_matches_stepwise(batched, stepwise, args, rng=lambda: random.Random(5)):
+# Each batched estimator beside its step-at-a-time reference.
+MARTINGALE = (oracle._martingale_ratios, scalar_reference.martingale_ratios)
+LLN = (oracle._lln_margins, scalar_reference.lln_margins)
+
+
+def _assert_matches_stepwise(pair, args, rng=lambda: random.Random(5)):
     """Bit-identical values trial by trial, and the generators end in the
     same state."""
+    batched, stepwise = pair
     ours, ref = rng(), rng()
     got = _per_trial(batched(*args, ours))
     assert len(got) == args[3]
@@ -354,11 +361,7 @@ class TestBatchedMatchesStepwise:
         ids=["gauss-k2-n1", "gauss-k3-odd", "gauss-k3-n3", "bern-n1", "bern-n5"],
     )
     def test_martingale(self, model, theta, n, trials):
-        rng = _assert_matches_stepwise(
-            oracle._martingale_ratios,
-            oracle._stepwise_martingale_ratios,
-            (model, theta, n, trials),
-        )
+        rng = _assert_matches_stepwise(MARTINGALE, (model, theta, n, trials))
         if model is GAUSS:
             assert (rng.gauss_next is not None) == (n * trials * theta.k % 2 == 1)
 
@@ -374,11 +377,7 @@ class TestBatchedMatchesStepwise:
 
         monkeypatch.setattr(engine, "_draw_normals", recorded)
         theta = JointParameter.coupled(5, frozenset({0, 2, 4}), 0.5, -0.5)
-        _assert_matches_stepwise(
-            oracle._martingale_ratios,
-            oracle._stepwise_martingale_ratios,
-            (GAUSS, theta, 1, 10_000),
-        )
+        _assert_matches_stepwise(MARTINGALE, (GAUSS, theta, 1, 10_000))
         assert set(starts) == {False, True}
 
     def test_martingale_on_a_generator_with_a_pending_sine(self):
@@ -387,12 +386,7 @@ class TestBatchedMatchesStepwise:
             r.gauss(0.0, 1.0)
             return r
 
-        _assert_matches_stepwise(
-            oracle._martingale_ratios,
-            oracle._stepwise_martingale_ratios,
-            (GAUSS, TRUTH, 2, 10_000),
-            rng,
-        )
+        _assert_matches_stepwise(MARTINGALE, (GAUSS, TRUTH, 2, 10_000), rng)
 
     # Each drift test scores every kind on one horizon, the named kind first.
     @pytest.mark.parametrize("kind", list(TestKind))
@@ -403,11 +397,7 @@ class TestBatchedMatchesStepwise:
     )
     def test_lln_with_a_partial_last_chunk(self, kind, model, theta):
         # At n = 500 and K = 2 a chunk holds two trials; five leave one over.
-        _assert_matches_stepwise(
-            oracle._lln_margins,
-            oracle._stepwise_lln_margins,
-            (model, theta, 500, 5, _first(kind)),
-        )
+        _assert_matches_stepwise(LLN, (model, theta, 500, 5, _first(kind)))
 
     # 1,503 normals a trial: a Box-Muller sine left pending by one trial is
     # the next one's first draw, inside a chunk of two trials (n = 501) or
@@ -416,22 +406,14 @@ class TestBatchedMatchesStepwise:
     @pytest.mark.parametrize("n, width", [(501, 2), (513, 1)])
     def test_lln_with_odd_draws_per_trial(self, kind, n, width):
         assert _block_rows(TRUTH3.k) // n == width
-        rng = _assert_matches_stepwise(
-            oracle._lln_margins,
-            oracle._stepwise_lln_margins,
-            (GAUSS, TRUTH3, n, 3, _first(kind)),
-        )
+        rng = _assert_matches_stepwise(LLN, (GAUSS, TRUTH3, n, 3, _first(kind)))
         assert rng.gauss_next is not None
 
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_lln_trial_spanning_several_blocks(self, kind):
         theta = JointParameter.coupled(9, frozenset(range(4)), 0.5, -0.5)
         assert 500 > _block_rows(theta.k)
-        _assert_matches_stepwise(
-            oracle._lln_margins,
-            oracle._stepwise_lln_margins,
-            (GAUSS, theta, 500, 2, _first(kind)),
-        )
+        _assert_matches_stepwise(LLN, (GAUSS, theta, 500, 2, _first(kind)))
 
     @pytest.mark.parametrize(
         "model, theta",
@@ -443,7 +425,7 @@ class TestBatchedMatchesStepwise:
         # normalized margins (adaptive - logL)/n, bit for bit.
         n, kinds = 500, tuple(TestKind)
         means = lln_rate_estimate(model, theta, n, 5, kinds, random.Random(5))
-        margins = list(oracle._stepwise_lln_margins(model, theta, n, 5, kinds, random.Random(5)))
+        margins = list(scalar_reference.lln_margins(model, theta, n, 5, kinds, random.Random(5)))
         for i, kind in enumerate(kinds):
             assert means[kind] == tuple(
                 float(np.mean([(m[0] - m[1 + i][side]) / n for m in margins])) for side in (0, 1)
