@@ -1,6 +1,6 @@
 """Sequential detection of signal streams with coupled parameters."""
 
-from .engine import Decision, TestKind, Thresholds
+from .engine import Decision, EngineState, TestKind, Thresholds, step
 from .errors import CapacityError, ConfigError, DomainError, SeqDetectError
 from .geometry import (
     InfoConstants,

@@ -383,10 +383,15 @@ def _random_coupled_truth(model: StreamModel, k: int, rng: random.Random) -> Joi
     return JointParameter.coupled(k, members, theta1, theta0)
 
 
-def _info_grid(model: StreamModel) -> oracle.Grid:
-    if model.family is Family.GAUSSIAN:
-        return oracle.Grid(-5.0, 5.0, 10_000)
-    return oracle.Grid(0.0, 1.0, 10_000)
+def _info_grid(model: StreamModel, theta: JointParameter) -> oracle.Grid:
+    """Checks 1 to 3's grid: [0, 1], or [-5, 5] at 10,000 points widened at that step
+    (to at most 100,000 points) to the truth and 2.5 past the gap, for check 2's
+    truths and check 3's fits."""
+    if model.family is Family.BERNOULLI:
+        return oracle.Grid(0.0, 1.0, 10_000)
+    ends = (*theta.thetas, model.space.theta0_hi - 2.5, model.space.theta1_lo + 2.5)
+    lo, hi = min(-5.0, *ends), max(5.0, *ends)
+    return oracle.Grid(lo, hi, min(100_000, 1 + round(9999 * (hi - lo) / 10.0)))
 
 
 def _deviation(got, ref) -> float:
@@ -405,7 +410,7 @@ def cmd_validate(spec: RunSpec, quick: bool) -> int:
     failures: list[str] = []
     rng = random.Random(spec.base_seed)
     model = spec.model
-    grid = _info_grid(model)
+    grid = _info_grid(model, spec.theta)
     tol, drift_tol = 1e-4, 0.05
 
     # 1. information constants, config truth; the grid reference enumerates

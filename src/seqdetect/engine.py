@@ -94,8 +94,9 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class Decision:
-    """One trial's stop as the scalar reference returns it (run_to_decision,
-    check_stop); run_trials returns the same fields as arrays."""
+    """One cell's stop on one trial, as :func:`step` and the scalar reference
+    (run_to_decision, check_stop) return it: the count, the signal-set estimate
+    there and whether n_max cut the trial short; run_trials returns arrays."""
 
     stopped_at: int
     selected: frozenset[int]
@@ -116,14 +117,14 @@ def _total(values) -> float:
 
 
 # Step-at-a-time reference: one trial, one observation per stream per call.
-# Simulations and ``validate`` run the batched kernel further down; these
-# functions are its reference in the tests.  They stay in this module because
-# the benchmark's span tracer (perfbench/spans.py) wraps them here by name.
+# Simulations, ``validate`` and :func:`step` run the batched kernel further
+# down; these functions are its reference in the tests.  They stay in this
+# module because the benchmark's span tracer (perfbench/spans.py) wraps them.
 
 
 @dataclass
 class EngineState:
-    """A trial's stream sums and adaptive log-likelihood at the shared count n."""
+    """A trial's stream sums and adaptive log-likelihood at the shared count n (zeros at 0)."""
 
     model: StreamModel
     sums: list[float]
@@ -142,6 +143,17 @@ def init(model: StreamModel, k: int) -> EngineState:
     return EngineState(model, [0.0] * k, 0.0, 0)
 
 
+def _require_rows(state: EngineState, rows) -> None:
+    """The data rule of :func:`update` and :func:`step`, applied before either
+    writes: each row holds one observation per stream, a one-step statistic
+    that ``models._require_stat`` accepts, and so do the carried sums at n."""
+    for row in rows:
+        if len(row) != state.k:
+            raise DomainError(f"expected {state.k} observations, got {len(row)}")
+        _require_stat(state.model, 1, row)
+    _require_stat(state.model, state.n, state.sums)
+
+
 def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     """Absorb one observation per stream (in place).
 
@@ -152,13 +164,8 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
     arrive).  Only then do the sums absorb the data.  Ordering is what keeps
     the adaptive likelihood ratio a martingale.
     """
-    k = state.k
-    model = state.model
-    if len(obs) != k:
-        raise DomainError(f"expected {k} observations, got {len(obs)}")
-    _require_stat(model, 1, obs)
-    n = state.n
-    _require_stat(model, n, state.sums)  # the carried state, before any write
+    _require_rows(state, [obs])
+    k, model, n = state.k, state.model, state.n
     sp = model.space
     lagged = [sp.theta1_lo] * k
     for i, s in enumerate(state.sums if n else ()):
@@ -724,6 +731,30 @@ def run_trials(
         live, sums, adaptive = live[keep], sums[keep], adaptive[keep]
         open_cells = open_cells[keep]
     return stopped_at, truncated, selected
+
+
+def step(state: EngineState, rows: Sequence, cells: Sequence) -> list[Decision | None]:
+    """The test on data as it arrives: feed one trial's new rows (m x K,
+    m >= 1) to ``state`` and apply each (thresholds, kind) cell's stop rule
+    after every row.  Rows and state are checked as :func:`update` checks
+    them, before any write; :func:`_advance` scores the rows and updates the
+    state in place, as :func:`update` would row by row.  Returns per cell its
+    first stop in these rows as a :class:`Decision`, or None.  Pass only the
+    cells still open: a cell passed again is scored on, and a later Decision
+    for it is not the test's decision."""
+    if not len(rows):
+        raise DomainError("a block needs at least one row")
+    _require_rows(state, rows)
+    n, m, x = state.n, len(rows), np.array([rows], float)
+    sums, adaptive = np.array([state.sums], float), np.array([state.adaptive_loglik])
+    opened = np.ones((1, len(cells)), bool)
+    (first,), (member,) = _advance(state.model, x, cells, opened, sums, adaptive, n)
+    state.sums[:] = sums[0].tolist()
+    state.adaptive_loglik, state.n = float(adaptive[0]), n + m
+    return [
+        None if i == m else Decision(n + 1 + i, frozenset(np.flatnonzero(member[i]).tolist()), False)
+        for i in first.astype(int).tolist()
+    ]
 
 
 def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng):

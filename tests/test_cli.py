@@ -541,6 +541,23 @@ class TestValidateCommand:
         assert "error:" not in captured.out + captured.err
         assert "PASS engine-grid" in captured.out and "all checks passed" in captured.out
 
+    @pytest.mark.parametrize("shifted", ["gap", "truth"])
+    def test_gaussian_grid_box_covers_the_config(self, shifted, tmp_path, monkeypatch, capsys):
+        # The grid box of checks 1 to 3 widens past [-5, 5] to hold the
+        # truths and the gap: CI's config with regions (-inf, 5.5] and
+        # [6, inf), truth 6.5 / 5.0, and the desk regions with truth
+        # 6.0 / -0.5.  Both Monte Carlo estimates are stubbed to their targets.
+        stub_monte_carlo(monkeypatch)
+        cfg = str(CONFIGS / "gauss2shifted.json")
+        if shifted == "truth":
+            cfg_dict = base_config()
+            cfg_dict["truth"]["theta1"] = 6.0
+            cfg = write_config(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg, "--quick"]) == 0
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out + captured.err
+        assert "FAIL" not in captured.out and "all checks passed" in captured.out
+
     def test_seed_flag_overrides_run_seed(self, tmp_path, monkeypatch, capsys):
         # Checks 2 and 3 draw their truths and states from the seed.
         stub_monte_carlo(monkeypatch)

@@ -592,7 +592,7 @@ def test_stop_rule_holds_at_its_thresholds(model, k, kind):
     # A state's margins m0 = adaptive - logL0 and m1 = adaptive - logL1
     # (m0 != m1) as thresholds: log_a = m1 and log_b = m0 stop, as the rule's
     # >= says, while log_a one ulp above m1 or the two swapped do not.  The
-    # kernel's block step, fed the last row after the others, agrees.
+    # online step, fed the last row after the others, agrees.
     theta = _truth(model, k, {0})
     rows = list(islice(scalar_reference.drawn_rows(model, theta, random.Random(3)), 6))
     *_, state = scalar_reference.states(model, k, rows)
@@ -600,11 +600,48 @@ def test_stop_rule_holds_at_its_thresholds(model, k, kind):
     assert math.isfinite(m0) and math.isfinite(m1) and m0 != m1
     ths = [Thresholds(m1, m0), Thresholds(math.nextafter(m1, math.inf), m0), Thresholds(m0, m1)]
     assert [engine.check_stop(state, th, kind) is not None for th in ths] == [True, False, False]
-    cells = [(th, kind) for th in ths]
-    x, sums, adaptive = np.array([rows]), np.zeros((1, k)), np.zeros(1)
-    engine._absorb(model, x[:, :-1], sums, adaptive, 0)
-    first, _ = engine._advance(model, x[:, -1:], cells, np.ones((1, 3), bool), sums, adaptive, 5)
-    assert first.tolist() == [[0.0, 1.0, 1.0]]
+    online = engine.EngineState(model, [0.0] * k, 0.0, 0)
+    engine.step(online, rows[:-1], [])
+    got = engine.step(online, rows[-1:], [(th, kind) for th in ths])
+    assert got == [engine.check_stop(state, ths[0], kind), None, None]
+
+
+STEP_CELLS = list(product([Thresholds(2.0, 2.0), Thresholds(5.0, 3.0)], TestKind))
+
+
+@pytest.mark.parametrize(
+    "model, k, signals",
+    [(GAUSS, 2, {1}), (BERN, 10, range(5)), (GAUSS, 32, range(1, 17))],
+    ids=["desk", "bernoulli-k10", "gaussian-k32"],
+)
+def test_step_decides_on_rows_as_they_arrive(model, k, signals):
+    # One trial's draws, fed to the online step in chunks of 1, 3 and 16
+    # rows with only the open cells passed: every cell's Decision equals
+    # run_to_decision's and run_trials' entries for that trial, and the state
+    # after the last row fed equals the scalar reference's, bit for bit.
+    # Stops at 14 to 49 steps (desk), 213 to 324 (Bernoulli) and 260 to 946.
+    theta = _truth(model, k, signals)
+    want = [run_to_decision(model, theta, th, kind, random.Random(7), 1_000) for th, kind in STEP_CELLS]
+    _assert_arrays_equal(
+        run_trials(model, theta, STEP_CELLS, _rngs([7]), 1_000), _as_arrays([[d] for d in want], k)
+    )
+    assert not any(d.truncated for d in want)
+    fed = []
+    for chunk in (1, 3, 16):
+        rows = scalar_reference.drawn_rows(model, theta, random.Random(7))
+        state, got = engine.EngineState(model, [0.0] * k, 0.0, 0), {}
+        while len(got) < len(STEP_CELLS):
+            cells = [cell for cell in STEP_CELLS if cell not in got]
+            decisions = engine.step(state, list(islice(rows, chunk)), cells)
+            got.update((cell, d) for cell, d in zip(cells, decisions) if d is not None)
+        assert [got[cell] for cell in STEP_CELLS] == want
+        fed.append((state.n, state.sums, state.adaptive_loglik))
+    rows = scalar_reference.drawn_rows(model, theta, random.Random(7))
+    replay = {
+        ref.n: (ref.n, list(ref.sums), ref.adaptive_loglik)
+        for ref in scalar_reference.states(model, k, islice(rows, max(n for n, _, _ in fed)))
+    }
+    assert fed == [replay[n] for n, _, _ in fed]
 
 
 class TestCellsShareOneTrajectory:

@@ -5,7 +5,7 @@ import pytest
 from scalar_reference import next_score
 
 from seqdetect.errors import ConfigError, DomainError
-from seqdetect.engine import EngineState, TestKind, update
+from seqdetect.engine import EngineState, TestKind, Thresholds, step, update
 from seqdetect.models import (
     Family,
     JointParameter,
@@ -101,13 +101,17 @@ class TestStreamModel:
         StreamModel(Family.GAUSSIAN, ParameterSpace(-3.0, -1.0, 2.0, 4.0))
 
 
-def _update_leaves_state(model, n, sums, row):
-    # A rejected update, for a value of its row or for a carried sum, must
-    # leave the whole state as it was.
+def _step(state, rows):
+    return step(state, rows, [(Thresholds(1.0, 1.0), TestKind.CONSTRAINED)])
+
+
+def _leaves_state(feed, model, n, sums, data):
+    # A rejected update or step, for a value of its rows or for a carried
+    # sum, must leave the whole state as it was.
     st = EngineState(model, list(sums), 0.0, n)
     before = (st.n, list(st.sums), st.adaptive_loglik)
     try:
-        update(st, row)
+        feed(st, data)
     finally:
         assert (st.n, st.sums, st.adaptive_loglik) == before
 
@@ -116,11 +120,18 @@ def _update_leaves_state(model, n, sums, row):
 # a valid stream.  update takes s in either stream, as a value of its row at
 # n = 1 or as a sum carried to count n, n = 0 included, where the valid sum is
 # 0 (an infinite carried sum is what finite data leave when a sum overflows).
+# step takes s in its first row, in the second row of a block whose first row
+# is valid (so that a check made while writing would show), or as a carried sum.
 DATA_ENTRIES = {
-    "update-first": lambda model, n, s: _update_leaves_state(model, 1, [1.0, 0.0], [s, 1.0]),
-    "update-second": lambda model, n, s: _update_leaves_state(model, 1, [1.0, 0.0], [1.0, s]),
-    "update-carried-first": lambda model, n, s: _update_leaves_state(model, n, [s, float(n > 0)], [1.0, 1.0]),
-    "update-carried": lambda model, n, s: _update_leaves_state(model, n, [float(n > 0), s], [1.0, 1.0]),
+    "update-first": lambda model, n, s: _leaves_state(update, model, 1, [1.0, 0.0], [s, 1.0]),
+    "update-second": lambda model, n, s: _leaves_state(update, model, 1, [1.0, 0.0], [1.0, s]),
+    "update-carried-first": lambda model, n, s: _leaves_state(update, model, n, [s, float(n > 0)], [1.0, 1.0]),
+    "update-carried": lambda model, n, s: _leaves_state(update, model, n, [float(n > 0), s], [1.0, 1.0]),
+    "step-first-row": lambda model, n, s: _leaves_state(_step, model, 1, [1.0, 0.0], [[s, 1.0]]),
+    "step-second-row": lambda model, n, s: _leaves_state(
+        _step, model, 1, [1.0, 0.0], [[1.0, 1.0], [1.0, s]]
+    ),
+    "step-carried": lambda model, n, s: _leaves_state(_step, model, n, [float(n > 0), s], [[1.0, 1.0]]),
     "stat_loglik": lambda model, n, s: stat_loglik(model, n, s, model.space.theta1_lo),
     "subset": lambda model, n, s: subset_sup_loglik_error_sets(model, n, [0.0, s], frozenset()),
     "grid": lambda model, n, s: grid_sup_loglik(
@@ -141,11 +152,17 @@ IMPOSSIBLE_STATS = [
 @pytest.mark.parametrize("entry, model, n, s", [
     pytest.param(entry, model, n, s, id=f"{entry}-{model.family.value}-n{n}-s{s}")
     for entry in DATA_ENTRIES for model, n, s in IMPOSSIBLE_STATS
-    if entry not in ("update-first", "update-second") or n >= 1
+    if entry not in ("update-first", "update-second", "step-first-row", "step-second-row") or n >= 1
 ])
 def test_impossible_statistic_rejected(entry, model, n, s):
     with pytest.raises(DomainError):
         DATA_ENTRIES[entry](model, n, s)
+
+
+@pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+def test_step_rejects_an_empty_block(model):
+    with pytest.raises(DomainError):
+        _leaves_state(_step, model, 1, [1.0, 0.0], [])
 
 
 class TestJointParameter:

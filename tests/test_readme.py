@@ -1,5 +1,5 @@
-"""The README's Python quick start, config schema and CLI section match the
-current API."""
+"""The README's Python quick start and online-use example, config schema
+and CLI section match the current API."""
 import re
 from pathlib import Path
 
@@ -10,14 +10,31 @@ from seqdetect.cli import load_config, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_quick_start_runs(capsys):
+def _run_python_block(index: int, capsys) -> list[str]:
+    """Runs the README's python block ``index`` (the quick start, then the
+    online-use example) and returns the lines it prints."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert len(blocks) == 1
-    exec(compile(blocks[0], str(README), "exec"), {})
-    constants, decision = capsys.readouterr().out.splitlines()
+    assert len(blocks) == 2
+    exec(compile(blocks[index], str(README), "exec"), {})
+    return capsys.readouterr().out.splitlines()
+
+
+def test_quick_start_runs(capsys):
+    constants, decision = _run_python_block(0, capsys)
     assert constants.startswith("InfoConstants(")
     stopped_at, selected = decision.split(" ", 1)
     assert int(stopped_at) >= 1 and selected.startswith("[")
+
+
+def test_online_use_runs(capsys):
+    # One line per test kind as its cell stops: the kind, the stop and the
+    # selected streams.
+    lines = _run_python_block(1, capsys)
+    kinds = [line.split(" ", 2)[0] for line in lines]
+    assert sorted(kinds) == ["constrained", "unconstrained"]
+    for line in lines:
+        _, stopped_at, selected = line.split(" ", 2)
+        assert int(stopped_at) >= 1 and selected.startswith("[")
 
 
 def test_config_schema_loads(tmp_path):
