@@ -15,7 +15,6 @@ import math
 import os
 import random
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product, repeat
 
@@ -205,6 +204,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     if len(starts) == 1:
         batches = list(map(_run_batch, *jobs))
     else:
+        # Imported here, so that a run without a pool does not load the
+        # multiprocessing stack beneath it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(starts)) as pool:
             batches = list(pool.map(_run_batch, *jobs))
 

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from seqdetect import engine, oracle
+from seqdetect import cli, engine, oracle
 from seqdetect.cli import SIMULATE_HEADER, _deviation, load_config, main
 from seqdetect.errors import ConfigError
 from seqdetect.montecarlo import ExperimentConfig, first_order_rates, run_experiment
@@ -222,6 +225,26 @@ def test_ci_configs_load(path):
     # Each file is one that CI simulates; its experiment name names its CSV.
     spec = load_config(str(path))
     assert spec.experiment == path.stem
+
+
+def test_loading_a_config_loads_neither_the_pool_nor_the_oracle():
+    # Only a multi-worker run needs the process pool and only validate needs
+    # the oracle; a fresh interpreter that imports the CLI and loads a preset
+    # has loaded neither.
+    code = (
+        "import sys\n"
+        "from seqdetect.cli import load_config\n"
+        "load_config('desk_fig1')\n"
+        "heavy = ('concurrent.futures.process', 'multiprocessing', 'seqdetect.oracle')\n"
+        "print(*(name for name in heavy if name in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.split() == []
 
 
 class TestPresets:
@@ -557,6 +580,30 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert "error:" not in captured.out + captured.err
         assert "FAIL" not in captured.out and "all checks passed" in captured.out
+
+    @pytest.mark.parametrize("mean, status", [(1.0, 0), (2.0, 1)])
+    def test_grid_box_past_the_point_cap_skips_the_grid_checks(
+        self, mean, status, tmp_path, monkeypatch, capsys
+    ):
+        # A truth at 1e6 needs a box of about 1e9 points at the [-5, 5] step.
+        # A capped grid with a wider step would fail checks 1 to 3 on its
+        # resolution, so they are skipped with the box, and the exit code
+        # comes from checks 4 and 5.  The Monte Carlo estimates are stubbed:
+        # to their targets, or with check 4's mean 100 SE away from 1.
+        stub_monte_carlo(monkeypatch)
+        monkeypatch.setattr(oracle, "mean_one_martingale_estimate", lambda *args: (mean, 0.01))
+        cfg_dict = base_config()
+        cfg_dict["truth"]["theta1"] = 1e6
+        cfg = write_config(tmp_path, cfg_dict)
+        assert main(["validate", "--config", cfg, "--quick"]) == status
+        out = capsys.readouterr().out
+        for name in ("constants-config", "constants-random", "engine-grid"):
+            assert (
+                f"SKIP {name}: grid box [-5, 1e+06] needs 999,905,001 points at the "
+                "[-5, 5] step, past the 100,000-point cap"
+            ) in out.splitlines()
+        assert "PASS lln-constrained" in out and "PASS lln-unconstrained" in out
+        assert ("FAIL martingale-config-n1" in out) == bool(status)
 
     def test_seed_flag_overrides_run_seed(self, tmp_path, monkeypatch, capsys):
         # Checks 2 and 3 draw their truths and states from the seed.

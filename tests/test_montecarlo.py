@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import random
@@ -228,7 +229,9 @@ class TestRunExperiment:
         # A forking pool starts all of its processes at the first submit, so
         # it is sized to the jobs: 10 trials at 6 workers make 5 jobs of 2,
         # and one job runs in this process.  A stand-in pool records its size
-        # and maps in this process, so no process starts.
+        # and maps in this process, so no process starts; run_experiment
+        # imports the pool class when it makes a pool, so the stand-in goes
+        # where that import reads it.
         opened = []
 
         class InlinePool:
@@ -244,7 +247,7 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = small_config(trials=trials)
         assert run_experiment(cfg, workers=workers) == run_experiment(cfg, workers=1)
         assert opened == pools
