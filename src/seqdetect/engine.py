@@ -67,10 +67,11 @@ _BLOCK_ELEMENTS = 1 << 12
 # n_max (or of a smaller budget): more live trials than such a block holds
 # advance in equal chunks.
 _FIRST_BLOCK = 16
-# A Bernoulli candidate is scored through libm when its fast value (numpy's
-# logs) lies within this fraction of its family's fast maximum.  Each pooled
-# value sums non-positive terms, so the fast logs, a few ulps from libm's,
-# move it by about 1e-14 of its size: every exact maximizer, ties included, is kept.
+# The Bernoulli constrained stop is screened on suprema with numpy's logs
+# (_fast_sup).  Each candidate sums non-positive terms, so the fast logs, a
+# few ulps from libm's, move it by a few ulps of its size, far inside the
+# slack: a fast supremum l has the exact one between l * (1 + _FAST_SLACK)
+# and l * (1 - _FAST_SLACK).
 _FAST_SLACK = 1e-9
 
 
@@ -451,14 +452,14 @@ def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region
 
 
 def _fast_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
-    """:func:`_region_sup` of the Bernoulli with numpy's logs, only to choose candidates."""
+    """:func:`_region_sup` of the Bernoulli with numpy's logs, within _FAST_SLACK of it."""
     lo, hi = model.space.region_bounds(region)
     fit = np.clip(s / np.maximum(n, 1.0), lo, hi)
     return _loglik(model, n, s, fit, (np.log(fit), np.log1p(-fit)))
 
 
 def _coupled_sups(
-    model: StreamModel, n: np.ndarray, s: np.ndarray, member: np.ndarray
+    model: StreamModel, n: np.ndarray, s: np.ndarray, member: np.ndarray, sup
 ) -> tuple[np.ndarray, np.ndarray]:
     """The constrained branch of :func:`sup_loglik_error_sets` over leading axes.
 
@@ -469,11 +470,11 @@ def _coupled_sups(
     the edge sets of sizes e = 1..K-1, T_{e-1} plus the strongest outsider
     for e <= a (adding) and T_{e+1} minus the weakest member for e >= a
     (dropping).  At e = a both name the swap, summed the first way, as the
-    scalar path does.  Each supremum is a maximum over the table's entries
-    that its family's mask keeps; for the Bernoulli, only the entries within
-    _FAST_SLACK of its maximum by :func:`_fast_sup` are scored, the rest are
-    -inf.  Streams and candidates run along the leading axis (see the note
-    above); only the sort runs along the last.
+    scalar path does.  An entry is ``sup`` (:func:`_region_sup`, or
+    :func:`_fast_sup` for the Bernoulli) of its signal group plus that of its
+    noise group; each supremum is a maximum over the entries that its
+    family's mask keeps.  Streams and candidates run along the leading axis
+    (see the note above); only the sort runs along the last.
     """
     k = s.shape[-1]
     # The scalar order: the estimate first, each part by sum descending.
@@ -501,18 +502,7 @@ def _coupled_sups(
     (n1, s1), (n0, s0) = (n * size, sb), (n * (k - size), _row_sums(s_t.T).T - sb)
     adds = np.concatenate((m > a, (e <= a) & (a < k)))
     drops = np.concatenate((m < a, (e >= a) & (a > 0)))
-    if model.family is Family.GAUSSIAN:
-        table = _region_sup(model, n1, s1, Region.SIGNAL) + _region_sup(model, n0, s0, Region.NOISE)
-    else:  # a maximum over values <= 0, so the slack widens it downwards
-        fast = _fast_sup(model, n1, s1, Region.SIGNAL) + _fast_sup(model, n0, s0, Region.NOISE)
-        pick = np.zeros(fast.shape, bool)
-        for keep in (adds, drops):
-            pick |= keep & (fast >= np.where(keep, fast, -np.inf).max(0) * (1.0 + _FAST_SLACK))
-        n1, s1, n0, s0 = (np.broadcast_to(x, pick.shape)[pick] for x in (n1, s1, n0, s0))
-        table = np.full(fast.shape, -np.inf)
-        table[pick] = _region_sup(model, n1, s1, Region.SIGNAL) + _region_sup(
-            model, n0, s0, Region.NOISE
-        )
+    table = sup(model, n1, s1, Region.SIGNAL) + sup(model, n0, s0, Region.NOISE)
     return tuple(np.where(keep, table, -np.inf).max(0).T for keep in (adds, drops))
 
 
@@ -533,26 +523,30 @@ def _free_sups(q0: np.ndarray, q1: np.ndarray, member: np.ndarray) -> tuple[np.n
 
 def _error_sups(
     model: StreamModel, kind: TestKind, count: np.ndarray, s: np.ndarray,
-    q0: np.ndarray, q1: np.ndarray, member: np.ndarray,
+    q0: np.ndarray, q1: np.ndarray, member: np.ndarray, sup,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sup_loglik_error_sets` of ``kind`` over leading axes.
 
     ``count`` is the shared count (broadcast against ``s[..., :1]``); ``s``,
     ``q0``, ``q1`` and ``member`` hold each stream's sum, noise and signal
-    supremum and estimate (q1 >= q0) on the last axis.
+    supremum and estimate (q1 >= q0) on the last axis; ``sup`` scores the
+    constrained candidates (see :func:`_coupled_sups`).
     """
     if kind is TestKind.UNCONSTRAINED:
         return _free_sups(q0, q1, member)
-    return _coupled_sups(model, count, s, member)
+    return _coupled_sups(model, count, s, member, sup)
 
 
 def _scores(model: StreamModel, count, s: np.ndarray, kinds) -> tuple[np.ndarray, list]:
     """The signal-set estimate and each of ``kinds``' (logL0, logL1) for
-    stream sums ``s`` at the shared ``count``, over leading axes."""
+    stream sums ``s`` at the shared ``count``, over leading axes, with the
+    scalar path's bits."""
     q0 = _region_sup(model, count, s, Region.NOISE)
     q1 = _region_sup(model, count, s, Region.SIGNAL)
     member = q1 >= q0
-    return member, [_error_sups(model, kind, count, s, q0, q1, member) for kind in kinds]
+    return member, [
+        _error_sups(model, kind, count, s, q0, q1, member, _region_sup) for kind in kinds
+    ]
 
 
 def _block_rows(k: int) -> int:
@@ -633,7 +627,10 @@ def _advance(
     suprema are taken once for every cell of that kind, and only on the
     trials that have a cell of that kind open in ``opened`` (trials x
     cells); a kind's cells read ``steps`` on the trials that no longer need
-    that kind.
+    that kind.  The Bernoulli constrained margins run - l are screened on
+    :func:`_fast_sup`'s suprema l: only the trial-steps where an open cell's
+    threshold lies between run - l * (1 - _FAST_SLACK) and
+    run - l * (1 + _FAST_SLACK) are rescored through libm.
     Returns the index in the block of the first step at which both of a
     cell's margins clear (``steps``, x.shape[1], if none), as floats (trials x
     cells), and the signal-set estimate after every step (trials x steps x K).
@@ -647,8 +644,19 @@ def _advance(
         mine = np.array([c is kind for c in kinds])
         need = opened[:, mine].any(1)
         if need.any():
-            l0, l1 = _error_sups(model, kind, count, s[need], q0[need], q1[need], member[need])
+            screen = kind is TestKind.CONSTRAINED and model.family is Family.BERNOULLI
+            rows = s[need], q0[need], q1[need], member[need]
+            l0, l1 = _error_sups(model, kind, count, *rows, _fast_sup if screen else _region_sup)
             adapt, (log_a, log_b) = run[need], bounds[:, mine]
+            if screen:  # fl is monotone, so each exact margin lies in its [low, high]
+                band, open_in = np.zeros(adapt.shape, bool), opened[need][:, mine].T[..., None]
+                for l, th in ((l0, log_b), (l1, log_a)):
+                    low, high = adapt - l * (1.0 - _FAST_SLACK), adapt - l * (1.0 + _FAST_SLACK)
+                    band |= ((low < th) & (high >= th) & open_in).any(0)
+                if band.any():
+                    counts = np.broadcast_to(count.T, band.shape)[band][:, None]
+                    exact = (a[band] for a in rows)
+                    l0[band], l1[band] = _error_sups(model, kind, counts, *exact, _region_sup)
             stop = (adapt - l0 >= log_b) & (adapt - l1 >= log_a)
             # A float minimum rather than argmax (see above), cells-major as
             # the mask takes its entries; `steps` means no stop.

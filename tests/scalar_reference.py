@@ -49,3 +49,21 @@ def martingale_ratios(model, theta, n, trials, rng):
 def lln_margins(model, theta, n, trials, kinds, rng):
     for state in horizon(model, theta, n, trials, rng):
         yield (state.adaptive_loglik, *(engine.sup_loglik_error_sets(state, k) for k in kinds))
+
+
+def margin_cells(state):
+    """Cells of both kinds whose thresholds sit at the state's margins
+    m0 = adaptive - logL0 and m1 = adaptive - logL1: log_a = m1 and
+    log_b = m0, then log_a and then log_b one ulp above, then the two
+    swapped.  An infinite margin (an empty family), which any threshold
+    passes, stands as 0.0."""
+    cells = []
+    for kind in engine.TestKind:
+        m0, m1 = (
+            state.adaptive_loglik - l if math.isfinite(l) else 0.0
+            for l in engine.sup_loglik_error_sets(state, kind)
+        )
+        up0, up1 = math.nextafter(m0, math.inf), math.nextafter(m1, math.inf)
+        for log_a, log_b in ((m1, m0), (up1, m0), (m1, up0), (m0, m1)):
+            cells.append((engine.Thresholds(log_a, log_b), kind))
+    return cells

@@ -544,7 +544,7 @@ class TestValidateCommand:
 
     def test_bernoulli_engine_grid(self, monkeypatch, capsys):
         # CI's three-stream Bernoulli config, whose engine-grid check runs the
-        # kernel's Bernoulli suprema (numpy logs choose, libm scores).  Both
+        # kernel's Bernoulli suprema (every candidate through libm).  Both
         # Monte Carlo estimates are stubbed to their targets to keep it fast.
         stub_monte_carlo(monkeypatch)
         assert main(["validate", "--config", str(CONFIGS / "bern3.json"), "--quick"]) == 0

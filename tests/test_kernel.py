@@ -247,34 +247,37 @@ def test_coupled_suprema_score_one_table(monkeypatch, k):
     monkeypatch.setattr(engine, "_region_sup", counted)
     s = np.tile(np.arange(float(k)), (3, 1))
     member = s >= np.array([[k], [k / 2], [0]])
-    engine._coupled_sups(GAUSS, np.full((3, 1), 3.0), s, member)
+    engine._coupled_sups(GAUSS, np.full((3, 1), 3.0), s, member, engine._region_sup)
     assert len(calls) == 2
     assert all(args[1].shape == args[2].shape == (2 * k, 3) for args in calls)
 
 
 def test_bernoulli_tables_score_few_candidates_through_libm(monkeypatch):
     # The wide Bernoulli benchmark config: ten streams, log 5, both kinds.
-    # Of the 2K candidates a trial-step, only those whose numpy-log value
-    # comes close to a family's maximum go through libm (about 2 in 20).
-    entries = {"table": 0, "libm": 0}
-    coupled_sups, region_sup = engine._coupled_sups, engine._region_sup
+    # The constrained suprema of every trial-step are taken with numpy's
+    # logs; a trial-step is rescored through libm only when a threshold lies
+    # within _FAST_SLACK of a supremum from its margin: on none of these
+    # (fewer than 1 in 1,000 as the bound), but on a state whose margins are
+    # the thresholds, on that one step.
+    rows = Counter()
+    coupled_sups = engine._coupled_sups
 
-    def counted_table(model, n, s, member):
-        entries["table"] += 2 * s.shape[-1] * s[..., 0].size
-        return coupled_sups(model, n, s, member)
+    def counted(model, n, s, member, sup):
+        rows[sup.__name__] += s[..., 0].size
+        return coupled_sups(model, n, s, member, sup)
 
-    def counted_libm(model, n, s, region):
-        if region is Region.SIGNAL:  # each entry's noise group follows
-            entries["libm"] += s.size
-        return region_sup(model, n, s, region)
-
-    monkeypatch.setattr(engine, "_coupled_sups", counted_table)
-    monkeypatch.setattr(engine, "_region_sup", counted_libm)
+    monkeypatch.setattr(engine, "_coupled_sups", counted)
     theta = _truth(BERN, 10, range(1, 6))
     cells = [(Thresholds(5.0, 5.0), kind) for kind in TestKind]
     rngs = _rngs(montecarlo.derive_trial_seed(20260819, t) for t in range(20))
     run_trials(BERN, theta, cells, rngs, 2_000)  # longest stop: 455 steps
-    assert 0 < entries["libm"] <= 0.2 * entries["table"], entries
+    assert rows["_fast_sup"] > 1_000 * rows["_region_sup"], rows
+    _, drawn, state = _drawn_state(10, 20)
+    online = engine.init(BERN, 10)
+    engine.step(online, drawn[:-1], [])
+    rows.clear()
+    engine.step(online, drawn[-1:], scalar_reference.margin_cells(state))
+    assert rows == {"_fast_sup": 1, "_region_sup": 1}
 
 
 class TestKernelMatchesScalar:
@@ -604,6 +607,44 @@ def test_stop_rule_holds_at_its_thresholds(model, k, kind):
     engine.step(online, rows[:-1], [])
     got = engine.step(online, rows[-1:], [(th, kind) for th in ths])
     assert got == [engine.check_stop(state, ths[0], kind), None, None]
+
+
+def _drawn_state(k, n):
+    """A Bernoulli trial of k streams, the first k // 2 signals, drawn from
+    random.Random(3): its truth, its first n rows and the state after them,
+    whose margins of both kinds are finite."""
+    theta = _truth(BERN, k, range(k // 2))
+    rows = list(islice(scalar_reference.drawn_rows(BERN, theta, random.Random(3)), n))
+    *_, state = scalar_reference.states(BERN, k, rows)
+    for kind in TestKind:
+        assert all(map(math.isfinite, engine.sup_loglik_error_sets(state, kind)))
+    return theta, rows, state
+
+
+@pytest.mark.parametrize("shift", [0.5, -0.5], ids=["margins-up", "margins-down"])
+@pytest.mark.parametrize("k, n", [(3, 6), (10, 20)])
+def test_screen_decides_at_the_thresholds(monkeypatch, k, n, shift):
+    # The kernel decides the Bernoulli constrained stop on suprema with
+    # numpy's logs and rescores through libm the trial-steps where a
+    # threshold lies within _FAST_SLACK of a supremum from its margin.  With
+    # every fast value moved by half the slack, either way, thresholds at a
+    # state's two margins, one ulp above them and swapped (both kinds' cells)
+    # give check_stop's decisions in the online step and in run_trials: a
+    # screen without the rescoring, or with its band's ends swapped, stops
+    # at a threshold one ulp above a margin or misses the stop at it.
+    theta, rows, state = _drawn_state(k, n)
+    cells = scalar_reference.margin_cells(state)
+    want = [engine.check_stop(state, th, kind) for th, kind in cells]
+    assert [d is not None for d in want] == [True, False, False, False] * 2
+    fast_sup = engine._fast_sup
+    monkeypatch.setattr(
+        engine, "_fast_sup", lambda *args: fast_sup(*args) * (1.0 + shift * engine._FAST_SLACK)
+    )
+    online = engine.init(BERN, k)
+    engine.step(online, rows[:-1], [])
+    assert engine.step(online, rows[-1:], cells) == want
+    runs = [[run_to_decision(BERN, theta, th, kind, random.Random(3), n)] for th, kind in cells]
+    _assert_arrays_equal(run_trials(BERN, theta, cells, _rngs([3]), n), _as_arrays(runs, k))
 
 
 STEP_CELLS = list(product([Thresholds(2.0, 2.0), Thresholds(5.0, 3.0)], TestKind))

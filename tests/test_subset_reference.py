@@ -8,14 +8,23 @@ of by stream), so agreement is to 1e-12 * (1 + |value|).
 """
 import math
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
+import scalar_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqdetect import engine, geometry, oracle
-from seqdetect.engine import EngineState, TestKind, estimate_signal_set, sup_loglik_error_sets
+from seqdetect.engine import (
+    EngineState,
+    TestKind,
+    estimate_signal_set,
+    run_to_decision,
+    run_trials,
+    sup_loglik_error_sets,
+)
 from seqdetect.geometry import info_constants
 from seqdetect.models import (
     Family,
@@ -113,10 +122,11 @@ def kernel_sups(model, n, sums):
     return frozenset(np.flatnonzero(member[0]).tolist()), [float(v[0]) for v in sups]
 
 
-# The Bernoulli kernel scores a candidate through libm only when its value
-# with numpy's logs lies within engine._FAST_SLACK of its family's maximum
-# taken the same way.  These states put that selection where it is
-# tightest; each must give the enumeration's suprema bit for bit.
+# The Bernoulli kernel takes its constrained suprema with numpy's logs and
+# rescores through libm only where a threshold lies within engine._FAST_SLACK
+# of a supremum from its margin; _scores takes them through libm throughout.
+# These states put both where the suprema are tightest: each must give the
+# enumeration's suprema bit for bit, and its margins the scalar decisions.
 WIDE = StreamModel(Family.BERNOULLI, ParameterSpace(0.05, 0.4, 0.6, 0.95))
 EDGE = StreamModel(Family.BERNOULLI, ParameterSpace(1e-12, 0.4, 0.6, 1.0 - 1e-12))
 
@@ -178,14 +188,10 @@ def test_bernoulli_selection_matches_subset_enumeration(case, k):
 @pytest.mark.parametrize("k", SELECTION_STREAMS)
 def test_bernoulli_selection_survives_fast_value_errors(monkeypatch, k):
     # Every fast value moved by up to a quarter of the slack, relative to
-    # its size, selects candidates that give the same bits: the selection
-    # does not rest on how numpy's logs round.
-    rng = random.Random(k)
-    states = [case(k) for case in SELECTION_CASES]
-    for _ in range(20):
-        n = rng.randint(1, 60)
-        states.append((WIDE, n, [float(rng.randint(0, n)) for _ in range(k)]))
-    want = [kernel_sups(*state) for state in states]
+    # its size: with thresholds at a state's margins, one ulp above them and
+    # swapped (scalar_reference.margin_cells), the stops are still
+    # check_stop's, in the online step on the states above and in
+    # run_trials on drawn trials.  No decision rests on how numpy's logs round.
     fast_sup = engine._fast_sup
     jitter = np.random.default_rng(k)
 
@@ -194,9 +200,66 @@ def test_bernoulli_selection_survives_fast_value_errors(monkeypatch, k):
         return value * (1.0 + jitter.uniform(-0.25, 0.25, value.shape) * engine._FAST_SLACK)
 
     monkeypatch.setattr(engine, "_fast_sup", perturbed)
-    for state, (estimate, sups) in zip(states, want):
-        assert kernel_sups(*state) == (estimate, sups)
-        assert sups == list(subset_sup_loglik_error_sets(*state, estimate))
+    for case in SELECTION_CASES:
+        model, n, sums = case(k)
+        rows = [[float(j < s) for s in sums] for j in range(n)]
+        *_, state = scalar_reference.states(model, k, rows)
+        cells = scalar_reference.margin_cells(state)
+        online = engine.init(model, k)
+        engine.step(online, rows[:-1], [])
+        want = [engine.check_stop(state, th, kind) for th, kind in cells]
+        assert engine.step(online, rows[-1:], cells) == want
+    theta = JointParameter.coupled(k, range(k // 2), 0.7 if k > 1 else None, 0.3)
+    for seed in range(5):
+        n = 5 + 3 * seed
+        drawn = islice(scalar_reference.drawn_rows(WIDE, theta, random.Random(seed)), n)
+        *_, state = scalar_reference.states(WIDE, k, drawn)
+        cells = scalar_reference.margin_cells(state)
+        want = [run_to_decision(WIDE, theta, th, kind, random.Random(seed), n) for th, kind in cells]
+        stopped_at, truncated, selected = run_trials(WIDE, theta, cells, [random.Random(seed)], n)
+        assert stopped_at[:, 0].tolist() == [d.stopped_at for d in want]
+        assert truncated[:, 0].tolist() == [d.truncated for d in want]
+        assert [frozenset(np.flatnonzero(m).tolist()) for m in selected[:, 0]] == [
+            d.selected for d in want
+        ]
+
+
+def table(model, n, sums, sup):
+    """The constrained suprema's 2K candidates at count ``n`` and stream sums
+    ``sums``, each ``sup`` of its signal group plus ``sup`` of its noise group."""
+    groups = []
+
+    def kept(*args):
+        groups.append(sup(*args))
+        return groups[-1]
+
+    count, s = np.array([[float(n)]]), np.array([sums], dtype=float)
+    member, _ = engine._scores(model, count, s, [])
+    engine._coupled_sups(model, count, s, member, kept)
+    return groups[0] + groups[1]
+
+
+@st.composite
+def bernoulli_states(draw):
+    """(model, n, sums) on the wide regions or on those 1e-12 from 0 and 1,
+    each sum at random or at 0 or n, where the fits sit on region bounds."""
+    model = draw(st.sampled_from([WIDE, EDGE]))
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 1_000))
+    sums = draw(st.lists(st.integers(0, n) | st.sampled_from([0, n]), min_size=k, max_size=k))
+    return model, n, [float(s) for s in sums]
+
+
+@settings(max_examples=200, **FIXED)
+@given(bernoulli_states())
+@example(tied(10))
+@example(near_edges(10))
+def test_fast_table_lies_within_the_slack(case):
+    # Every candidate with numpy's logs lies within 1e-12 of its size of the
+    # candidate through libm, a thousandth of the slack that the kernel's
+    # stop screen allows.
+    fast, exact = table(*case, engine._fast_sup), table(*case, engine._region_sup)
+    assert (np.abs(fast - exact) <= 1e-12 * np.abs(exact)).all(), (case, fast - exact)
 
 
 @settings(max_examples=100, **FIXED)
