@@ -42,10 +42,7 @@ from .models import (
     _loglik,
     _require_stat,
     sample,
-    sup_stat_loglik,
 )
-
-_NEG_INF = float("-inf")
 
 # random.Random internals reproduced by the batched draws below: random()
 # is (a * 2**26 + b) / 2**53 from two 32-bit words a >> 5 and b >> 6, and
@@ -95,8 +92,8 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class Decision:
-    """One cell's stop on one trial, as :func:`step` and the scalar reference
-    (run_to_decision, check_stop) return it: the count, the signal-set estimate
+    """One cell's stop on one trial, as :func:`step`, :func:`check_stop` and
+    :func:`run_to_decision` return it: the count, the signal-set estimate
     there and whether n_max cut the trial short; run_trials returns arrays."""
 
     stopped_at: int
@@ -107,9 +104,10 @@ class Decision:
 def _total(values) -> float:
     """0.0 + values[0] + values[1] + ..., added left to right.
 
-    The one order of every total over streams, in the scalar path and (by
-    :func:`_row_sums`) in the kernel.  The builtin sum() adds in this order
-    up to Python 3.11 and compensates from 3.12 on, so it is not used.
+    The one order of every total over streams, in the scalar path (see the
+    kernel's note below) and, by :func:`_row_sums`, in the kernel.  The
+    builtin sum() adds in this order up to Python 3.11 and compensates from
+    3.12 on, so it is not used.
     """
     total = 0.0
     for v in values:
@@ -117,10 +115,8 @@ def _total(values) -> float:
     return total
 
 
-# Step-at-a-time reference: one trial, one observation per stream per call.
-# Simulations, ``validate`` and :func:`step` run the batched kernel further
-# down; these functions are its reference in the tests.  They stay in this
-# module because the benchmark's span tracer (perfbench/spans.py) wraps them.
+# One trial's state, which :func:`step` and the one-call-at-a-time functions
+# at the end of this module read and update.
 
 
 @dataclass
@@ -145,160 +141,15 @@ def init(model: StreamModel, k: int) -> EngineState:
 
 
 def _require_rows(state: EngineState, rows) -> None:
-    """The data rule of :func:`update` and :func:`step`, applied before either
-    writes: each row holds one observation per stream, a one-step statistic
-    that ``models._require_stat`` accepts, and so do the carried sums at n."""
+    """The data rule of :func:`step` (and so of :func:`update`), applied
+    before any write: each row holds one observation per stream, a one-step
+    statistic that ``models._require_stat`` accepts, and so do the carried
+    sums at n."""
     for row in rows:
         if len(row) != state.k:
             raise DomainError(f"expected {state.k} observations, got {len(row)}")
         _require_stat(state.model, 1, row)
     _require_stat(state.model, state.n, state.sums)
-
-
-def update(state: EngineState, obs: Sequence[float]) -> EngineState:
-    """Absorb one observation per stream (in place).
-
-    The adaptive log-likelihood scores each new observation against its
-    stream's lagged estimate, the MLE of the sums carried so far: the mean
-    clipped into each region, the signal side where its likelihood is at
-    least the noise side's (the lower signal endpoint before any data
-    arrive).  Only then do the sums absorb the data.  Ordering is what keeps
-    the adaptive likelihood ratio a martingale.
-    """
-    _require_rows(state, [obs])
-    k, model, n = state.k, state.model, state.n
-    sp = model.space
-    lagged = [sp.theta1_lo] * k
-    for i, s in enumerate(state.sums if n else ()):
-        mean = s / n
-        fit0 = min(max(mean, sp.theta0_lo), sp.theta0_hi)
-        fit1 = min(max(mean, sp.theta1_lo), sp.theta1_hi)
-        lagged[i] = fit1 if _loglik(model, n, s, fit1) >= _loglik(model, n, s, fit0) else fit0
-    adaptive = state.adaptive_loglik
-    for i, x in enumerate(map(float, obs)):
-        adaptive += _loglik(model, 1, x, lagged[i])
-        state.sums[i] += x
-    state.adaptive_loglik = adaptive
-    state.n = n + 1
-    return state
-
-
-def _region_sups(state: EngineState) -> tuple[list[float], list[float]]:
-    """Each stream's log-likelihood supremum over the signal and the noise region."""
-    model, n = state.model, state.n
-    sig_q = [sup_stat_loglik(model, n, s, Region.SIGNAL) for s in state.sums]
-    noise_q = [sup_stat_loglik(model, n, s, Region.NOISE) for s in state.sums]
-    return sig_q, noise_q
-
-
-def estimate_signal_set(state: EngineState) -> frozenset[int]:
-    """Streams whose restricted signal likelihood is at least the noise one.
-
-    Ties go to the signal side.  Requires at least one observation.
-    """
-    if state.n < 1:
-        raise DomainError("signal-set estimate requires at least one observation")
-    sig_q, noise_q = _region_sups(state)
-    return frozenset(i for i in range(state.k) if sig_q[i] >= noise_q[i])
-
-
-def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, float]:
-    """Best log-likelihood over each error family of assignments.
-
-    Returns (logL0, logL1) where logL0 ranges over assignments adding at
-    least one stream to the current estimate (their acceptance would be a
-    false alarm) and logL1 over assignments dropping at least one (a miss).
-    An empty family yields -inf.  The unconstrained value frees every stream
-    and charges only the cheapest forced flip.
-
-    Constrained assignments pool counts and sums within the signal group
-    and within the noise group.  All streams share one count and both
-    families have a monotone likelihood ratio in the sum, so at fixed shared
-    values u0 < u1 the gain from moving a stream into the signal group
-    increases with its sum.  The best assignment at those values is then an
-    upper set T_m (the m streams with the largest sums); within an error
-    family it is T_m plus the strongest stream outside the estimate, or T_m
-    minus the weakest stream inside it.  Suprema over (u0, u1) of these at
-    most 2K - 1 candidates are therefore the suprema over all 2^K
-    assignments (contiguity of optimal two-group partitions, Fisher 1958),
-    found in O(K log K).
-    """
-    if state.n < 1:
-        raise DomainError("error-set suprema require at least one observation")
-    if kind is TestKind.UNCONSTRAINED:
-        # A stream is in the estimate exactly when its signal supremum wins,
-        # so the estimate and the flip costs come from the same numbers.
-        sig_q, noise_q = _region_sups(state)
-        full_q = []
-        flip0 = []
-        flip1 = []
-        for qs, qn in zip(sig_q, noise_q):
-            if qs >= qn:
-                full_q.append(qs)
-                flip1.append(qs - qn)
-            else:
-                full_q.append(qn)
-                flip0.append(qn - qs)
-        total = _total(full_q)
-        l0 = total - min(flip0) if flip0 else _NEG_INF
-        l1 = total - min(flip1) if flip1 else _NEG_INF
-        return l0, l1
-
-    k = state.k
-    n = state.n
-    model = state.model
-    a_hat = estimate_signal_set(state)
-    a = len(a_hat)
-    ss = state.sums
-    s_total = _total(ss)
-    # Membership first, so the estimate is exactly the top-a block even when
-    # sums tie: order[a - 1] is the weakest stream in it, order[a] the
-    # strongest outside.
-    order = sorted(range(k), key=lambda i: (i in a_hat, ss[i]), reverse=True)
-    prefix = [0.0]
-    for i in order:
-        prefix.append(prefix[-1] + ss[i])
-    # (size, signal-group sum, adds a stream, drops one) per candidate.
-    # T_{a-1} with the strongest outsider is also T_{a+1} without the
-    # weakest member, so that one candidate serves both families.
-    cands = [(m, prefix[m], m > a, m < a) for m in range(k + 1) if m != a]
-    if 0 < a < k:
-        s_in = ss[order[a - 1]]
-        s_out = ss[order[a]]
-        cands.append((a, prefix[a - 1] + s_out, True, True))
-        cands += [(m + 1, prefix[m] + s_out, True, False) for m in range(a - 1)]
-        cands += [(m - 1, prefix[m] - s_in, False, True) for m in range(a + 2, k + 1)]
-    l0 = _NEG_INF
-    l1 = _NEG_INF
-    for m, sb, adds, drops in cands:
-        val = sup_stat_loglik(model, n * m, sb, Region.SIGNAL) + sup_stat_loglik(
-            model, n * (k - m), s_total - sb, Region.NOISE
-        )
-        if adds and val > l0:
-            l0 = val
-        if drops and val > l1:
-            l1 = val
-    return l0, l1
-
-
-def check_stop(
-    state: EngineState, thresholds: Thresholds, kind: TestKind
-) -> Decision | None:
-    """Stopping check at the current time.
-
-    Stops when the adaptive log-likelihood exceeds logL0 by log_b and logL1
-    by log_a simultaneously; a -inf supremum satisfies its condition
-    vacuously.  Returns the decision or None.
-    """
-    l0, l1 = sup_loglik_error_sets(state, kind)
-    adaptive = state.adaptive_loglik
-    if adaptive - l0 >= thresholds.log_b and adaptive - l1 >= thresholds.log_a:
-        return Decision(
-            stopped_at=state.n,
-            selected=estimate_signal_set(state),
-            truncated=False,
-        )
-    return None
 
 
 def _require_run(model: StreamModel, theta_true: JointParameter, n_max: int) -> None:
@@ -311,38 +162,10 @@ def _require_run(model: StreamModel, theta_true: JointParameter, n_max: int) -> 
             raise ConfigError(f"stream {i} truth {t!r} outside the parameter set")
 
 
-def run_to_decision(
-    model: StreamModel,
-    theta_true: JointParameter,
-    thresholds: Thresholds,
-    kind: TestKind,
-    rng,
-    n_max: int = DEFAULT_N_MAX,
-) -> Decision:
-    """Simulate one trial to its decision, all streams following ``model``.
-
-    Samples stream observations (in stream order) from ``theta_true``,
-    feeds them through :func:`update`, and checks the stopping rule after
-    every step.  If no decision is reached by ``n_max`` the trial is
-    truncated and the current signal-set estimate is reported with the
-    truncation flag set; truncation is reported, never hidden.
-    """
-    _require_run(model, theta_true, n_max)
-    state = init(model, theta_true.k)
-    thetas = theta_true.thetas
-    while state.n < n_max:
-        update(state, [sample(model, t, rng) for t in thetas])
-        decision = check_stop(state, thresholds, kind)
-        if decision is not None:
-            return decision
-    return Decision(
-        stopped_at=state.n,
-        selected=estimate_signal_set(state),
-        truncated=True,
-    )
-
-
-# Batched kernel: many trials, many steps per numpy call, same decisions.
+# Batched kernel: many trials, many steps per numpy call.  It performs the
+# floating-point operations of the scalar path, the step-at-a-time reference
+# in tests/scalar_reference.py, in that path's order, so the two decide alike
+# bit for bit.
 #
 # It keeps to few distinct numpy operations and dtypes, since each new one
 # maps more of numpy's library into memory and so raises peak RSS.  Streams,
@@ -463,6 +286,18 @@ def _coupled_sups(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The constrained branch of :func:`sup_loglik_error_sets` over leading axes.
 
+    Constrained assignments pool counts and sums within the signal group
+    and within the noise group.  All streams share one count and both
+    families have a monotone likelihood ratio in the sum, so at fixed shared
+    values u0 < u1 the gain from moving a stream into the signal group
+    increases with its sum.  The best assignment at those values is then an
+    upper set T_m (the m streams with the largest sums); within an error
+    family it is T_m plus the strongest stream outside the estimate, or T_m
+    minus the weakest stream inside it.  Suprema over (u0, u1) of these at
+    most 2K - 1 candidates are therefore the suprema over all 2^K
+    assignments (contiguity of optimal two-group partitions, Fisher 1958),
+    found in O(K log K).
+
     ``s`` holds stream sums on its last axis, ``member`` the estimate and
     ``n`` the shared count (broadcast against ``s[..., :1]``).  With
     a = |estimate|, the candidates form one table of 2K: the top sets T_m,
@@ -581,12 +416,15 @@ def _absorb(
     after every step, the count (steps x 1), the stream sums, both
     restricted maxima q0 and q1, the signal-set estimate q1 >= q0 and the
     adaptive log-likelihood (trials x steps).  Every floating-point
-    operation is the one :func:`update` performs, in the same order.  The
-    fits start at count n, from the carried sums, so each lagged estimate
-    (and, for the Bernoulli, its logs) is the fit one row up.  At n = 0 the
-    mean is set to the lower signal endpoint: both restricted maxima are
-    then +-0 and ties go to the signal side, so the fit is that endpoint,
-    the lagged estimate that :func:`update` takes at n = 0.
+    operation is the one the scalar path's update performs, in the same
+    order.  Each observation is scored at its stream's lagged estimate, the
+    MLE of the sums before it: the mean clipped into each region, the signal
+    side where its likelihood is at least the noise side's.  The fits start
+    at count n, from the carried sums, so each lagged estimate (and, for the
+    Bernoulli, its logs) is the fit one row up.  At n = 0 the mean is set to
+    the lower signal endpoint: both restricted maxima are then +-0 and ties
+    go to the signal side, so the fit is that endpoint, the lagged estimate
+    that the scalar path's update takes at n = 0.
     """
     b, steps, k = x.shape
     s = np.cumsum(np.concatenate((sums[:, None], x), 1), 1)
@@ -602,11 +440,18 @@ def _absorb(
     lagged = np.where(member, fit1, fit0)[:, :-1]
     logs = tuple(np.where(member, at1, at0)[:, :-1] for at0, at1 in zip(logs0, logs1))
     scores = _loglik(model, 1, x, lagged, logs)
-    # Step-major, stream-minor: the order update() adds in.
+    # Step-major, stream-minor: the order the scalar path's update adds in.
     run = np.cumsum(np.concatenate((adaptive[:, None], scores.reshape(b, -1)), 1), 1)[:, k::k]
     sums[:] = s[:, -1]
     adaptive[:] = run[:, -1]
     return count[1:], s[:, 1:], q0[:, 1:], q1[:, 1:], member[:, 1:], run
+
+
+def _stops(adapt, l0, l1, log_a, log_b):
+    """The stop rule: the adaptive log-likelihood ``adapt`` exceeds logL0
+    by ``log_b`` and logL1 by ``log_a``; a -inf supremum passes its side.
+    Takes floats or numpy arrays alike."""
+    return (adapt - l0 >= log_b) & (adapt - l1 >= log_a)
 
 
 def _advance(
@@ -622,7 +467,7 @@ def _advance(
 
     The draw-free decision step: feeds ``x`` to :func:`_absorb` (which
     updates the trials' state, ``sums`` and ``adaptive``, in place) and
-    applies each cell's :func:`check_stop` rule after every step.
+    applies each cell's :func:`_stops` rule after every step.
     The suprema do not depend on the thresholds, so each distinct kind's
     suprema are taken once for every cell of that kind, and only on the
     trials that have a cell of that kind open in ``opened`` (trials x
@@ -657,7 +502,7 @@ def _advance(
                     counts = np.broadcast_to(count.T, band.shape)[band][:, None]
                     exact = (a[band] for a in rows)
                     l0[band], l1[band] = _error_sups(model, kind, counts, *exact, _region_sup)
-            stop = (adapt - l0 >= log_b) & (adapt - l1 >= log_a)
+            stop = _stops(adapt, l0, l1, log_a, log_b)
             # A float minimum rather than argmax (see above), cells-major as
             # the mask takes its entries; `steps` means no stop.
             at = np.where(stop, np.arange(steps, dtype=float), float(steps)).min(-1)
@@ -744,12 +589,12 @@ def run_trials(
 def step(state: EngineState, rows: Sequence, cells: Sequence) -> list[Decision | None]:
     """The test on data as it arrives: feed one trial's new rows (m x K,
     m >= 1) to ``state`` and apply each (thresholds, kind) cell's stop rule
-    after every row.  Rows and state are checked as :func:`update` checks
-    them, before any write; :func:`_advance` scores the rows and updates the
-    state in place, as :func:`update` would row by row.  Returns per cell its
-    first stop in these rows as a :class:`Decision`, or None.  Pass only the
-    cells still open: a cell passed again is scored on, and a later Decision
-    for it is not the test's decision."""
+    after every row.  Rows and state are checked by :func:`_require_rows`
+    before any write; :func:`_advance` scores the rows and updates the state
+    in place.  Returns per cell its first stop in these rows as a
+    :class:`Decision`, or None.  Pass only the cells still open: a cell
+    passed again is scored on, and a later Decision for it is not the test's
+    decision."""
     if not len(rows):
         raise DomainError("a block needs at least one row")
     _require_rows(state, rows)
@@ -792,3 +637,87 @@ def _horizon(model: StreamModel, theta: JointParameter, n: int, trials: int, rng
             x = _observations(model, thetas, [rng], (c, min(steps, n - t), k))
             _absorb(model, x, sums, adaptive, t)
         yield slice(lo, lo + c), sums, adaptive
+
+
+# The test one call at a time: one row per update, one cell per check.  Each
+# function runs on the kernel (:func:`step`, :func:`_scores`), so it gives
+# run_trials' bits; each call pays numpy's per-call cost on a single row, so
+# step on buffered rows and run_trials are the fast paths.
+
+
+def update(state: EngineState, obs: Sequence[float]) -> EngineState:
+    """Absorb one observation per stream (in place): :func:`step` on one row
+    with no cells.  Each observation is scored at its stream's lagged
+    estimate before the sums take it in (see :func:`_absorb`)."""
+    step(state, [obs], ())
+    return state
+
+
+def _state_scores(state: EngineState, kinds, needs: str) -> tuple[frozenset[int], list]:
+    """:func:`_scores` of the state's one row at its count: the signal-set
+    estimate and each of ``kinds``' (logL0, logL1), as Python values.
+    ``needs`` opens the error raised before any observation."""
+    if state.n < 1:
+        raise DomainError(f"{needs} at least one observation")
+    member, sups = _scores(state.model, float(state.n), np.array([state.sums], float), kinds)
+    estimate = frozenset(np.flatnonzero(member[0]).tolist())
+    return estimate, [(float(l0[0]), float(l1[0])) for l0, l1 in sups]
+
+
+def estimate_signal_set(state: EngineState) -> frozenset[int]:
+    """Streams whose restricted signal likelihood is at least the noise one.
+
+    Ties go to the signal side.  Requires at least one observation.
+    """
+    return _state_scores(state, (), "signal-set estimate requires")[0]
+
+
+def sup_loglik_error_sets(state: EngineState, kind: TestKind) -> tuple[float, float]:
+    """Best log-likelihood over each error family of assignments.
+
+    Returns (logL0, logL1) where logL0 ranges over assignments adding at
+    least one stream to the current estimate (their acceptance would be a
+    false alarm) and logL1 over assignments dropping at least one (a miss).
+    An empty family yields -inf.  The unconstrained value frees every stream
+    and charges only the cheapest forced flip (:func:`_free_sups`); the
+    constrained one is :func:`_coupled_sups`' search.
+    """
+    return _state_scores(state, [kind], "error-set suprema require")[1][0]
+
+
+def check_stop(
+    state: EngineState, thresholds: Thresholds, kind: TestKind
+) -> Decision | None:
+    """Stopping check at the current time: :func:`_stops` on the state's
+    suprema.  Returns the decision or None."""
+    selected, [(l0, l1)] = _state_scores(state, [kind], "error-set suprema require")
+    if _stops(state.adaptive_loglik, l0, l1, thresholds.log_a, thresholds.log_b):
+        return Decision(stopped_at=state.n, selected=selected, truncated=False)
+    return None
+
+
+def run_to_decision(
+    model: StreamModel,
+    theta_true: JointParameter,
+    thresholds: Thresholds,
+    kind: TestKind,
+    rng,
+    n_max: int = DEFAULT_N_MAX,
+) -> Decision:
+    """Simulate one trial to its decision, all streams following ``model``.
+
+    Draws one row at a time from ``theta_true`` (with ``models.sample``, in
+    stream order) and feeds it to :func:`step`, so the generator stops where
+    the trial does; run_trials draws on to the end of its block.  If no
+    decision is reached by ``n_max`` the trial is truncated and the current
+    signal-set estimate is reported with the truncation flag set;
+    truncation is reported, never hidden.
+    """
+    _require_run(model, theta_true, n_max)
+    state = init(model, theta_true.k)
+    cells = [(thresholds, kind)]
+    while state.n < n_max:
+        (decision,) = step(state, [[sample(model, t, rng) for t in theta_true.thetas]], cells)
+        if decision is not None:
+            return decision
+    return Decision(stopped_at=state.n, selected=estimate_signal_set(state), truncated=True)

@@ -35,6 +35,7 @@ class Mutant:
 
 
 _SCREEN_TESTS = ("tests/test_kernel.py::test_screen_decides_at_the_thresholds",)
+_STOP_RULE_TESTS = ("tests/test_kernel.py::test_stop_rule_holds_at_its_thresholds",)
 
 MUTANTS = (
     Mutant(
@@ -55,6 +56,45 @@ MUTANTS = (
         "the band's ends are swapped, so it is empty and no trial-step is "
         "rescored through libm",
         _SCREEN_TESTS,
+    ),
+    Mutant(
+        "ties to the noise side",
+        "seqdetect/engine.py",
+        "    member = q1 >= q0\n    lagged",
+        "    member = q1 > q0\n    lagged",
+        "a stream whose two restricted maxima tie is fitted on the noise side, "
+        "so the first observation is scored at the upper noise endpoint "
+        "instead of the lower signal one",
+        _STOP_RULE_TESTS,
+    ),
+    Mutant(
+        "refreshed MLE",
+        "seqdetect/engine.py",
+        "    lagged = np.where(member, fit1, fit0)[:, :-1]\n"
+        "    logs = tuple(np.where(member, at1, at0)[:, :-1] for at0, at1 in zip(logs0, logs1))",
+        "    lagged = np.where(member, fit1, fit0)[:, 1:]\n"
+        "    logs = tuple(np.where(member, at1, at0)[:, 1:] for at0, at1 in zip(logs0, logs1))",
+        "each observation is scored against the fit that includes it, so the "
+        "adaptive likelihood ratio is no longer a mean-one martingale",
+        _STOP_RULE_TESTS,
+    ),
+    Mutant(
+        "thresholds swapped",
+        "seqdetect/engine.py",
+        "return (adapt - l0 >= log_b) & (adapt - l1 >= log_a)",
+        "return (adapt - l0 >= log_a) & (adapt - l1 >= log_b)",
+        "log_a then guards missed detections and log_b false alarms, so "
+        "unequal thresholds bound the wrong error rates",
+        _STOP_RULE_TESTS,
+    ),
+    Mutant(
+        "strict stop",
+        "seqdetect/engine.py",
+        "return (adapt - l0 >= log_b) & (adapt - l1 >= log_a)",
+        "return (adapt - l0 > log_b) & (adapt - l1 > log_a)",
+        "a margin equal to its threshold no longer stops, against the rule's "
+        ">= (a stop at exactly the threshold)",
+        _STOP_RULE_TESTS,
     ),
 )
 

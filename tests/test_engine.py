@@ -1,8 +1,18 @@
+"""engine's one-call-at-a-time functions: init, update, estimate_signal_set,
+sup_loglik_error_sets, check_stop and run_to_decision.
+
+They run on the kernel, so each call pays its fixed numpy cost.  The five
+loop-heavy statistical tests (thousands of calls) therefore run on the
+step-at-a-time reference in scalar_reference.py, with the same seeds, inputs
+and bounds; test_kernel.py ties the public functions to that reference bit
+for bit.  Every other test here calls the public functions.
+"""
 import math
 import random
 
 import pytest
-from scalar_reference import drawn_rows, next_score, states
+import scalar_reference
+from scalar_reference import drawn_rows
 
 from seqdetect.engine import (
     EngineState,
@@ -34,8 +44,12 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def next_scores(state, x):
-    """Each stream's :func:`next_score` for x; ``state`` is left as it is."""
-    return [next_score(state.model, state.n, s, x) for s in state.sums]
+    """Each stream's adaptive term for x, scored at its lagged estimate by
+    the public update on a one-stream copy; ``state`` is left as it is."""
+    return [
+        update(EngineState(state.model, [s], 0.0, state.n), [x]).adaptive_loglik
+        for s in state.sums
+    ]
 
 
 def gauss_scores(x, estimates):
@@ -92,11 +106,24 @@ def reference_adaptive_loglik(model, rows):
     return total
 
 
-def replay(model, truth, thresholds, kind, seed):
+def states(model, k, rows):
+    """init for k streams, then the public update on each row; yields the
+    state after each step (one object, updated in place)."""
+    state = init(model, k)
+    for row in rows:
+        yield update(state, row)
+
+
+def replay(model, truth, thresholds, kind, seed, reference=False):
     """run_to_decision driven by hand, with the same sampling order, so the
-    state at the stop can be inspected.  Returns (decision, state)."""
-    for state in states(model, truth.k, drawn_rows(model, truth, random.Random(seed))):
-        decision = check_stop(state, thresholds, kind)
+    state at the stop can be inspected: on the public update and check_stop,
+    or on the reference's.  Returns (decision, state)."""
+    feed, check = (
+        (scalar_reference.states, scalar_reference.check_stop) if reference
+        else (states, check_stop)
+    )
+    for state in feed(model, truth.k, drawn_rows(model, truth, random.Random(seed))):
+        decision = check(state, thresholds, kind)
         if decision is not None:
             return decision, state
 
@@ -224,7 +251,7 @@ class TestUpdate:
                 xs = [rng.gauss(0.5, 1.0), rng.gauss(-0.5, 1.0)]
                 true_ll += score(GAUSS, 0.5, xs[0])
                 true_ll += score(GAUSS, -0.5, xs[1])
-                update(st, xs)
+                scalar_reference.update(st, xs)
             devs.append((st.adaptive_loglik - true_ll) / 2000)
         mean_dev = sum(devs) / len(devs)
         assert abs(mean_dev) < 0.01
@@ -281,7 +308,7 @@ class TestEstimateSignalSet:
             s0 = sum(rng.gauss(0.5, 1.0) for _ in range(200))
             s1 = sum(rng.gauss(-0.5, 1.0) for _ in range(200))
             st = EngineState(GAUSS, [s0, s1], 0.0, 200)
-            if estimate_signal_set(st) != frozenset({0}):
+            if scalar_reference.estimate_signal_set(st) != frozenset({0}):
                 bad += 1
         assert bad / 1000 < 0.01
 
@@ -398,16 +425,16 @@ class TestCheckStop:
         for trial in range(100):
             expected = independent_constrained_run(random.Random(trial), 2.0, 2.0)
             assert expected is not None
-            decision = run_to_decision(
+            decision = scalar_reference.run_to_decision(
                 GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(trial)
             )
             n, selected, stat0, stat1 = expected
             assert decision.stopped_at == n
             assert decision.selected == selected
             assert not decision.truncated
-            replayed, state = replay(GAUSS, TRUTH, th, TestKind.CONSTRAINED, trial)
+            replayed, state = replay(GAUSS, TRUTH, th, TestKind.CONSTRAINED, trial, reference=True)
             assert replayed == decision
-            l0, l1 = sup_loglik_error_sets(state, TestKind.CONSTRAINED)
+            l0, l1 = scalar_reference.sup_loglik_error_sets(state, TestKind.CONSTRAINED)
             assert (state.adaptive_loglik - l0) / n == pytest.approx(stat0 / n, abs=1e-9)
             assert (state.adaptive_loglik - l1) / n == pytest.approx(stat1 / n, abs=1e-9)
 
@@ -470,7 +497,7 @@ class TestRunToDecision:
         total = 0
         trials = 400
         for _ in range(trials):
-            r = run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, rng)
+            r = scalar_reference.run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, rng)
             assert not r.truncated
             total += r.stopped_at
         mean_t = total / trials
@@ -481,7 +508,9 @@ class TestRunToDecision:
         th = Thresholds(5.0, 5.0)
         wrong = 0
         for s in range(200):
-            r = run_to_decision(GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(s))
+            r = scalar_reference.run_to_decision(
+                GAUSS, TRUTH, th, TestKind.CONSTRAINED, random.Random(s)
+            )
             if r.selected != frozenset({0}):
                 wrong += 1
         assert wrong / 200 <= 0.02

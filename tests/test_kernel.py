@@ -1,25 +1,31 @@
-"""The batched kernel (engine.run_trials) against the scalar engine.
+"""The batched kernel (engine.run_trials, engine.step, and engine's
+one-call-at-a-time functions on them) against the step-at-a-time reference
+in scalar_reference.py.
 
 The kernel reproduces random.Random's draws in bulk and every floating-point
-operation of update/check_stop in the same order, so the tolerance is zero:
-its arrays (stop times, truncation flags, selected sets) must equal, entry
-for entry, those of the decisions run_to_decision returns on the same seeds,
-for both families.  The last tests run the kernel on a truth off the coupled
-space, where only the unconstrained test keeps its familywise guarantee, and
-on the coupled truth at the indifference boundary, where both keep it.
+operation of the reference's update/check_stop in the same order, so the
+tolerance is zero: its arrays (stop times, truncation flags, selected sets)
+must equal, entry for entry, those of the decisions the reference's
+run_to_decision returns on the same seeds, for both families.  The last
+tests run the kernel on a truth off the coupled space, where only the
+unconstrained test keeps its familywise guarantee, and on the coupled truth
+at the indifference boundary, where both keep it.
 """
+import ast
 import math
 import random
 import tracemalloc
 from collections import Counter
 from itertools import islice, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scalar_reference
+from scalar_reference import run_to_decision
 
 from seqdetect import engine, montecarlo
-from seqdetect.engine import TestKind, Thresholds, run_to_decision, run_trials
+from seqdetect.engine import TestKind, Thresholds, run_trials
 from seqdetect.errors import ConfigError
 from seqdetect.models import (
     Family,
@@ -204,8 +210,8 @@ def _assert_suprema_equal_the_scalar_ones(kind, model, k):
     for row in sums:
         for n, s in zip(counts, row):
             state = engine.EngineState(model, s, 0.0, n)
-            estimates.append(engine.estimate_signal_set(state))
-            want.append(engine.sup_loglik_error_sets(state, kind))
+            estimates.append(scalar_reference.estimate_signal_set(state))
+            want.append(scalar_reference.sup_loglik_error_sets(state, kind))
     count = np.array(counts, dtype=float)[:, None]
     sums = np.array(sums)
     member, [(l0, l1)] = engine._scores(model, count, sums, [kind])
@@ -531,9 +537,9 @@ def _replay(model, x, cells):
     member = np.zeros(x.shape, dtype=bool)
     for i, rows in enumerate(x.tolist()):
         for j, state in enumerate(scalar_reference.states(model, k, rows)):
-            member[i, j, sorted(engine.estimate_signal_set(state))] = True
+            member[i, j, sorted(scalar_reference.estimate_signal_set(state))] = True
             for c, (th, kind) in enumerate(cells):
-                stop[i, c, j] = engine.check_stop(state, th, kind) is not None
+                stop[i, c, j] = scalar_reference.check_stop(state, th, kind) is not None
     return stop, member
 
 
@@ -599,14 +605,16 @@ def test_stop_rule_holds_at_its_thresholds(model, k, kind):
     theta = _truth(model, k, {0})
     rows = list(islice(scalar_reference.drawn_rows(model, theta, random.Random(3)), 6))
     *_, state = scalar_reference.states(model, k, rows)
-    m0, m1 = (state.adaptive_loglik - l for l in engine.sup_loglik_error_sets(state, kind))
+    m0, m1 = (
+        state.adaptive_loglik - l for l in scalar_reference.sup_loglik_error_sets(state, kind)
+    )
     assert math.isfinite(m0) and math.isfinite(m1) and m0 != m1
     ths = [Thresholds(m1, m0), Thresholds(math.nextafter(m1, math.inf), m0), Thresholds(m0, m1)]
-    assert [engine.check_stop(state, th, kind) is not None for th in ths] == [True, False, False]
+    want = [scalar_reference.check_stop(state, th, kind) for th in ths]
+    assert [d is not None for d in want] == [True, False, False]
     online = engine.EngineState(model, [0.0] * k, 0.0, 0)
     engine.step(online, rows[:-1], [])
-    got = engine.step(online, rows[-1:], [(th, kind) for th in ths])
-    assert got == [engine.check_stop(state, ths[0], kind), None, None]
+    assert engine.step(online, rows[-1:], [(th, kind) for th in ths]) == want
 
 
 def _drawn_state(k, n):
@@ -617,7 +625,7 @@ def _drawn_state(k, n):
     rows = list(islice(scalar_reference.drawn_rows(BERN, theta, random.Random(3)), n))
     *_, state = scalar_reference.states(BERN, k, rows)
     for kind in TestKind:
-        assert all(map(math.isfinite, engine.sup_loglik_error_sets(state, kind)))
+        assert all(map(math.isfinite, scalar_reference.sup_loglik_error_sets(state, kind)))
     return theta, rows, state
 
 
@@ -634,7 +642,7 @@ def test_screen_decides_at_the_thresholds(monkeypatch, k, n, shift):
     # at a threshold one ulp above a margin or misses the stop at it.
     theta, rows, state = _drawn_state(k, n)
     cells = scalar_reference.margin_cells(state)
-    want = [engine.check_stop(state, th, kind) for th, kind in cells]
+    want = [scalar_reference.check_stop(state, th, kind) for th, kind in cells]
     assert [d is not None for d in want] == [True, False, False, False] * 2
     fast_sup = engine._fast_sup
     monkeypatch.setattr(
@@ -683,6 +691,93 @@ def test_step_decides_on_rows_as_they_arrive(model, k, signals):
         for ref in scalar_reference.states(model, k, islice(rows, max(n for n, _, _ in fed)))
     }
     assert fed == [replay[n] for n, _, _ in fed]
+
+
+# engine's one-call-at-a-time functions (update, estimate_signal_set,
+# sup_loglik_error_sets, check_stop, run_to_decision) run on step and
+# _scores; they must give the reference's values bit for bit.
+_TIED = pytest.mark.parametrize(
+    "model, theta",
+    [
+        (GAUSS, JointParameter((0.5, -0.5))),
+        (BERN, JointParameter.coupled(10, range(5), 0.8, 0.2)),
+        (GAUSS, JointParameter.coupled(32, range(1, 17), 1.5, -1.5)),
+    ],
+    ids=["desk", "bernoulli-k10", "gaussian-k32"],
+)
+
+
+@_TIED
+def test_scalar_functions_equal_the_reference(model, theta):
+    # 200 rows fed to both updates: after each the states are the same, and
+    # after the first three and every tenth so are the estimates, both
+    # kinds' suprema and the stops at thresholds on and one ulp off the
+    # state's margins.
+    rows = list(islice(scalar_reference.drawn_rows(model, theta, random.Random(1)), 200))
+    ours = engine.init(model, theta.k)
+    for i, ref in enumerate(scalar_reference.states(model, theta.k, rows), 1):
+        assert engine.update(ours, rows[i - 1]) is ours
+        assert (ours.n, ours.sums, ours.adaptive_loglik) == (ref.n, ref.sums, ref.adaptive_loglik)
+        if i > 3 and i % 10:
+            continue
+        assert engine.estimate_signal_set(ours) == scalar_reference.estimate_signal_set(ref)
+        for kind in TestKind:
+            want = scalar_reference.sup_loglik_error_sets(ref, kind)
+            assert engine.sup_loglik_error_sets(ours, kind) == want
+        cells = scalar_reference.margin_cells(ref)
+        want = [scalar_reference.check_stop(ref, th, kind) for th, kind in cells]
+        assert [engine.check_stop(ours, th, kind) for th, kind in cells] == want
+        assert any(want) and not all(want)
+
+
+@_TIED
+@pytest.mark.parametrize(
+    "thresholds, n_max",
+    [(Thresholds(1.0, 2.0), 2_000), (Thresholds(30.0, 30.0), 7)],
+    ids=["stops", "truncated"],
+)
+def test_run_to_decision_equals_the_reference(model, theta, thresholds, n_max):
+    # Four seeds, the kinds in turn: the same Decision, and the generator
+    # left in the same state, so no row is drawn past the stop (run_trials
+    # draws to the end of its block).  At n_max = 7 every trial is truncated.
+    for seed in range(4):
+        kind = list(TestKind)[seed % 2]
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = engine.run_to_decision(model, theta, thresholds, kind, ours, n_max)
+        want = run_to_decision(model, theta, thresholds, kind, ref, n_max)
+        assert got == want
+        assert ours.getstate() == ref.getstate()
+        assert want.truncated == (n_max == 7)
+
+
+def test_reference_stays_off_the_kernel():
+    # The reference names none of the kernel's functions and takes from
+    # engine only the state and result types, the argument checks and the
+    # order of addition, none of which decides; else the tests above would
+    # compare the kernel with itself.
+    kernel = {
+        "step", "run_trials", "_advance", "_absorb", "_scores", "_error_sups",
+        "_coupled_sups", "_free_sups", "_region_sup", "_fast_sup", "_fit", "_logs_at",
+        "_libm", "_row_sums", "_observations", "_draw_uniforms", "_draw_normals", "_horizon",
+    }
+    allowed = {
+        "init", "EngineState", "Decision", "TestKind", "Thresholds", "DEFAULT_N_MAX",
+        "_require_rows", "_require_run", "_total",
+    }
+    names, taken = set(), set()
+    for node in ast.walk(ast.parse(Path(scalar_reference.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id == "engine":
+                taken.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom) and node.module == "seqdetect.engine":
+                taken.update(alias.name for alias in node.names)
+    assert "update" in names and not names & kernel, sorted(names & kernel)
+    assert taken and taken <= allowed, sorted(taken - allowed)
 
 
 class TestCellsShareOneTrajectory:

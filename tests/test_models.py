@@ -2,7 +2,6 @@ import math
 import random
 
 import pytest
-from scalar_reference import next_score
 
 from seqdetect.errors import ConfigError, DomainError
 from seqdetect.engine import EngineState, TestKind, Thresholds, step, update
@@ -37,6 +36,12 @@ def reconstructed_loglik(model, n, s, theta):
         m = s / n
         return -0.5 * n * (m - theta) ** 2 + 0.5 * n * m * m
     return s * math.log(theta) + (n - s) * math.log(1.0 - theta)
+
+
+def next_score(model, n, s, x):
+    """One stream's adaptive term for x after n observations that sum to s:
+    x scored at the lagged estimate of (n, s) by the public update."""
+    return update(EngineState(model, [s], 0.0, n), [x]).adaptive_loglik
 
 
 def single_score(model, theta, x, n=1):

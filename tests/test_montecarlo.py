@@ -6,9 +6,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scalar_reference import run_to_decision
 
 from seqdetect import montecarlo
-from seqdetect.engine import TestKind, Thresholds, run_to_decision
+from seqdetect.engine import TestKind, Thresholds
 from seqdetect.errors import ConfigError
 from seqdetect.models import Family, JointParameter, ParameterSpace, StreamModel
 from seqdetect.montecarlo import (
@@ -190,11 +191,12 @@ class TestRunExperiment:
     )
     def test_every_cell_runs_on_the_shared_trial_seeds(self, thetas):
         # Cells share each trial's generator, seeded from (base_seed, trial):
-        # each cell's row is run_to_decision's decisions for that cell on it,
-        # with the error flags taken as set differences of the selected set
-        # and the truth's signal set.  An empty signal set rules out type II
-        # errors and a full one type I errors; on the indifference boundary
-        # the other type occurs, and the partial set makes both, in the same
+        # each cell's row is the step-at-a-time reference's decisions
+        # (scalar_reference.run_to_decision) for that cell on it, with the
+        # error flags taken as set differences of the selected set and the
+        # truth's signal set.  An empty signal set rules out type II errors
+        # and a full one type I errors; on the indifference boundary the
+        # other type occurs, and the partial set makes both, in the same
         # trials too.
         cfg = small_config(
             theta=JointParameter(thetas), thresholds=(Thresholds(1.0, 1.0), Thresholds(2.0, 3.0))

@@ -1,5 +1,6 @@
-"""The sorted-candidate suprema (the scalar path's and the kernel's) and the
-count-pair information constants against the oracle's 2^K subset enumeration.
+"""The sorted-candidate suprema (the step-at-a-time reference's and the
+kernel's) and the count-pair information constants against the oracle's 2^K
+subset enumeration.
 
 Bernoulli sums are integers, so every pooled sum is exact in any
 summation order and each implementation must agree with it bit for bit.
@@ -15,16 +16,10 @@ import pytest
 import scalar_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scalar_reference import estimate_signal_set, run_to_decision, sup_loglik_error_sets
 
 from seqdetect import engine, geometry, oracle
-from seqdetect.engine import (
-    EngineState,
-    TestKind,
-    estimate_signal_set,
-    run_to_decision,
-    run_trials,
-    sup_loglik_error_sets,
-)
+from seqdetect.engine import EngineState, TestKind, run_trials
 from seqdetect.geometry import info_constants
 from seqdetect.models import (
     Family,
@@ -207,7 +202,7 @@ def test_bernoulli_selection_survives_fast_value_errors(monkeypatch, k):
         cells = scalar_reference.margin_cells(state)
         online = engine.init(model, k)
         engine.step(online, rows[:-1], [])
-        want = [engine.check_stop(state, th, kind) for th, kind in cells]
+        want = [scalar_reference.check_stop(state, th, kind) for th, kind in cells]
         assert engine.step(online, rows[-1:], cells) == want
     theta = JointParameter.coupled(k, range(k // 2), 0.7 if k > 1 else None, 0.3)
     for seed in range(5):
