@@ -144,12 +144,16 @@ def _require_rows(state: EngineState, rows) -> None:
     """The data rule of :func:`step` (and so of :func:`update`), applied
     before any write: each row holds one observation per stream, a one-step
     statistic that ``models._require_stat`` accepts, and so do the carried
-    sums at n."""
+    sums at n; the carried adaptive log-likelihood is finite, and 0 at n = 0.
+    The queries apply the state half, with no rows."""
     for row in rows:
         if len(row) != state.k:
             raise DomainError(f"expected {state.k} observations, got {len(row)}")
         _require_stat(state.model, 1, row)
     _require_stat(state.model, state.n, state.sums)
+    adaptive = state.adaptive_loglik
+    if not math.isfinite(adaptive) or (state.n == 0 and adaptive):
+        raise DomainError(f"adaptive log-likelihood {adaptive!r}: must be finite, and 0 at n = 0")
 
 
 def _require_run(model: StreamModel, theta_true: JointParameter, n_max: int) -> None:
@@ -255,30 +259,32 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _fit(
-    model: StreamModel, n, s: np.ndarray, mean: np.ndarray, region: Region
+    model: StreamModel, n, s: np.ndarray, mean: np.ndarray, region: Region, logs_at=_logs_at
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The mean s / n clipped into ``region``, the log-likelihood there and
-    the :func:`_logs_at` it took, elementwise over counts and sums.
-    The caller divides, so that one mean serves both regions."""
+    the logs that ``logs_at`` took there, elementwise over counts and sums:
+    every supremum that the kernel takes.  The caller divides, so that one
+    mean serves both regions."""
     lo, hi = model.space.region_bounds(region)
     fit = np.clip(mean, lo, hi)
-    logs = _logs_at(model, fit)
+    logs = logs_at(model, fit)
     return fit, _loglik(model, n, s, fit, logs), logs
 
 
 def _region_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
-    """:func:`sup_stat_loglik` elementwise over pooled counts and sums; 0 where n is 0."""
-    occupied = n > 0
-    n = np.where(occupied, n, 1.0)
-    _, value, _ = _fit(model, n, s, s / n, region)
-    return np.where(occupied, value, 0.0)
+    """:func:`sup_stat_loglik` elementwise over pooled counts and sums; 0 where n is 0.
+    The zero is needed: the empty noise group of T_K holds the rounding
+    residue of the stream total minus the ranked sums, which the Gaussian
+    closed form scores as a tiny nonzero value."""
+    return np.where(n > 0, _fit(model, n, s, s / np.maximum(n, 1.0), region)[1], 0.0)
 
 
 def _fast_sup(model: StreamModel, n: np.ndarray, s: np.ndarray, region: Region) -> np.ndarray:
-    """:func:`_region_sup` of the Bernoulli with numpy's logs, within _FAST_SLACK of it."""
-    lo, hi = model.space.region_bounds(region)
-    fit = np.clip(s / np.maximum(n, 1.0), lo, hi)
-    return _loglik(model, n, s, fit, (np.log(fit), np.log1p(-fit)))
+    """:func:`_region_sup` of the Bernoulli with numpy's logs, within _FAST_SLACK of it;
+    sums are whole, so an empty group's is 0 and scores +-0 without the zero."""
+    return _fit(
+        model, n, s, s / np.maximum(n, 1.0), region, lambda _, fit: (np.log(fit), np.log1p(-fit))
+    )[1]
 
 
 def _coupled_sups(
@@ -655,8 +661,10 @@ def update(state: EngineState, obs: Sequence[float]) -> EngineState:
 
 def _state_scores(state: EngineState, kinds, needs: str) -> tuple[frozenset[int], list]:
     """:func:`_scores` of the state's one row at its count: the signal-set
-    estimate and each of ``kinds``' (logL0, logL1), as Python values.
-    ``needs`` opens the error raised before any observation."""
+    estimate and each of ``kinds``' (logL0, logL1), as Python values.  The
+    state is checked first (:func:`_require_rows`); ``needs`` opens the error
+    raised before any observation."""
+    _require_rows(state, ())
     if state.n < 1:
         raise DomainError(f"{needs} at least one observation")
     member, sups = _scores(state.model, float(state.n), np.array([state.sums], float), kinds)

@@ -6,8 +6,9 @@ must fail on it.  For each entry the runner copies src/ to a temporary
 directory, applies the one patch there and runs the entry's tests on the
 copy.  It first runs every entry's tests on an unpatched copy, which must
 pass, so that a broken test cannot kill a mutant.  It prints one line per
-mutant, killed or survived, and exits non-zero if a mutant survives or if
-an entry's old text is not found exactly once (a stale entry).
+mutant, killed or survived, with its wall time, then the total wall time,
+and exits non-zero if a mutant survives or if an entry's old text is not
+found exactly once (a stale entry).
 
     python tests/mutants.py
 """
@@ -18,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +38,8 @@ class Mutant:
 
 _SCREEN_TESTS = ("tests/test_kernel.py::test_screen_decides_at_the_thresholds",)
 _STOP_RULE_TESTS = ("tests/test_kernel.py::test_stop_rule_holds_at_its_thresholds",)
+_DATA_RULE_TESTS = ("tests/test_models.py::test_impossible_statistic_rejected",)
+_ADAPTIVE_RULE_TESTS = ("tests/test_models.py::test_impossible_adaptive_loglik_rejected",)
 
 MUTANTS = (
     Mutant(
@@ -96,6 +100,53 @@ MUTANTS = (
         ">= (a stop at exactly the threshold)",
         _STOP_RULE_TESTS,
     ),
+    Mutant(
+        "swapped lagged Bernoulli logs",
+        "seqdetect/engine.py",
+        "np.where(member, at1, at0)",
+        "np.where(member, at0, at1)",
+        "a Bernoulli observation is scored with the logs of the other region's "
+        "fit while its lagged estimate is this region's, so the adaptive "
+        "log-likelihood is not the one-step-lagged likelihood",
+        _STOP_RULE_TESTS,
+    ),
+    Mutant(
+        "empty group scored",
+        "seqdetect/engine.py",
+        "    return np.where(n > 0, _fit(model, n, s, s / np.maximum(n, 1.0), region)[1], 0.0)\n",
+        "    return _fit(model, n, s, s / np.maximum(n, 1.0), region)[1]\n",
+        "an empty pooled group is scored on its sum, which for the noise group "
+        "of the top set T_K is the rounding residue of the stream total minus "
+        "the ranked sums, so a Gaussian supremum moves off the scalar one",
+        ("tests/test_kernel.py::test_coupled_suprema_equal_the_scalar_ones",),
+    ),
+    Mutant(
+        "one-pass row check",
+        "seqdetect/engine.py",
+        "    for row in rows:\n",
+        "    for row in rows[:1]:\n",
+        "only a block's first row is checked, so an impossible observation in "
+        "a later row is absorbed into the sums",
+        _DATA_RULE_TESTS,
+    ),
+    Mutant(
+        "skipped first carried sum",
+        "seqdetect/engine.py",
+        "_require_stat(state.model, state.n, state.sums)",
+        "_require_stat(state.model, state.n, state.sums[1:])",
+        "the first stream's carried sum is never checked, so a state that no "
+        "data can give is scored",
+        _DATA_RULE_TESTS,
+    ),
+    Mutant(
+        "unchecked adaptive log-likelihood",
+        "seqdetect/engine.py",
+        "    if not math.isfinite(adaptive) or (state.n == 0 and adaptive):\n",
+        "    if False:\n",
+        "a carried adaptive log-likelihood that is not finite, or nonzero at "
+        "n = 0, is scored on, so every margin read from it is meaningless",
+        _ADAPTIVE_RULE_TESTS,
+    ),
 )
 
 
@@ -122,6 +173,7 @@ def _copy(tmp: str, mutant: Mutant | None = None) -> Path:
 
 
 def main() -> int:
+    start = time.perf_counter()
     tests = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory() as tmp:
         if _pytest(_copy(tmp), tests) != 0:
@@ -129,13 +181,16 @@ def main() -> int:
             return 1
     survived = 0
     for mutant in MUTANTS:
+        began = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             status = _pytest(_copy(tmp, mutant), mutant.tests)
         if status not in (0, 1):
             print(f"mutant '{mutant.name}': pytest exit {status}, neither killed nor survived")
             return 1
         survived += status == 0
-        print(f"mutant '{mutant.name}': {'survived' if status == 0 else 'killed'} ({mutant.why})")
+        verdict = "survived" if status == 0 else "killed"
+        print(f"mutant '{mutant.name}': {verdict} in {time.perf_counter() - began:.1f} s ({mutant.why})")
+    print(f"{len(MUTANTS)} mutants, {survived} survived, {time.perf_counter() - start:.1f} s in all")
     return int(survived > 0)
 
 

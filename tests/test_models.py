@@ -4,7 +4,16 @@ import random
 import pytest
 
 from seqdetect.errors import ConfigError, DomainError
-from seqdetect.engine import EngineState, TestKind, Thresholds, step, update
+from seqdetect.engine import (
+    EngineState,
+    TestKind,
+    Thresholds,
+    check_stop,
+    estimate_signal_set,
+    step,
+    sup_loglik_error_sets,
+    update,
+)
 from seqdetect.models import (
     Family,
     JointParameter,
@@ -110,10 +119,14 @@ def _step(state, rows):
     return step(state, rows, [(Thresholds(1.0, 1.0), TestKind.CONSTRAINED)])
 
 
-def _leaves_state(feed, model, n, sums, data):
+def _check_stop(state, rows=None):
+    return check_stop(state, Thresholds(1.0, 1.0), TestKind.CONSTRAINED)
+
+
+def _leaves_state(feed, model, n, sums, data, adaptive=0.0):
     # A rejected update or step, for a value of its rows or for a carried
-    # sum, must leave the whole state as it was.
-    st = EngineState(model, list(sums), 0.0, n)
+    # sum or adaptive log-likelihood, must leave the whole state as it was.
+    st = EngineState(model, list(sums), adaptive, n)
     before = (st.n, list(st.sums), st.adaptive_loglik)
     try:
         feed(st, data)
@@ -127,6 +140,7 @@ def _leaves_state(feed, model, n, sums, data):
 # 0 (an infinite carried sum is what finite data leave when a sum overflows).
 # step takes s in its first row, in the second row of a block whose first row
 # is valid (so that a check made while writing would show), or as a carried sum.
+# The three queries take s as a carried sum.
 DATA_ENTRIES = {
     "update-first": lambda model, n, s: _leaves_state(update, model, 1, [1.0, 0.0], [s, 1.0]),
     "update-second": lambda model, n, s: _leaves_state(update, model, 1, [1.0, 0.0], [1.0, s]),
@@ -137,6 +151,13 @@ DATA_ENTRIES = {
         _step, model, 1, [1.0, 0.0], [[1.0, 1.0], [1.0, s]]
     ),
     "step-carried": lambda model, n, s: _leaves_state(_step, model, n, [float(n > 0), s], [[1.0, 1.0]]),
+    "estimate_signal_set": lambda model, n, s: estimate_signal_set(
+        EngineState(model, [float(n > 0), s], 0.0, n)
+    ),
+    "sup_loglik_error_sets": lambda model, n, s: sup_loglik_error_sets(
+        EngineState(model, [float(n > 0), s], 0.0, n), TestKind.CONSTRAINED
+    ),
+    "check_stop": lambda model, n, s: _check_stop(EngineState(model, [float(n > 0), s], 0.0, n)),
     "stat_loglik": lambda model, n, s: stat_loglik(model, n, s, model.space.theta1_lo),
     "subset": lambda model, n, s: subset_sup_loglik_error_sets(model, n, [0.0, s], frozenset()),
     "grid": lambda model, n, s: grid_sup_loglik(
@@ -162,6 +183,24 @@ IMPOSSIBLE_STATS = [
 def test_impossible_statistic_rejected(entry, model, n, s):
     with pytest.raises(DomainError):
         DATA_ENTRIES[entry](model, n, s)
+
+
+# A carried adaptive log-likelihood that no data can give: not finite at a
+# count n >= 1, or nonzero at n = 0 (the carried sums are valid).
+IMPOSSIBLE_ADAPTIVE = [
+    *((n, adaptive) for n in (1, 3) for adaptive in (math.nan, math.inf, -math.inf)),
+    (0, 1.0), (0, -1.0),
+]
+
+
+@pytest.mark.parametrize("feed, data", [
+    (update, [1.0, 1.0]), (_step, [[1.0, 1.0]]), (_check_stop, None),
+], ids=["update", "step", "check_stop"])
+@pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
+@pytest.mark.parametrize("n, adaptive", IMPOSSIBLE_ADAPTIVE)
+def test_impossible_adaptive_loglik_rejected(feed, data, model, n, adaptive):
+    with pytest.raises(DomainError):
+        _leaves_state(feed, model, n, [float(n > 0), 0.0], data, adaptive)
 
 
 @pytest.mark.parametrize("model", [GAUSS, BERN], ids=["gaussian", "bernoulli"])
